@@ -78,7 +78,7 @@ fn config(faults: FaultSchedule, registry: &MetricsRegistry) -> ClusterConfig {
         faults,
         fault_time_scale: 0.001,
         deadline: Some(Duration::from_secs(20)),
-        retry: RetryPolicy::default().with_budget(64),
+        retry: RetryPolicy::with_budget(64),
         speculate_after: Some(5),
         metrics: Some(registry.clone()),
         ..ClusterConfig::default()

@@ -33,6 +33,10 @@ fn main() {
                     format!("{node} finished {paragraphs} paragraphs")
                 }
                 SimEventKind::Completed { node } => format!("{node} sorted final answers"),
+                SimEventKind::Rejected => "question rejected at admission".to_string(),
+                SimEventKind::Shed { module } => {
+                    format!("{module} shed: deadline budget too short")
+                }
             };
             println!("  [{:>8.2}s] {line}", e.at);
         }

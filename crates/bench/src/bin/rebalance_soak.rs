@@ -210,7 +210,7 @@ fn run_runtime_demo(
             ..ClusterConfig::default()
         },
     );
-    let mut check_wave = |wave: &str, cluster: &Cluster, violations: &mut Vec<String>| {
+    let check_wave = |wave: &str, cluster: &Cluster, violations: &mut Vec<String>| {
         for (i, gq) in fixture.questions.iter().enumerate() {
             match cluster.ask(&gq.question) {
                 Err(e) => violations.push(format!(

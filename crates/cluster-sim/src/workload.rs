@@ -846,7 +846,7 @@ impl QaSimulation {
             arrivals.push(t);
         }
 
-        let states = (0..cfg.questions)
+        let states: Vec<QState> = (0..cfg.questions)
             .map(|i| {
                 let profile = &cfg.profiles[i % cfg.profiles.len()];
                 let mut demand = QuestionDemand::sample(profile, cfg.seed, i as u64);

@@ -203,13 +203,20 @@ impl CausalSpan {
 /// replays; the threaded runtime keeps ids unique but their assignment
 /// order follows the actual interleaving, which is exactly what the
 /// trace should show.
-#[derive(Debug)]
 pub struct TraceRecorder {
     clock: Arc<dyn Clock>,
     seed: u64,
     ring: FlightRecorder<CausalSpan>,
     dropped: Counter,
     ordinals: Mutex<BTreeMap<u64, u64>>,
+}
+
+impl std::fmt::Debug for TraceRecorder {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TraceRecorder")
+            .field("seed", &self.seed)
+            .finish_non_exhaustive()
+    }
 }
 
 impl TraceRecorder {

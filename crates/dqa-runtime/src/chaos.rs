@@ -20,7 +20,7 @@ use qa_types::NodeId;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// What the driver does at one timeline point.
 #[derive(Debug, Clone, Copy)]
@@ -152,6 +152,7 @@ impl Drop for ChaosDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     fn wait_until(deadline_ms: u64, mut cond: impl FnMut() -> bool) -> bool {
         let deadline = Instant::now() + Duration::from_millis(deadline_ms);

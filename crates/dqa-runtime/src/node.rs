@@ -11,7 +11,7 @@
 use crate::board::LoadBoard;
 use crate::message::{Envelope, SubTask, SubTaskResult};
 use crate::trace::{TraceKind, TraceLog};
-use crossbeam_channel::{Receiver, RecvTimeoutError};
+use crossbeam_channel::{Receiver, RecvTimeoutError, TryRecvError};
 use ir_engine::ParagraphRetriever;
 use nlp::NamedEntityRecognizer;
 use qa_pipeline::answer::extract_answers;
@@ -44,7 +44,15 @@ pub fn run_node(ctx: NodeContext, rx: Receiver<Envelope>) {
             // node out through staleness, like a real silent crash), queued
             // envelopes are discarded, but the thread survives so a resume
             // brings the node back with reset state.
-            while rx.try_recv().is_ok() {}
+            loop {
+                match rx.try_recv() {
+                    Ok(_) => {}
+                    Err(TryRecvError::Empty) => break,
+                    // The cluster shut down around a suspended (drained,
+                    // standby) node: exit, or `shutdown` joins forever.
+                    Err(TryRecvError::Disconnected) => return,
+                }
+            }
             std::thread::sleep(ctx.heartbeat_every);
             continue;
         }

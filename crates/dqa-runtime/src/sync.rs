@@ -13,6 +13,7 @@
 #[cfg(not(feature = "loom"))]
 pub use parking_lot::{Condvar, Mutex, MutexGuard};
 
+/// The atomics behind the seam.
 #[cfg(not(feature = "loom"))]
 pub mod atomic {
     pub use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};

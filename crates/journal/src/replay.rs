@@ -154,9 +154,12 @@ impl RecoveredState {
     /// the same frame sequence any number of times yields the same state.
     pub fn apply(&mut self, framed: &Framed) {
         self.term = self.term.max(framed.term);
-        let entry = |qs: &mut BTreeMap<QuestionId, QuestionRecovery>, id: QuestionId| {
+        fn entry(
+            qs: &mut BTreeMap<QuestionId, QuestionRecovery>,
+            id: QuestionId,
+        ) -> &mut QuestionRecovery {
             qs.entry(id).or_default()
-        };
+        }
         match &framed.record {
             JournalRecord::Admitted { question } => {
                 let rec = entry(&mut self.questions, question.id);

@@ -437,7 +437,7 @@ pub fn read_segment(path: impl AsRef<Path>) -> Result<Vec<(u64, Framed)>, Journa
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{JournalPhase, SchedulingPoint};
+    use crate::record::SchedulingPoint;
     use qa_types::{Question, QuestionId};
 
     fn tmp(name: &str) -> PathBuf {

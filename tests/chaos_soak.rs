@@ -44,7 +44,7 @@ fn chaos_config(faults: FaultSchedule) -> ClusterConfig {
         // millisecond scale so a crash at t=20 lands 20 ms in.
         fault_time_scale: 0.001,
         deadline: Some(Duration::from_secs(20)),
-        retry: RetryPolicy::default().with_budget(64),
+        retry: RetryPolicy::with_budget(64),
         speculate_after: Some(5),
         ..ClusterConfig::default()
     }

@@ -75,6 +75,9 @@ fn node_rejoins_after_revival() {
     let questions = QuestionGenerator::new(&corpus, 3).generate(3);
     cl.kill_node(NodeId::new(2));
     let _ = cl.ask(&questions[0].question).unwrap();
+    // Workers see the kill switch at their next idle poll (5 ms); a release
+    // build answers faster than that, so give them time to exit first.
+    std::thread::sleep(std::time::Duration::from_millis(50));
     // Node 2's worker thread has exited; merely flipping the flag must not
     // resurrect it from the dispatchers' perspective unless it heartbeats.
     cl.board().set_alive(NodeId::new(2), true);
