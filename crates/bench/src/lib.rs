@@ -7,8 +7,12 @@
 //! * `src/bin/ablation_scheduling.rs` — the DESIGN.md ablations
 //!   (load-function weights, migration hysteresis, number of scheduling
 //!   points).
+//! * `src/bin/soak.rs` over [`soak`] — every soak and gate (chaos,
+//!   overload, recovery, federation, rebalance, integrity, trace,
+//!   obs_overhead) as one scenario table: `soak <scenario>…|all --ci`.
 //! * `benches/*.rs` — criterion micro-benchmarks of the substrates
 //!   (IR engine, pipeline modules, partitioning, DES engine).
 
 pub mod fixtures;
 pub mod render;
+pub mod soak;

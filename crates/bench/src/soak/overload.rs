@@ -17,18 +17,14 @@
 //!    rates never move in strongly opposite directions between adjacent
 //!    load levels.
 //!
-//! On a violation the runtime traces are dumped to `--trace-out`
-//! (default `target/overload_soak_trace.txt`) and the process exits
-//! non-zero; the CI overload job uploads the dump as an artifact.
-//!
-//! `--ci` runs the short fixed-seed configuration (two load levels)
-//! sized for a per-commit gate.
+//! The runtime trace of every load level is kept for the dump. `--ci`
+//! runs two load levels (1× and 4×).
 
-use bench::fixtures::QaFixture;
+use super::{conserved, json, percentile, start, Ctx, Outcome};
+use crate::fixtures::QaFixture;
 use cluster_sim::{BalancingStrategy, QaSimulation, SimConfig};
 use dqa_obs::MetricsRegistry;
-use dqa_runtime::{Admission, Cluster, ClusterConfig};
-use nlp::NamedEntityRecognizer;
+use dqa_runtime::{Admission, ClusterConfig};
 use qa_types::{OverloadCounts, OverloadPolicy};
 use std::time::Instant;
 
@@ -52,46 +48,6 @@ const VIRT_GRACE: f64 = 1.25;
 /// the virtual-time backend would reject it.
 const WALL_JITTER: f64 = 0.10;
 
-struct Args {
-    ci: bool,
-    seed: u64,
-    trace_out: String,
-    metrics_out: Option<String>,
-    bench_out: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        ci: false,
-        seed: 3001,
-        trace_out: "target/overload_soak_trace.txt".into(),
-        metrics_out: None,
-        bench_out: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--ci" => args.ci = true,
-            "--seed" => args.seed = it.next().and_then(|v| v.parse().ok()).unwrap_or(args.seed),
-            "--trace-out" => {
-                if let Some(p) = it.next() {
-                    args.trace_out = p;
-                }
-            }
-            "--metrics-out" => args.metrics_out = it.next(),
-            "--bench-out" => args.bench_out = it.next(),
-            other => {
-                eprintln!(
-                    "unknown argument {other}; usage: overload_soak [--ci] [--seed N] \
-                     [--trace-out PATH] [--metrics-out PATH] [--bench-out PATH]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
-
 /// One backend's measurements at one offered-load level.
 struct LoadPoint {
     mult: f64,
@@ -111,29 +67,17 @@ fn policy(deadline: f64) -> OverloadPolicy {
     OverloadPolicy::server(CAP).with_deadline(deadline)
 }
 
-/// Nearest-rank percentile of an unsorted sample; 0.0 when empty.
-fn percentile(sample: &mut [f64], p: f64) -> f64 {
-    if sample.is_empty() {
-        return 0.0;
-    }
-    sample.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let rank = ((p * sample.len() as f64).ceil() as usize).clamp(1, sample.len());
-    sample[rank - 1]
-}
-
 /// Offer `offered_at(mult)` questions to a fresh thread-runtime cluster
-/// in one concurrent burst and tally every outcome. Returns the point
-/// and the rendered trace (kept for the violation dump).
+/// in one concurrent burst and tally every outcome.
 fn run_runtime_point(
     fixture: &QaFixture,
     mult: f64,
     registry: &MetricsRegistry,
-    violations: &mut Vec<String>,
-) -> (LoadPoint, Vec<String>) {
+    out: &mut Outcome,
+) -> LoadPoint {
     let offered = offered_at(mult);
-    let cluster = Cluster::start(
-        fixture.retriever(),
-        NamedEntityRecognizer::standard(),
+    let cluster = start(
+        fixture,
         ClusterConfig {
             nodes: 4,
             overload: policy(WALL_DEADLINE),
@@ -174,13 +118,13 @@ fn run_runtime_point(
                     admitted_ms.push(*ms);
                 }
             }
-            None => violations.push(format!(
+            None => out.violations.push(format!(
                 "runtime {mult}x: a question failed outright ({admission:?}) — silent drop"
             )),
         }
     }
-    if counts.offered() != offered {
-        violations.push(format!(
+    if !conserved(&counts, results.len(), offered) {
+        out.violations.push(format!(
             "runtime {mult}x: outcome conservation broken — {} accounted of {offered} offered",
             counts.offered()
         ));
@@ -188,31 +132,24 @@ fn run_runtime_point(
     let p50 = percentile(&mut admitted_ms, 0.50);
     let p99 = percentile(&mut admitted_ms, 0.99);
     if !admitted_ms.is_empty() && p99 > WALL_DEADLINE * 1e3 {
-        violations.push(format!(
+        out.violations.push(format!(
             "runtime {mult}x: admitted p99 {p99:.1} ms exceeds the {WALL_DEADLINE} s deadline"
         ));
     }
-    let trace = cluster.trace().render();
+    out.trace.push(format!("--- runtime trace at {mult}x ---"));
+    out.trace.extend(cluster.trace().render());
     cluster.shutdown();
-    (
-        LoadPoint {
-            mult,
-            counts,
-            p50,
-            p99,
-        },
-        trace,
-    )
+    LoadPoint {
+        mult,
+        counts,
+        p50,
+        p99,
+    }
 }
 
 /// The same burst on the simulator's virtual hardware: identical policy
 /// shape, virtual-time deadline, all arrivals at t=0.
-fn run_sim_point(
-    seed: u64,
-    mult: f64,
-    registry: &MetricsRegistry,
-    violations: &mut Vec<String>,
-) -> LoadPoint {
+fn run_sim_point(seed: u64, mult: f64, registry: &MetricsRegistry, out: &mut Outcome) -> LoadPoint {
     let offered = offered_at(mult);
     let cfg = SimConfig {
         questions: offered,
@@ -222,9 +159,12 @@ fn run_sim_point(
         ..SimConfig::paper_high_load(4, BalancingStrategy::Dqa, seed)
     };
     let report = QaSimulation::new(cfg).run();
+    // The report's metrics share the runtime's registry (wall-clock
+    // histograms), so the digest covers the per-question records only.
+    out.fold(&json(&report.questions));
     let counts = report.outcome_counts();
-    if counts.offered() != offered || report.questions.len() != offered {
-        violations.push(format!(
+    if !conserved(&counts, report.questions.len(), offered) {
+        out.violations.push(format!(
             "sim {mult}x: outcome conservation broken — {} accounted of {offered} offered",
             counts.offered()
         ));
@@ -232,7 +172,7 @@ fn run_sim_point(
     let p50 = report.admitted_response_percentile(0.50);
     let p99 = report.admitted_response_percentile(0.99);
     if counts.offered() > counts.rejected && p99 > VIRT_DEADLINE * VIRT_GRACE {
-        violations.push(format!(
+        out.violations.push(format!(
             "sim {mult}x: admitted p99 {p99:.1} s exceeds the {VIRT_DEADLINE} s deadline \
              (even with one phase of grace)"
         ));
@@ -246,16 +186,11 @@ fn run_sim_point(
 }
 
 /// Invariant 3: shed rate never falls as offered load rises.
-fn check_monotone(
-    points: &[LoadPoint],
-    backend: &str,
-    tolerance: f64,
-    violations: &mut Vec<String>,
-) {
+fn check_monotone(points: &[LoadPoint], backend: &str, tolerance: f64, out: &mut Outcome) {
     for pair in points.windows(2) {
         let (lo, hi) = (&pair[0], &pair[1]);
         if hi.counts.shed_rate() < lo.counts.shed_rate() - tolerance {
-            violations.push(format!(
+            out.violations.push(format!(
                 "{backend}: shed rate fell from {:.3} at {}x to {:.3} at {}x",
                 lo.counts.shed_rate(),
                 lo.mult,
@@ -268,12 +203,12 @@ fn check_monotone(
 
 /// Invariant 4: between adjacent load levels the two backends' shed
 /// rates must not move in strongly opposite directions.
-fn check_shape_agreement(runtime: &[LoadPoint], sim: &[LoadPoint], violations: &mut Vec<String>) {
+fn check_shape_agreement(runtime: &[LoadPoint], sim: &[LoadPoint], out: &mut Outcome) {
     for (rt, ds) in runtime.windows(2).zip(sim.windows(2)) {
         let d_rt = rt[1].counts.shed_rate() - rt[0].counts.shed_rate();
         let d_ds = ds[1].counts.shed_rate() - ds[0].counts.shed_rate();
         if (d_rt > WALL_JITTER && d_ds < -0.05) || (d_rt < -WALL_JITTER && d_ds > 0.05) {
-            violations.push(format!(
+            out.violations.push(format!(
                 "curve shapes diverge between {}x and {}x: runtime shed moved {:+.3}, \
                  simulator {:+.3}",
                 rt[0].mult, rt[1].mult, d_rt, d_ds
@@ -283,59 +218,19 @@ fn check_shape_agreement(runtime: &[LoadPoint], sim: &[LoadPoint], violations: &
     if let (Some(rt_top), Some(ds_top)) = (runtime.last(), sim.last()) {
         if offered_at(rt_top.mult) > 2 * CAP {
             if rt_top.counts.rejected == 0 {
-                violations.push(format!(
+                out.violations.push(format!(
                     "runtime {}x: burst exceeds cap+queue yet nothing was rejected",
                     rt_top.mult
                 ));
             }
             if ds_top.counts.rejected == 0 {
-                violations.push(format!(
+                out.violations.push(format!(
                     "sim {}x: burst exceeds cap+queue yet nothing was rejected",
                     ds_top.mult
                 ));
             }
         }
     }
-}
-
-/// Machine-readable summary for the `BENCH_*.json` perf trajectory
-/// (schema v1): both backends' load points with outcome counts, goodput,
-/// shed rate and admitted latency percentiles, keyed by the run config so
-/// a future regression gate can refuse to compare unlike runs.
-fn render_bench_json(args: &Args, runtime: &[LoadPoint], sim: &[LoadPoint]) -> String {
-    fn point_list(points: &[LoadPoint]) -> String {
-        points
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"mult\":{},\"offered\":{},\"answered\":{},\"degraded\":{},\
-                     \"rejected\":{},\"goodput\":{:.4},\"shed_rate\":{:.4},\
-                     \"p50\":{:.4},\"p99\":{:.4}}}",
-                    p.mult,
-                    p.counts.offered(),
-                    p.counts.answered,
-                    p.counts.degraded,
-                    p.counts.rejected,
-                    p.counts.goodput(),
-                    p.counts.shed_rate(),
-                    p.p50,
-                    p.p99
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",")
-    }
-    format!(
-        "{{\"bench\":\"overload_soak\",\"schema\":1,\"seed\":{},\"ci\":{},\
-         \"cap\":{CAP},\"queue\":{CAP},\"wall_deadline_s\":{WALL_DEADLINE},\
-         \"virt_deadline_s\":{VIRT_DEADLINE},\"backends\":[\
-         {{\"name\":\"dqa-runtime\",\"latency_unit\":\"ms\",\"points\":[{}]}},\
-         {{\"name\":\"cluster-sim\",\"latency_unit\":\"s\",\"points\":[{}]}}]}}\n",
-        args.seed,
-        args.ci,
-        point_list(runtime),
-        point_list(sim)
-    )
 }
 
 fn print_table(backend: &str, unit: &str, points: &[LoadPoint]) {
@@ -359,93 +254,36 @@ fn print_table(backend: &str, unit: &str, points: &[LoadPoint]) {
     }
 }
 
-fn main() {
-    let args = parse_args();
-    let mults: &[f64] = if args.ci {
+pub fn run(ctx: &Ctx) -> Outcome {
+    let mut out = Outcome::default();
+    let mults: &[f64] = if ctx.ci {
         &[1.0, 4.0]
     } else {
         &[0.5, 1.0, 2.0, 4.0]
     };
-    let max_offered = offered_at(mults[mults.len() - 1]);
-    let fixture = QaFixture::small(args.seed, max_offered);
+    let fixture = QaFixture::small(ctx.seed, offered_at(mults[mults.len() - 1]));
 
     // One registry across every cluster and simulation in the sweep, so
-    // the exported snapshot aggregates the whole soak.
+    // the snapshot aggregates the whole soak.
     let registry = MetricsRegistry::new();
-    let mut violations = Vec::new();
-    let mut traces = Vec::new();
     let mut runtime_points = Vec::new();
     let mut sim_points = Vec::new();
     for &mult in mults {
-        let (point, trace) = run_runtime_point(&fixture, mult, &registry, &mut violations);
-        runtime_points.push(point);
-        traces.push((mult, trace));
-        sim_points.push(run_sim_point(args.seed, mult, &registry, &mut violations));
+        runtime_points.push(run_runtime_point(&fixture, mult, &registry, &mut out));
+        sim_points.push(run_sim_point(ctx.seed, mult, &registry, &mut out));
     }
-    check_monotone(&runtime_points, "runtime", WALL_JITTER, &mut violations);
-    check_monotone(&sim_points, "sim", 1e-9, &mut violations);
-    check_shape_agreement(&runtime_points, &sim_points, &mut violations);
+    check_monotone(&runtime_points, "runtime", WALL_JITTER, &mut out);
+    check_monotone(&sim_points, "sim", 1e-9, &mut out);
+    check_shape_agreement(&runtime_points, &sim_points, &mut out);
 
     println!(
         "Overload soak — seed {}, cap {CAP} in-flight + {CAP} queued, \
-         {} s wall / {} s virtual deadline\n",
-        args.seed, WALL_DEADLINE, VIRT_DEADLINE
+         {WALL_DEADLINE} s wall / {VIRT_DEADLINE} s virtual deadline\n",
+        ctx.seed
     );
     print_table("thread runtime (dqa-runtime)", "ms", &runtime_points);
     println!();
     print_table("discrete-event simulator (cluster-sim)", "s", &sim_points);
-
-    if let Some(path) = &args.metrics_out {
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        match std::fs::write(path, registry.snapshot().to_json()) {
-            Ok(()) => println!("\n  metrics snapshot written to {path}"),
-            Err(e) => {
-                eprintln!("overload-soak: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    if let Some(path) = &args.bench_out {
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        match std::fs::write(path, render_bench_json(&args, &runtime_points, &sim_points)) {
-            Ok(()) => println!("  bench summary written to {path}"),
-            Err(e) => {
-                eprintln!("overload-soak: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    if !violations.is_empty() {
-        let mut dump = String::new();
-        for v in &violations {
-            eprintln!("overload-soak VIOLATION: {v}");
-            dump.push_str(&format!("VIOLATION: {v}\n"));
-        }
-        for (mult, trace) in &traces {
-            dump.push_str(&format!("\n--- runtime trace at {mult}x ---\n"));
-            for line in trace {
-                dump.push_str(line);
-                dump.push('\n');
-            }
-        }
-        if let Some(dir) = std::path::Path::new(&args.trace_out).parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        if let Err(e) = std::fs::write(&args.trace_out, dump) {
-            eprintln!("overload-soak: cannot write {}: {e}", args.trace_out);
-        } else {
-            eprintln!("overload-soak: traces dumped to {}", args.trace_out);
-        }
-        std::process::exit(1);
-    }
-    println!(
-        "\n  invariants held: outcomes conserved, admitted p99 within deadline, \
-         shed rate monotone, backend curves agree"
-    );
+    out.metrics = Some(registry);
+    out
 }

@@ -13,71 +13,20 @@
 //!    journal after the successor's term is rejected — visible in
 //!    `dqa_fenced_grants_total`, with zero records appended.
 //!
-//! The live and crashed journal images live under `--artifacts-dir`
-//! (default `target/recovery_soak/`); on a violation a metrics snapshot
-//! is dumped next to them and the process exits non-zero, which is what
-//! the CI recovery job uploads.
-//!
-//! `--ci` runs the short fixed-seed configuration sized for a
-//! per-commit gate.
+//! Each phase depends on the one before, so the scenario ends at its
+//! first violation with the registry of the incarnation that broke. The
+//! live and crashed journal images stay under `DIR/recovery/` next to the
+//! dump. `--ci` runs four questions.
 
-use bench::fixtures::QaFixture;
+use super::{answer_bytes, start, Ctx, Outcome};
+use crate::fixtures::QaFixture;
 use dqa_obs::MetricsRegistry;
-use dqa_runtime::{Cluster, ClusterConfig, CoordinatorJournal};
+use dqa_runtime::{ClusterConfig, CoordinatorJournal};
 use journal::{read_segment, JournalRecord};
-use nlp::NamedEntityRecognizer;
 use qa_types::QuestionId;
 use scheduler::partition::PartitionStrategy;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
-
-struct Args {
-    ci: bool,
-    seed: u64,
-    questions: usize,
-    artifacts_dir: String,
-    metrics_out: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        ci: false,
-        seed: 4242,
-        questions: 6,
-        artifacts_dir: "target/recovery_soak".into(),
-        metrics_out: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--ci" => args.ci = true,
-            "--seed" => args.seed = it.next().and_then(|v| v.parse().ok()).unwrap_or(args.seed),
-            "--questions" => {
-                args.questions = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(args.questions)
-            }
-            "--artifacts-dir" => {
-                if let Some(p) = it.next() {
-                    args.artifacts_dir = p;
-                }
-            }
-            "--metrics-out" => args.metrics_out = it.next(),
-            other => {
-                eprintln!(
-                    "unknown argument {other}; usage: recovery_soak [--ci] [--seed N] \
-                     [--questions N] [--artifacts-dir DIR] [--metrics-out PATH]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    if args.ci {
-        args.questions = args.questions.min(4);
-    }
-    args
-}
 
 fn config(journal: Option<CoordinatorJournal>, registry: &MetricsRegistry) -> ClusterConfig {
     ClusterConfig {
@@ -87,22 +36,6 @@ fn config(journal: Option<CoordinatorJournal>, registry: &MetricsRegistry) -> Cl
         metrics: Some(registry.clone()),
         ..ClusterConfig::default()
     }
-}
-
-/// Dump the active metrics registry next to the journal images and die.
-fn fail(msg: &str, artifacts: &Path, registry: &MetricsRegistry) -> ! {
-    eprintln!("recovery-soak VIOLATION: {msg}");
-    let _ = std::fs::create_dir_all(artifacts);
-    let path = artifacts.join("metrics.json");
-    match std::fs::write(&path, registry.snapshot().to_json()) {
-        Ok(()) => eprintln!("recovery-soak: metrics dumped to {}", path.display()),
-        Err(e) => eprintln!("recovery-soak: cannot write {}: {e}", path.display()),
-    }
-    eprintln!(
-        "recovery-soak: journal images left under {} for upload",
-        artifacts.display()
-    );
-    std::process::exit(1);
 }
 
 /// Copy the journal at `live` to `crash`, truncated immediately before
@@ -143,52 +76,38 @@ fn crash_image(live: &Path, crash: &Path, question: QuestionId) {
     }
 }
 
-fn main() {
-    let args = parse_args();
-    let artifacts = PathBuf::from(&args.artifacts_dir);
-    let live_dir = artifacts.join("journal");
-    let crash_dir = artifacts.join("journal-crash");
+pub fn run(ctx: &Ctx) -> Outcome {
+    let out = Outcome::default();
+    let questions = if ctx.ci { 4 } else { 6 };
+    let live_dir = ctx.dir.join("journal");
+    let crash_dir = ctx.dir.join("journal-crash");
     let _ = std::fs::remove_dir_all(&live_dir);
     let _ = std::fs::remove_dir_all(&crash_dir);
-    let fixture = QaFixture::small(args.seed, args.questions);
+    let fixture = QaFixture::small(ctx.seed, questions);
 
     // Phase 0 — crash-free baseline: the answer bytes every later
     // incarnation must reproduce.
     let baseline_registry = MetricsRegistry::new();
-    let clean = Cluster::start(
-        fixture.retriever(),
-        NamedEntityRecognizer::standard(),
-        config(None, &baseline_registry),
-    );
+    let clean = start(&fixture, config(None, &baseline_registry));
     let mut baseline = Vec::new();
     for gq in &fixture.questions {
-        let out = clean.ask(&gq.question).expect("crash-free ask failed");
-        if !out.coverage.is_complete() {
-            fail(
-                "crash-free baseline degraded",
-                &artifacts,
-                &baseline_registry,
-            );
+        let answer = clean.ask(&gq.question).expect("crash-free ask failed");
+        if !answer.coverage.is_complete() {
+            return out.fail("crash-free baseline degraded", &baseline_registry);
         }
-        baseline.push(serde_json::to_string(&out.answers).expect("serialize answers"));
+        baseline.push(answer_bytes(&answer));
     }
     clean.shutdown();
 
     // Phase 1 — the doomed leader: a journaled run of the same load.
     let (leader, _) = CoordinatorJournal::open(&live_dir).expect("open live journal");
     let leader_registry = MetricsRegistry::new();
-    let cl = Cluster::start(
-        fixture.retriever(),
-        NamedEntityRecognizer::standard(),
-        config(Some(leader.clone()), &leader_registry),
-    );
+    let cl = start(&fixture, config(Some(leader.clone()), &leader_registry));
     for (i, gq) in fixture.questions.iter().enumerate() {
-        let out = cl.ask(&gq.question).expect("journaled ask failed");
-        let bytes = serde_json::to_string(&out.answers).expect("serialize answers");
-        if bytes != baseline[i] {
-            fail(
-                &format!("journaling perturbed question {}", gq.question.id),
-                &artifacts,
+        let answer = cl.ask(&gq.question).expect("journaled ask failed");
+        if answer_bytes(&answer) != baseline[i] {
+            return out.fail(
+                format!("journaling perturbed question {}", gq.question.id),
                 &leader_registry,
             );
         }
@@ -199,7 +118,7 @@ fn main() {
 
     // The crash lands mid-question: cut the journal just before the last
     // question's durable answer.
-    let doomed = fixture.questions[args.questions - 1].question.id;
+    let doomed = fixture.questions[questions - 1].question.id;
     crash_image(&live_dir, &crash_dir, doomed);
 
     // Phase 2 — failover: a successor replays the crashed journal and
@@ -209,28 +128,26 @@ fn main() {
     let (successor, recovery) = CoordinatorJournal::open(&crash_dir).expect("open crashed journal");
     let recovery_registry = MetricsRegistry::new();
     if recovery.state.gate_occupancy() != 1 {
-        fail(
-            &format!(
+        return out.fail(
+            format!(
                 "replay found {} in-flight question(s), want exactly the one killed mid-load",
                 recovery.state.gate_occupancy()
             ),
-            &artifacts,
             &recovery_registry,
         );
     }
-    for (i, gq) in fixture.questions[..args.questions - 1].iter().enumerate() {
+    for (i, gq) in fixture.questions[..questions - 1].iter().enumerate() {
         let survived = recovery
             .state
             .get(gq.question.id)
             .and_then(|rec| rec.answer())
             .is_some_and(|(payload, complete)| complete && payload == baseline[i].as_bytes());
         if !survived {
-            fail(
-                &format!(
+            return out.fail(
+                format!(
                     "pre-crash answer for {} lost or changed in replay",
                     gq.question.id
                 ),
-                &artifacts,
                 &recovery_registry,
             );
         }
@@ -239,42 +156,33 @@ fn main() {
     let term = successor.promote().expect("promote successor");
 
     // Phase 3 — resume the in-flight question on a fresh cluster.
-    let cl2 = Cluster::start(
-        fixture.retriever(),
-        NamedEntityRecognizer::standard(),
-        config(Some(successor), &recovery_registry),
-    );
+    let cl2 = start(&fixture, config(Some(successor), &recovery_registry));
     let resumed = cl2.resume(&recovery);
     let recovery_ms = recovery_start.elapsed().as_secs_f64() * 1e3;
     if resumed.len() != 1 {
-        fail(
-            &format!("resume returned {} question(s), want 1", resumed.len()),
-            &artifacts,
+        return out.fail(
+            format!("resume returned {} question(s), want 1", resumed.len()),
             &recovery_registry,
         );
     }
     let (q, res) = &resumed[0];
     match res {
-        Ok(out) if !out.coverage.is_complete() => fail(
-            "resumed answer lost coverage",
-            &artifacts,
-            &recovery_registry,
-        ),
-        Ok(out) => {
-            let bytes = serde_json::to_string(&out.answers).expect("serialize answers");
-            if bytes != baseline[args.questions - 1] {
-                fail(
-                    &format!("resumed answer for {} diverged from the baseline", q.id),
-                    &artifacts,
-                    &recovery_registry,
-                );
-            }
+        Ok(answer) if !answer.coverage.is_complete() => {
+            return out.fail("resumed answer lost coverage", &recovery_registry)
         }
-        Err(e) => fail(
-            &format!("resume of {} failed: {e}", q.id),
-            &artifacts,
-            &recovery_registry,
-        ),
+        Ok(answer) if answer_bytes(answer) != baseline[questions - 1] => {
+            return out.fail(
+                format!("resumed answer for {} diverged from the baseline", q.id),
+                &recovery_registry,
+            )
+        }
+        Ok(_) => {}
+        Err(e) => {
+            return out.fail(
+                format!("resume of {} failed: {e}", q.id),
+                &recovery_registry,
+            )
+        }
     }
     cl2.shutdown();
     let snap = recovery_registry.snapshot();
@@ -283,24 +191,18 @@ fn main() {
         ("dqa_resumed_questions_total", 1u64),
     ] {
         if snap.counter(key) != want {
-            fail(
-                &format!("{key} = {}, want {want}", snap.counter(key)),
-                &artifacts,
+            return out.fail(
+                format!("{key} = {}, want {want}", snap.counter(key)),
                 &recovery_registry,
             );
         }
     }
     if snap.counter("dqa_replayed_records_total") == 0 {
-        fail(
-            "no journal records replayed",
-            &artifacts,
-            &recovery_registry,
-        );
+        return out.fail("no journal records replayed", &recovery_registry);
     }
     if snap.gauges.get("dqa_leader_term").copied() != Some(term as f64) {
-        fail(
+        return out.fail(
             "leader-term gauge did not follow the promotion",
-            &artifacts,
             &recovery_registry,
         );
     }
@@ -308,41 +210,28 @@ fn main() {
     // Phase 4 — the zombie ex-leader keeps answering but appends nothing:
     // every post-term grant must bounce off the fence.
     let zombie_registry = MetricsRegistry::new();
-    let cl3 = Cluster::start(
-        fixture.retriever(),
-        NamedEntityRecognizer::standard(),
-        config(Some(zombie), &zombie_registry),
-    );
-    let out = cl3
+    let cl3 = start(&fixture, config(Some(zombie), &zombie_registry));
+    let answer = cl3
         .ask(&fixture.questions[0].question)
         .expect("zombie ask failed");
     cl3.shutdown();
-    if serde_json::to_string(&out.answers).expect("serialize answers") != baseline[0] {
-        fail(
+    if answer_bytes(&answer) != baseline[0] {
+        return out.fail(
             "fencing corrupted the zombie's in-memory answer",
-            &artifacts,
             &zombie_registry,
         );
     }
     let zsnap = zombie_registry.snapshot();
     if zsnap.counter("dqa_fenced_grants_total") == 0 {
-        fail(
-            "zombie grants were not fenced",
-            &artifacts,
-            &zombie_registry,
-        );
+        return out.fail("zombie grants were not fenced", &zombie_registry);
     }
     if zsnap.counter("dqa_journal_records_total") != 0 {
-        fail(
-            "a fenced incarnation appended records",
-            &artifacts,
-            &zombie_registry,
-        );
+        return out.fail("a fenced incarnation appended records", &zombie_registry);
     }
 
     println!(
-        "Recovery soak — seed {}, {} questions, 3 nodes",
-        args.seed, args.questions
+        "Recovery soak — seed {}, {questions} questions, 3 nodes",
+        ctx.seed
     );
     println!(
         "  leader journaled {appended} record(s); crash cut mid-question {doomed}; \
@@ -360,17 +249,5 @@ fn main() {
         "  zombie fenced: {} grant(s) rejected, 0 appended",
         zsnap.counter("dqa_fenced_grants_total")
     );
-    if let Some(path) = &args.metrics_out {
-        if let Some(dir) = Path::new(path).parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        match std::fs::write(path, snap.to_json()) {
-            Ok(()) => println!("  metrics snapshot written to {path}"),
-            Err(e) => {
-                eprintln!("recovery-soak: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    println!("  invariants held: zero lost questions, byte-identical resume, zombie fenced");
+    out
 }

@@ -9,7 +9,7 @@
 //! quantitative: time-to-repair, scrub/foreground interference and the
 //! detection split (scrub vs read path) in *virtual* seconds, decoupled
 //! from wall-clock noise — and bit-identical across runs, which the
-//! `integrity_soak` bench asserts by running every scenario twice.
+//! `soak integrity` gate asserts by running every scenario twice.
 //!
 //! Everything is deterministic: arrivals are periodic, detection draws go
 //! through the same splitmix64 construction the fault framework uses, and

@@ -5,7 +5,7 @@
 //! a histogram is a fixed bucket ladder with lock-sharded accumulation
 //! (each thread picks a shard once; shards merge at snapshot time). The
 //! hot path never takes a lock, so instrumenting a phase costs a handful
-//! of atomic ops — the `obs_overhead` bench bin holds it under 2% of
+//! of atomic ops — the `soak obs_overhead` gate holds it under 2% of
 //! `table5_throughput`.
 //!
 //! A registry can be constructed *disabled*: every instrument it hands
@@ -255,7 +255,7 @@ impl MetricsRegistry {
     }
 
     /// A registry whose instruments are all no-ops — the baseline the
-    /// `obs_overhead` bench compares against.
+    /// `soak obs_overhead` gate compares against.
     pub fn disabled() -> MetricsRegistry {
         MetricsRegistry::default()
     }

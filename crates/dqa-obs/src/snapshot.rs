@@ -370,8 +370,8 @@ pub fn render_waterfall(spans: &[Span], width: usize) -> Vec<String> {
     spans
         .iter()
         .map(|s| {
-            let a = col(s.start).min(width);
-            let b = col(s.end).clamp(a + 1, width).max(a + 1);
+            let a = col(s.start).min(width - 1);
+            let b = col(s.end).clamp(a + 1, width);
             let mut bar = String::with_capacity(width);
             for i in 0..width {
                 bar.push(if i >= a && i < b { '#' } else { ' ' });
@@ -499,6 +499,14 @@ mod tests {
     #[test]
     fn empty_waterfall_is_empty() {
         assert!(render_waterfall(&[], 40).is_empty());
+    }
+
+    #[test]
+    fn zero_length_span_at_the_right_edge_gets_the_last_column() {
+        let spans = vec![Span::new("PR", 0.0, 4.0), Span::new("AP", 4.0, 4.0)];
+        let lines = render_waterfall(&spans, 20);
+        let bar = lines[1].split('|').nth(1).expect("bar between pipes");
+        assert_eq!(bar, format!("{:>20}", "#"));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! the wall clock: trace ids derive from `splitmix64(question ⊕ seed)`
 //! and span ids from a per-trace ordinal chain, so a seeded simulator
 //! double run emits *byte-identical* exported span streams (the
-//! `trace_gate` bench and the chaos replay tests assert exactly that).
+//! `soak trace` gate and the chaos replay tests assert exactly that).
 //! Timestamps come only from the [`Clock`] seam — wall time in the
 //! runtime, virtual time in the DES — which `dqa-lint`'s `raw-instant`
 //! rule enforces for this module just like for the runtime crates.
@@ -24,7 +24,7 @@
 //! that gates completion, attributing uncovered gaps to the parent's own
 //! time. The attributed components therefore partition the root interval
 //! exactly — their sum equals the measured end-to-end latency up to f64
-//! addition error, which is what lets `trace_gate` hold a per-component
+//! addition error, which is what lets `soak trace` hold a per-component
 //! budget without slack for attribution loss.
 
 use crate::metrics::Counter;
@@ -382,7 +382,7 @@ impl CriticalPath {
 
     /// Sum of attributed component seconds. The backward walk partitions
     /// the root interval, so this equals [`CriticalPath::total`] up to
-    /// f64 addition error — the `trace_gate` invariant.
+    /// f64 addition error — the `soak trace` invariant.
     pub fn attributed(&self) -> f64 {
         self.components.iter().map(PathComponent::total).sum()
     }
@@ -583,7 +583,7 @@ pub fn to_chrome_json(spans: &[CausalSpan]) -> String {
 
 /// Validates that `json` is chrome-tracing shaped: a `traceEvents`
 /// array of objects each carrying `name`/`ph`/`pid`/`tid`/`ts`/`dur`.
-/// Returns the event count — the CI trace-smoke check.
+/// Returns the event count — the CI `cli-smoke` check.
 pub fn validate_chrome_json(json: &str) -> Result<usize, String> {
     let doc: serde_json::Value =
         serde_json::from_str(json).map_err(|e| format!("not valid JSON: {e}"))?;

@@ -141,7 +141,7 @@ impl Cluster {
     /// permanent (past the lease floor *and* the phi threshold — transient
     /// stragglers are never migrated), and, when the Eq. 1–3 load gauges
     /// show skew past [`ElasticConfig::skew_threshold`], rebalance.
-    /// Call it periodically (the `rebalance_soak` bench and `qa-cli` drive
+    /// Call it periodically (`soak rebalance` and `qa-cli` drive
     /// it between question waves); each call is cheap when healthy.
     /// Returns the number of ownership transfers applied.
     pub fn heal(&self) -> usize {

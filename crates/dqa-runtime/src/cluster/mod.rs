@@ -234,6 +234,7 @@ impl Cluster {
             cfg.quarantine,
         ));
         // Not `unwrap_or_default`: the derived default is the disabled registry.
+        #[allow(clippy::unwrap_or_default)]
         let registry = cfg.metrics.clone().unwrap_or_else(MetricsRegistry::new);
         let metrics = DqaMetrics::new(&registry);
         let queue_depth: Vec<Gauge> = (0..cfg.nodes)

@@ -8,9 +8,10 @@
 
 use super::Cluster;
 use crate::clock::now_instant;
+use crate::links::SendError;
 use crate::message::{Envelope, SubTask, SubTaskResult};
 use crate::trace::TraceKind;
-use crossbeam_channel::{bounded, RecvTimeoutError, SendTimeoutError, Sender};
+use crossbeam_channel::{bounded, RecvTimeoutError, Sender};
 use dqa_obs::{DqaMetrics, Histogram};
 use faults::RetryPolicy;
 use journal::{JournalPhase, JournalRecord, QuestionRecovery};
@@ -327,7 +328,7 @@ impl<P: Phase> PhaseRun<'_, P> {
                 reply: self.reply_tx.clone(),
             };
             let sent = link.send(envelope, cl.cfg.send_timeout);
-            if let Err(SendTimeoutError::Timeout(_)) = &sent {
+            if sent == Err(SendError::Timeout) {
                 cl.metrics.backpressure.inc();
                 cl.trace.record(question, node, TraceKind::Backpressure);
             }

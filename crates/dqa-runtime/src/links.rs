@@ -13,8 +13,8 @@
 //! short-lived sleeper thread.
 //!
 //! Node ingress queues are *bounded*: every send carries a timeout, and a
-//! send that cannot enqueue within it fails with
-//! [`SendTimeoutError::Timeout`] so the coordinator re-queues the chunk
+//! send that cannot enqueue within it fails with [`SendError::Timeout`]
+//! so the coordinator re-queues the chunk
 //! (backpressure feeding the retry machinery) instead of blocking behind a
 //! saturated node.
 
@@ -23,6 +23,25 @@ use crossbeam_channel::{SendTimeoutError, Sender};
 use faults::{LinkDecision, LinkJudge};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
+
+/// Why [`FaultyLink::send`] failed. The rejected envelope is dropped: the
+/// coordinator rebuilds it from the chunk it re-queues.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SendError {
+    /// The destination's ingress queue stayed full for the whole timeout.
+    Timeout,
+    /// The destination node is shut down.
+    Disconnected,
+}
+
+impl From<SendTimeoutError<Envelope>> for SendError {
+    fn from(e: SendTimeoutError<Envelope>) -> SendError {
+        match e {
+            SendTimeoutError::Timeout(_) => SendError::Timeout,
+            SendTimeoutError::Disconnected(_) => SendError::Disconnected,
+        }
+    }
+}
 
 /// A sender to one node, optionally perturbed by a [`LinkJudge`].
 #[derive(Debug)]
@@ -68,17 +87,19 @@ impl FaultyLink {
     /// network. `Err(Timeout)` is backpressure from a saturated node (the
     /// caller re-queues the chunk); `Err(Disconnected)` means the node is
     /// shut down.
-    pub fn send(
-        &self,
-        envelope: Envelope,
-        timeout: Duration,
-    ) -> Result<(), SendTimeoutError<Envelope>> {
+    pub fn send(&self, envelope: Envelope, timeout: Duration) -> Result<(), SendError> {
         let Some(judge) = self.judge else {
-            return self.inner.send_timeout(envelope, timeout);
+            return self
+                .inner
+                .send_timeout(envelope, timeout)
+                .map_err(SendError::from);
         };
         let msg = self.seq.fetch_add(1, Ordering::Relaxed);
         match judge.decide(self.flow, msg) {
-            LinkDecision::Deliver => self.inner.send_timeout(envelope, timeout),
+            LinkDecision::Deliver => self
+                .inner
+                .send_timeout(envelope, timeout)
+                .map_err(SendError::from),
             LinkDecision::Drop => Ok(()),
             LinkDecision::Duplicate => {
                 let copy = envelope.clone();
@@ -182,10 +203,10 @@ mod tests {
         let (reply, _keep) = unbounded();
         drop(rx);
         let link = FaultyLink::clean(tx);
-        assert!(matches!(
+        assert_eq!(
             link.send(envelope(reply, 0), T),
-            Err(SendTimeoutError::Disconnected(_))
-        ));
+            Err(SendError::Disconnected)
+        );
     }
 
     #[test]
@@ -196,7 +217,7 @@ mod tests {
         link.send(envelope(reply.clone(), 0), T).unwrap();
         let started = std::time::Instant::now();
         let out = link.send(envelope(reply.clone(), 1), Duration::from_millis(20));
-        assert!(matches!(out, Err(SendTimeoutError::Timeout(_))));
+        assert_eq!(out, Err(SendError::Timeout));
         assert!(
             started.elapsed() < Duration::from_secs(1),
             "send must give up after the timeout, not block"

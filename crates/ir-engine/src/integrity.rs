@@ -542,7 +542,7 @@ fn verify_blocks(
         let block_len = r.u32().map_err(qfmt)? as usize;
         let block_crc = r.u32().map_err(qfmt)?;
         let blk = r.take(block_len).map_err(qfmt)?;
-        let check = checked.as_ref().map_or(true, |picks| picks[block_idx]);
+        let check = checked.as_ref().is_none_or(|picks| picks[block_idx]);
         if check && crc32(blk) != block_crc {
             return Err(IntegrityError::BlockChecksum {
                 sub,

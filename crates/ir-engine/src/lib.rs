@@ -20,7 +20,6 @@
 //! * [`integrity`] — the checksummed `DQAIDX2` segment format: per-shard
 //!   and per-term-block CRCs, strict/quarantining/sampled verification,
 //!   and the version-dispatching reader untrusted loads go through;
-//! * [`positional`] — positional postings + phrase queries (extension);
 //! * [`estimate`] — PR query-cost estimation for cost-aware scheduling
 //!   (the future-work direction the paper's §1.4 sketches);
 //! * [`ranked`] — a BM25 ranked-retrieval front-end, the alternative the
@@ -30,7 +29,6 @@ pub mod estimate;
 pub mod index;
 pub mod integrity;
 pub mod persist;
-pub mod positional;
 pub mod postings;
 pub mod query;
 pub mod ranked;
@@ -45,7 +43,6 @@ pub use integrity::{
     verify_index_v2, verify_sampled, verify_shard, verify_shard_sampled, IntegrityError,
     Quarantine, VerifiedIndex,
 };
-pub use positional::PositionalIndex;
 pub use postings::PostingsList;
 pub use query::BooleanQuery;
 pub use ranked::{ranked_retrieve, Bm25Params, RankedIndex};

@@ -643,7 +643,7 @@ fn span_json(s: &CausalSpan) -> serde_json::Value {
 /// per-question Table 8/9) and optionally export the whole run as
 /// Perfetto/chrome-tracing JSON. The simulation always runs twice and
 /// the two exports are compared byte-for-byte — the determinism the
-/// `trace_gate` latency budget builds on.
+/// `soak trace` latency budget builds on.
 fn trace(argv: &[String]) -> Result<(), String> {
     let a = parse(argv, &[])?;
     let nodes: usize = a.num("nodes", 8usize)?;

@@ -42,7 +42,7 @@ use serde::{Deserialize, Serialize};
 /// Declarative configuration of the elastic tier, carried by both
 /// backends' cluster configs (the same both-backends pattern as
 /// `OverloadPolicy` and `FaultSchedule`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct ElasticConfig {
     /// Extra standby nodes started suspended: they hold no sub-collections
     /// and serve nothing until an operator `join` (or a `NodeJoin` fault
@@ -57,17 +57,6 @@ pub struct ElasticConfig {
     /// generated. `None` disables skew-triggered rebalancing (membership
     /// changes still migrate).
     pub skew_threshold: Option<f64>,
-}
-
-impl Default for ElasticConfig {
-    fn default() -> Self {
-        ElasticConfig {
-            standby_nodes: 0,
-            detector: DetectorConfig::default(),
-            throttle: MigrationThrottle::default(),
-            skew_threshold: None,
-        }
-    }
 }
 
 impl ElasticConfig {
