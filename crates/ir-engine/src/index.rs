@@ -7,7 +7,7 @@
 //! (rayon), then merged per shard.
 
 use crate::postings::PostingsList;
-use crate::terms::index_terms;
+use nlp::Analyzer;
 use qa_types::{DocId, Document, SubCollectionId};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -109,15 +109,20 @@ impl IndexBuilder {
     /// Index one document (title + all paragraphs).
     pub fn add_document(&mut self, doc: &Document) {
         self.doc_ids.push(doc.id);
-        let mut add_text = |text: &str| {
-            for term in index_terms(text) {
+        let mut analyzer = Analyzer::default();
+        for text in std::iter::once(&doc.title).chain(&doc.paragraphs) {
+            let mut terms = analyzer.terms(text);
+            while let Some(term) = terms.next_term() {
                 self.term_occurrences += 1;
-                self.terms.entry(term).or_default().push(doc.id);
+                match self.terms.get_mut(term) {
+                    Some(ids) if ids.last() == Some(&doc.id) => {}
+                    Some(ids) => ids.push(doc.id),
+                    // A `String` only the first time the shard sees the term.
+                    None => {
+                        self.terms.insert(term.to_string(), vec![doc.id]);
+                    }
+                }
             }
-        };
-        add_text(&doc.title);
-        for p in &doc.paragraphs {
-            add_text(p);
         }
     }
 

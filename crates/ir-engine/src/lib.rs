@@ -7,7 +7,8 @@
 //! extract paragraphs from documents" (§2.1), built on NIST's Zprise. Zprise
 //! is not available, so this crate implements the substrate from scratch:
 //!
-//! * [`terms`] — text → index terms (tokenize, drop stopwords, stem);
+//! * [`terms`] — text → index terms, streamed through the one `nlp`
+//!   analyser (word spans, lower-case, drop stopwords, stem);
 //! * [`postings`] — delta+varint compressed postings lists;
 //! * [`index`] — per-sub-collection inverted indexes ([`SubIndex`]) grouped
 //!   into a [`ShardedIndex`] (the paper splits TREC-9 into 8 shards);
@@ -21,9 +22,7 @@
 //!   and per-term-block CRCs, strict/quarantining/sampled verification,
 //!   and the version-dispatching reader untrusted loads go through;
 //! * [`estimate`] — PR query-cost estimation for cost-aware scheduling
-//!   (the future-work direction the paper's §1.4 sketches);
-//! * [`ranked`] — a BM25 ranked-retrieval front-end, the alternative the
-//!   paper's §2.1 remark anticipates.
+//!   (the future-work direction the paper's §1.4 sketches).
 
 pub mod estimate;
 pub mod index;
@@ -31,7 +30,6 @@ pub mod integrity;
 pub mod persist;
 pub mod postings;
 pub mod query;
-pub mod ranked;
 pub mod retrieval;
 pub mod store;
 pub mod terms;
@@ -45,6 +43,5 @@ pub use integrity::{
 };
 pub use postings::PostingsList;
 pub use query::BooleanQuery;
-pub use ranked::{ranked_retrieve, Bm25Params, RankedIndex};
-pub use retrieval::{ParagraphRetriever, RetrievalConfig, RetrievalResult};
+pub use retrieval::{ParagraphFilter, ParagraphRetriever, RetrievalConfig, RetrievalResult};
 pub use store::DocumentStore;

@@ -1,10 +1,10 @@
 //! Boolean query AST and evaluation.
 
 use crate::index::SubIndex;
-use crate::postings::{intersect, union};
+use crate::postings::{intersect, union, PostingsList};
+use crate::terms::QueryTerms;
 use qa_types::DocId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// A Boolean query over index terms.
 ///
@@ -111,33 +111,37 @@ impl BooleanQuery {
     }
 }
 
+/// For every document containing at least one of the query's terms, how
+/// many distinct terms it contains; sorted by document id.
+///
+/// A quorum at any `k` is a threshold over these counts, so a query is
+/// counted once however many rounds its relaxation takes.
+pub fn match_counts(index: &SubIndex, query: &QueryTerms<'_>) -> Vec<(DocId, usize)> {
+    let lists = query.sorted.iter().filter_map(|t| index.postings(t));
+    let mut ids: Vec<DocId> = lists.flat_map(PostingsList::iter).collect();
+    // Each list holds a document once, so a run of equal ids is one
+    // document and its length the number of terms that matched it.
+    ids.sort_unstable();
+    ids.chunk_by(|a, b| a == b)
+        .map(|run| (run[0], run.len()))
+        .collect()
+}
+
 /// Quorum matching: documents containing at least `min_terms` of `terms`.
 ///
 /// This implements Falcon-style Boolean query *relaxation*: when the strict
 /// conjunction returns too few documents, the PR module retries with a
 /// lower quorum instead of rewriting the AST.
 pub fn quorum(index: &SubIndex, terms: &[String], min_terms: usize) -> Vec<DocId> {
-    if terms.is_empty() || min_terms == 0 {
+    if min_terms == 0 {
         return Vec::new();
     }
-    let mut counts: HashMap<DocId, usize> = HashMap::new();
-    let mut distinct: Vec<&str> = terms.iter().map(String::as_str).collect();
-    distinct.sort_unstable();
-    distinct.dedup();
-    for t in distinct {
-        if let Some(p) = index.postings(t) {
-            for id in p.iter() {
-                *counts.entry(id).or_insert(0) += 1;
-            }
-        }
-    }
-    let mut out: Vec<DocId> = counts
+    let query = QueryTerms::new(terms.iter().map(String::as_str));
+    match_counts(index, &query)
         .into_iter()
         .filter(|(_, c)| *c >= min_terms)
         .map(|(id, _)| id)
-        .collect();
-    out.sort_unstable();
-    out
+        .collect()
 }
 
 #[cfg(test)]
@@ -237,6 +241,36 @@ mod tests {
         let dup = vec!["alpha".to_string(), "alpha".to_string()];
         assert_eq!(quorum(&idx, &dup, 2), ids(&[]));
         assert_eq!(quorum(&idx, &dup, 1), ids(&[0, 1, 2]));
+    }
+
+    #[test]
+    fn quorum_is_a_threshold_over_match_counts() {
+        let idx = index();
+        for terms in [
+            vec!["alpha", "beta", "gamma"],
+            vec!["beta", "delta", "beta", "nope"],
+            vec!["epsilon"],
+            vec!["nope"],
+            vec![],
+        ] {
+            let terms: Vec<String> = terms.into_iter().map(String::from).collect();
+            let counts = match_counts(&idx, &QueryTerms::new(terms.iter().map(String::as_str)));
+            assert!(counts.windows(2).all(|w| w[0].0 < w[1].0), "sorted by id");
+            for k in 0..=terms.len() + 1 {
+                let want: Vec<DocId> = counts
+                    .iter()
+                    .filter(|(_, c)| k > 0 && *c >= k)
+                    .map(|(id, _)| *id)
+                    .collect();
+                assert_eq!(quorum(&idx, &terms, k), want, "{terms:?} at k={k}");
+            }
+        }
+        let terms: Vec<String> = vec!["alpha".into(), "beta".into(), "delta".into()];
+        let counts = match_counts(&idx, &QueryTerms::new(terms.iter().map(String::as_str)));
+        assert_eq!(
+            counts,
+            [(0, 2), (1, 2), (2, 1), (3, 1), (4, 2)].map(|(d, c)| (DocId::new(d), c))
+        );
     }
 
     #[test]

@@ -8,12 +8,12 @@
 //! disk seconds.
 
 use crate::index::{ShardedIndex, SubIndex};
-use crate::query::quorum;
+use crate::query::match_counts;
 use crate::store::DocumentStore;
-use crate::terms::index_terms;
-use qa_types::{Keyword, Paragraph, QaError, SubCollectionId};
+use crate::terms::QueryTerms;
+use nlp::Analyzer;
+use qa_types::{Keyword, Paragraph, ParagraphId, QaError, SubCollectionId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Tuning knobs of the PR module.
@@ -128,55 +128,53 @@ impl ParagraphRetriever {
     }
 
     fn retrieve_in(&self, keywords: &[Keyword], shard: &SubIndex) -> RetrievalResult {
-        let terms: Vec<String> = keywords.iter().map(|k| k.term.clone()).collect();
-        if terms.is_empty() {
+        if keywords.is_empty() {
             return RetrievalResult::default();
         }
 
-        let mut io_bytes: u64 = terms
+        let mut io_bytes: u64 = keywords
             .iter()
-            .map(|t| shard.postings(t).map_or(0, |p| p.compressed_bytes() as u64))
+            .filter_map(|k| shard.postings(&k.term))
+            .map(|p| p.compressed_bytes() as u64)
             .sum();
 
         // Falcon-style relaxation: strict AND first, then lower the quorum.
-        let mut docs = Vec::new();
+        // The postings are merged once; each round only re-thresholds.
+        let query = QueryTerms::new(keywords.iter().map(|k| k.term.as_str()));
+        let counts = match_counts(shard, &query);
+        let mut docs_matched = 0;
         let mut quorum_used = 0;
-        for k in (1..=terms.len()).rev() {
-            docs = quorum(shard, &terms, k);
+        for k in (1..=keywords.len()).rev() {
+            docs_matched = counts.iter().filter(|(_, c)| *c >= k).count();
             quorum_used = k;
-            if docs.len() >= self.config.min_docs {
+            if docs_matched >= self.config.min_docs {
                 break;
             }
         }
-        let docs_matched = docs.len();
-        docs.truncate(self.config.max_docs);
+        let docs = counts
+            .iter()
+            .filter(|(_, c)| *c >= quorum_used)
+            .take(self.config.max_docs)
+            .filter_map(|(id, _)| self.store.document(*id));
 
-        let term_set: HashSet<&str> = terms.iter().map(String::as_str).collect();
         let need = self
             .config
             .min_paragraph_terms
-            .min(term_set.len())
+            .min(query.len())
             .min(quorum_used)
             .max(1);
+        let mut filter = ParagraphFilter::new(query, need);
 
         let mut paragraphs = Vec::new();
-        for doc_id in docs {
-            let Some(doc) = self.store.document(doc_id) else {
-                continue;
-            };
+        for doc in docs {
             io_bytes += doc.body_bytes() as u64;
-            for para in doc.iter_paragraphs() {
-                let mut found: HashSet<&str> = HashSet::new();
-                for t in index_terms(&para.text) {
-                    if let Some(&k) = term_set.get(t.as_str()) {
-                        found.insert(k);
-                        if found.len() >= need {
-                            break;
-                        }
-                    }
-                }
-                if found.len() >= need {
-                    paragraphs.push(para);
+            for (ordinal, text) in doc.paragraphs.iter().enumerate() {
+                if filter.accepts(text) {
+                    paragraphs.push(Paragraph {
+                        id: ParagraphId::new(doc.id, ordinal as u32),
+                        sub_collection: doc.sub_collection,
+                        text: text.clone(),
+                    });
                 }
             }
         }
@@ -190,12 +188,56 @@ impl ParagraphRetriever {
     }
 }
 
+/// The paragraph post-filter of PR: does a text hold at least `need`
+/// distinct query terms? Terms are streamed, so analysis stops at the
+/// `need`-th hit, and the scratch is reused from paragraph to paragraph.
+#[derive(Debug)]
+pub struct ParagraphFilter<'a> {
+    query: QueryTerms<'a>,
+    need: usize,
+    analyzer: Analyzer,
+    seen: Vec<bool>,
+}
+
+impl<'a> ParagraphFilter<'a> {
+    /// A filter keeping texts with at least `need` distinct terms of `query`.
+    pub fn new(query: QueryTerms<'a>, need: usize) -> Self {
+        Self {
+            seen: vec![false; query.len()],
+            query,
+            need,
+            analyzer: Analyzer::default(),
+        }
+    }
+
+    /// Whether `text` passes.
+    pub fn accepts(&mut self, text: &str) -> bool {
+        self.seen.fill(false);
+        let mut found = 0;
+        let mut terms = self.analyzer.terms(text);
+        while found < self.need {
+            let Some(term) = terms.next_term() else {
+                return false;
+            };
+            if let Some(k) = self.query.position(term) {
+                if !self.seen[k] {
+                    self.seen[k] = true;
+                    found += 1;
+                }
+            }
+        }
+        true
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::index::ShardedIndex;
+    use crate::terms::index_terms;
     use corpus::{Corpus, CorpusConfig, QuestionGenerator};
     use nlp::QuestionProcessor;
+    use std::collections::HashSet;
 
     fn setup() -> (Corpus, ParagraphRetriever) {
         let c = Corpus::generate(CorpusConfig::small(55)).unwrap();
@@ -304,5 +346,90 @@ mod tests {
                 assert!(!found.is_empty(), "paragraph with no query terms kept");
             }
         }
+    }
+
+    /// PR without postings or streaming: every document of the shard is
+    /// analysed whole with the collecting `index_terms`, and documents and
+    /// paragraphs are kept by the size of a `HashSet` of the terms found.
+    fn retrieve_oracle(pr: &ParagraphRetriever, keywords: &[Keyword]) -> RetrievalResult {
+        let set: HashSet<&str> = keywords.iter().map(|k| k.term.as_str()).collect();
+        let hits = |text: &str| {
+            let found: HashSet<String> = index_terms(text).into_iter().collect();
+            found.iter().filter(|t| set.contains(t.as_str())).count()
+        };
+        let mut total = RetrievalResult::default();
+        for shard in pr.index.shards() {
+            let mut docs: Vec<_> = (pr.store.docs_in(shard.id))
+                .map(|d| (hits(&format!("{} {}", d.title, d.paragraphs.join(" "))), d))
+                .collect();
+            docs.sort_by_key(|(_, d)| d.id);
+            let at_least = |k: usize| docs.iter().filter(|(c, _)| *c >= k).count();
+            let used = (1..=keywords.len())
+                .rev()
+                .find(|&k| at_least(k) >= pr.config.min_docs);
+            let used = used.unwrap_or(1);
+            let need = pr
+                .config
+                .min_paragraph_terms
+                .min(set.len())
+                .min(used)
+                .max(1);
+            let kept = docs.iter().filter(|(c, _)| *c >= used).map(|(_, d)| *d);
+            let kept: Vec<_> = kept.take(pr.config.max_docs).collect();
+            let postings = keywords.iter().filter_map(|k| shard.postings(&k.term));
+            total.merge(RetrievalResult {
+                paragraphs: (kept.iter().flat_map(|d| d.iter_paragraphs()))
+                    .filter(|p| hits(&p.text) >= need)
+                    .collect(),
+                docs_matched: at_least(used),
+                quorum_used: used,
+                io_bytes: postings.map(|p| p.compressed_bytes() as u64).sum::<u64>()
+                    + kept.iter().map(|d| d.body_bytes() as u64).sum::<u64>(),
+            });
+        }
+        total
+    }
+
+    #[test]
+    fn streaming_retrieval_matches_the_collecting_oracle() {
+        let (c, pr) = setup();
+        let qp = QuestionProcessor::new();
+        let mut relaxed = 0;
+        let mut paragraphs = 0;
+        for gq in QuestionGenerator::new(&c, 11).generate(40) {
+            let mut keywords = qp.process(&gq.question).unwrap().keywords;
+            for round in 0..3 {
+                let got = pr.retrieve_all(&keywords);
+                assert_eq!(got, retrieve_oracle(&pr, &keywords), "{keywords:?}");
+                relaxed += usize::from(got.quorum_used < keywords.len());
+                paragraphs += got.paragraphs.len();
+                // Second round: a duplicate and an unknown term; third: one keyword.
+                match round {
+                    0 => {
+                        keywords.push(keywords[0].clone());
+                        keywords.push(Keyword::new("zzzznotaword", 1.0));
+                    }
+                    _ => keywords.truncate(1),
+                }
+            }
+        }
+        assert!(
+            relaxed > 0 && paragraphs > 100,
+            "{relaxed} relaxed, {paragraphs} paragraphs"
+        );
+    }
+
+    #[test]
+    fn filter_needs_distinct_terms_for_any_keyword_count() {
+        // More distinct terms than any machine-word bitmask holds.
+        let words: Vec<String> = (0..100).map(|i| format!("kw{i:03}x")).collect();
+        let text = words.join(" and ");
+        let query = || QueryTerms::new(words.iter().map(String::as_str));
+        assert!(ParagraphFilter::new(query(), 100).accepts(&text));
+        assert!(!ParagraphFilter::new(query(), 101).accepts(&text));
+        let mut two = ParagraphFilter::new(query(), 2);
+        assert!(!two.accepts("kw007x kw007x kw007x"), "repeats count once");
+        assert!(two.accepts("Kw007x, the kw099xs"));
+        assert!(!two.accepts(""), "scratch is reset between texts");
     }
 }

@@ -139,7 +139,9 @@ pub const MONTHS: &[&str] = &[
 pub struct Gazetteers {
     by_type: HashMap<AnswerType, Vec<String>>,
     lookup: HashMap<String, AnswerType>,
-    max_words: usize,
+    /// First word of a phrase → the longest phrase (in words) starting with
+    /// it, so the recognizer asks once per token whether a match can start.
+    first_words: HashMap<String, usize>,
 }
 
 impl Gazetteers {
@@ -193,7 +195,7 @@ impl Gazetteers {
         by_type.insert(AnswerType::Nationality, nationalities);
 
         let mut lookup = HashMap::new();
-        let mut max_words = 1;
+        let mut first_words: HashMap<String, usize> = HashMap::new();
         // Iterate in AnswerType order, not hash order: an entity present in
         // two lists (e.g. a surname that is also a place) must resolve to
         // the same type on every run, or downstream answer extraction
@@ -203,7 +205,9 @@ impl Gazetteers {
         for (ty, list) in entries {
             for e in list {
                 let key = e.to_lowercase();
-                max_words = max_words.max(key.split_whitespace().count());
+                let first = key.split(' ').next().unwrap_or_default();
+                let longest = first_words.entry(first.to_string()).or_default();
+                *longest = (*longest).max(key.split(' ').count());
                 lookup.insert(key, *ty);
             }
         }
@@ -211,7 +215,7 @@ impl Gazetteers {
         Gazetteers {
             by_type,
             lookup,
-            max_words,
+            first_words,
         }
     }
 
@@ -226,9 +230,10 @@ impl Gazetteers {
         self.lookup.get(phrase_lower).copied()
     }
 
-    /// Longest entity phrase length in words (bounds the NER scan window).
-    pub fn max_phrase_words(&self) -> usize {
-        self.max_words
+    /// Longest entity phrase, in words, whose first word is `first_lower`
+    /// (bounds the NER scan window); 0 when no entity starts with it.
+    pub fn max_phrase_words_from(&self, first_lower: &str) -> usize {
+        self.first_words.get(first_lower).copied().unwrap_or(0)
     }
 
     /// Types that have a non-empty gazetteer.
@@ -333,7 +338,19 @@ mod tests {
     #[test]
     fn max_phrase_words_covers_multiword_entities() {
         let g = Gazetteers::standard();
-        assert!(g.max_phrase_words() >= 3, "University of X is 3 words");
+        for ty in g.listed_types() {
+            for e in g.entities(ty) {
+                let key = e.to_lowercase();
+                let first = key.split(' ').next().unwrap();
+                assert!(g.max_phrase_words_from(first) >= key.split(' ').count());
+            }
+        }
+        assert!(
+            g.max_phrase_words_from("university") >= 3,
+            "University of X is 3 words"
+        );
+        assert_eq!(g.max_phrase_words_from("lake"), 2);
+        assert_eq!(g.max_phrase_words_from("the"), 0);
     }
 
     #[test]

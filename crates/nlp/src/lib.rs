@@ -6,6 +6,8 @@
 //! crate provides a from-scratch, deterministic, rule-based equivalent that
 //! exercises the same code paths:
 //!
+//! * [`analyze`] — the one streaming analyser (word spans, lower-casing,
+//!   stopwords, stemming; no allocation per token) under everything below;
 //! * [`tokenize`] — word tokenizer preserving byte offsets;
 //! * [`stopwords`] — the stopword list used for keyword selection;
 //! * [`stem`] — a light suffix-stripping stemmer;
@@ -15,6 +17,7 @@
 //! * [`question`] — the Question Processing (QP) module logic: answer-type
 //!   classification and keyword extraction.
 
+pub mod analyze;
 pub mod gazetteer;
 pub mod ner;
 pub mod question;
@@ -22,6 +25,7 @@ pub mod stem;
 pub mod stopwords;
 pub mod tokenize;
 
+pub use analyze::Analyzer;
 pub use gazetteer::Gazetteers;
 pub use ner::{EntityMention, NamedEntityRecognizer};
 pub use question::QuestionProcessor;

@@ -61,14 +61,17 @@ impl NamedEntityRecognizer {
     /// pipeline can tokenize each paragraph once.
     pub fn recognize_tokens(&self, text: &str, tokens: &[Token]) -> Vec<EntityMention> {
         let mut mentions = Vec::new();
-        let max_w = self.gazetteers.max_phrase_words();
         let mut i = 0usize;
         let mut phrase = String::new();
         while i < tokens.len() {
-            // Gazetteer longest match.
-            let mut matched = None;
-            let upper = max_w.min(tokens.len() - i);
-            for w in (1..=upper).rev() {
+            // Gazetteer longest match. One probe by first word says whether
+            // any entity can start here and how wide it may be; a phrase is
+            // only built for those widths.
+            let upper = self
+                .gazetteers
+                .max_phrase_words_from(&tokens[i].text)
+                .min(tokens.len() - i);
+            let matched = (1..=upper).rev().find_map(|w| {
                 phrase.clear();
                 for (k, t) in tokens[i..i + w].iter().enumerate() {
                     if k > 0 {
@@ -76,20 +79,10 @@ impl NamedEntityRecognizer {
                     }
                     phrase.push_str(&t.text);
                 }
-                if let Some(ty) = self.gazetteers.classify(&phrase) {
-                    matched = Some((w, ty));
-                    break;
-                }
-            }
+                self.gazetteers.classify(&phrase).map(|ty| (w, ty))
+            });
             if let Some((w, ty)) = matched {
-                let start = tokens[i].start;
-                let end = tokens[i + w - 1].end;
-                mentions.push(EntityMention {
-                    text: text[start..end].to_string(),
-                    entity_type: ty,
-                    start,
-                    end,
-                });
+                mentions.push(self.mention(text, tokens[i].start, tokens[i + w - 1].end, ty));
                 i += w;
                 continue;
             }
@@ -257,6 +250,57 @@ mod tests {
         let text = format!("{} moved in 1950.", name_stem(0));
         let dates = ner().recognize_type(&text, AnswerType::Date);
         assert!(dates.iter().all(|m| m.entity_type == AnswerType::Date));
+    }
+
+    /// The recognizer before the first-word probe: a phrase built and
+    /// looked up for every width (to twice the longest entity) at every token.
+    fn recognize_all_widths(ner: &NamedEntityRecognizer, text: &str) -> Vec<EntityMention> {
+        let tokens = tokenize(text);
+        let g = ner.gazetteers();
+        let (mut out, mut i) = (Vec::new(), 0);
+        while i < tokens.len() {
+            let upper = 6.min(tokens.len() - i);
+            let hit = (1..=upper).rev().find_map(|w| {
+                let words: Vec<&str> = tokens[i..i + w].iter().map(|t| t.text.as_str()).collect();
+                g.classify(&words.join(" ")).map(|ty| (w, ty))
+            });
+            if let Some((w, ty)) = hit {
+                out.push(ner.mention(text, tokens[i].start, tokens[i + w - 1].end, ty));
+                i += w;
+            } else if let Some(m) = ner.match_pattern(text, &tokens, i) {
+                let covered = tokens[i..].iter().take_while(|t| t.start < m.end).count();
+                i += covered.max(1);
+                out.push(m);
+            } else {
+                i += 1;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn first_word_probe_finds_what_every_width_finds() {
+        let ner = ner();
+        let corpus = corpus::Corpus::generate(corpus::CorpusConfig::small(31)).unwrap();
+        let mut mentions = 0;
+        for doc in &corpus.documents {
+            for text in doc.paragraphs.iter().chain([&doc.title]) {
+                let got = ner.recognize(text);
+                assert_eq!(got, recognize_all_widths(&ner, text), "{text:?}");
+                mentions += got.len();
+            }
+        }
+        assert!(mentions > 200, "only {mentions} mentions compared");
+        // Entity prefixes, overlaps and a first word that starts nothing.
+        let g = Gazetteers::standard();
+        let org = &g.entities(AnswerType::Organization)[1];
+        for text in [
+            format!("University of nowhere and {org} of 1999 dollars"),
+            format!("Lake Lake Mount {org} City"),
+            "of University of".to_string(),
+        ] {
+            assert_eq!(ner.recognize(&text), recognize_all_widths(&ner, &text));
+        }
     }
 
     #[test]

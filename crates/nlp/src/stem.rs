@@ -11,78 +11,54 @@
 /// Words of three characters or fewer are returned unchanged; suffix rules
 /// never reduce a word below three characters.
 pub fn stem(word: &str) -> String {
-    let w = word;
-    if w.len() <= 3 || !w.is_ascii() {
-        return w.to_string();
-    }
-
-    // Plural / verbal 's' endings.
-    let w = if let Some(stripped) = w.strip_suffix("ies") {
-        // cities -> citi -> city
-        format!("{stripped}y")
-    } else if let Some(stripped) = w.strip_suffix("sses") {
-        format!("{stripped}ss")
-    } else if let Some(stripped) = w.strip_suffix("es") {
-        if stripped.len() >= 3
-            && (stripped.ends_with("sh")
-                || stripped.ends_with("ch")
-                || stripped.ends_with('x')
-                || stripped.ends_with('z')
-                || stripped.ends_with('s'))
-        {
-            stripped.to_string()
-        } else if stripped.len() >= 3 {
-            format!("{stripped}e")
-        } else {
-            w.to_string()
-        }
-    } else if w.ends_with('s') && !w.ends_with("ss") && !w.ends_with("us") && w.len() >= 4 {
-        w[..w.len() - 1].to_string()
-    } else {
-        w.to_string()
-    };
-
-    // -ing / -ed endings.
-    let w = if let Some(stripped) = w.strip_suffix("ing") {
-        if stripped.len() >= 3 {
-            undouble(stripped)
-        } else {
-            w.clone()
-        }
-    } else if let Some(stripped) = w.strip_suffix("ed") {
-        if stripped.len() >= 3 {
-            undouble(stripped)
-        } else {
-            w.clone()
-        }
-    } else {
-        w
-    };
-
-    // -ly adverbs.
-    let w = if let Some(stripped) = w.strip_suffix("ly") {
-        if stripped.len() >= 3 {
-            stripped.to_string()
-        } else {
-            w.clone()
-        }
-    } else {
-        w
-    };
-
+    let mut w = word.to_string();
+    stem_in_place(&mut w);
     w
 }
 
-/// Undo consonant doubling left by -ing/-ed stripping ("planned" -> "plan").
-fn undouble(s: &str) -> String {
-    let b = s.as_bytes();
-    if b.len() >= 2
-        && b[b.len() - 1] == b[b.len() - 2]
-        && !matches!(b[b.len() - 1], b'l' | b's' | b'z')
-    {
-        s[..s.len() - 1].to_string()
-    } else {
-        s.to_string()
+/// [`stem`] on the caller's buffer: the rules only ever cut the tail of an
+/// ASCII word and append at most one letter, so nothing is allocated.
+pub fn stem_in_place(w: &mut String) {
+    let n = w.len();
+    if n <= 3 || !w.is_ascii() {
+        return;
+    }
+
+    // Plural / verbal 's' endings.
+    if w.ends_with("ies") {
+        // cities -> citi -> city
+        w.truncate(n - 3);
+        w.push('y');
+    } else if w.ends_with("sses") {
+        w.truncate(n - 2);
+    } else if w.ends_with("es") {
+        if n >= 5 {
+            let sibilant = ["sh", "ch", "x", "z", "s"]
+                .iter()
+                .any(|end| w[..n - 2].ends_with(end));
+            // boxes -> box, but cathedrales -> cathedrale
+            w.truncate(if sibilant { n - 2 } else { n - 1 });
+        }
+    } else if w.ends_with('s') && !w.ends_with("ss") && !w.ends_with("us") {
+        w.truncate(n - 1);
+    }
+
+    // -ing / -ed endings, then undo the consonant doubling they leave
+    // ("planned" -> "plann" -> "plan").
+    if let Some(suffix) = ["ing", "ed"].into_iter().find(|s| w.ends_with(s)) {
+        let keep = w.len() - suffix.len();
+        if keep >= 3 {
+            w.truncate(keep);
+            let b = w.as_bytes();
+            if b[keep - 1] == b[keep - 2] && !matches!(b[keep - 1], b'l' | b's' | b'z') {
+                w.truncate(keep - 1);
+            }
+        }
+    }
+
+    // -ly adverbs.
+    if w.ends_with("ly") && w.len() >= 5 {
+        w.truncate(w.len() - 2);
     }
 }
 

@@ -4,7 +4,6 @@
 //! below covers English function words plus the wh-words and auxiliaries that
 //! appear in TREC questions.
 
-use std::collections::HashSet;
 use std::sync::OnceLock;
 
 /// The raw stopword list (lower-case).
@@ -166,14 +165,30 @@ pub const STOPWORDS: &[&str] = &[
     "m",
 ];
 
-fn set() -> &'static HashSet<&'static str> {
-    static SET: OnceLock<HashSet<&'static str>> = OnceLock::new();
-    SET.get_or_init(|| STOPWORDS.iter().copied().collect())
+const BUCKETS: usize = 256;
+
+/// FNV-1a folded to a bucket. The list is fixed and every probe is a short
+/// lower-cased word, so a keyed hash would buy nothing here.
+fn bucket(term: &str) -> usize {
+    let fnv = |h: u64, b: &u8| (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
+    let h = term.as_bytes().iter().fold(0xcbf2_9ce4_8422_2325, fnv);
+    (h ^ (h >> 32)) as usize % BUCKETS
+}
+
+fn buckets() -> &'static [Vec<&'static str>; BUCKETS] {
+    static TABLE: OnceLock<[Vec<&'static str>; BUCKETS]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut table = [const { Vec::new() }; BUCKETS];
+        for &w in STOPWORDS {
+            table[bucket(w)].push(w);
+        }
+        table
+    })
 }
 
 /// Whether a lower-cased term is a stopword.
 pub fn is_stopword(term: &str) -> bool {
-    set().contains(term)
+    buckets()[bucket(term)].contains(&term)
 }
 
 #[cfg(test)]
@@ -199,7 +214,22 @@ mod tests {
         for w in STOPWORDS {
             assert_eq!(&w.to_lowercase(), w);
         }
-        // The set deduplicates; lookups stay correct either way.
+        // Repeats in the list are harmless; lookups stay correct either way.
         assert!(is_stopword("did"));
+    }
+
+    #[test]
+    fn buckets_hold_exactly_the_list() {
+        for w in STOPWORDS {
+            assert!(is_stopword(w), "{w}");
+        }
+        assert_eq!(
+            buckets().iter().map(Vec::len).sum::<usize>(),
+            STOPWORDS.len()
+        );
+        assert!(buckets().iter().all(|b| b.len() <= 4), "a crowded bucket");
+        for w in ["", "th", "thee", "The", "wher", "zzzz", "sérengeti"] {
+            assert!(!is_stopword(w), "{w:?}");
+        }
     }
 }

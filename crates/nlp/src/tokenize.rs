@@ -3,7 +3,10 @@
 //! Tokens are maximal runs of alphanumeric characters (plus internal
 //! apostrophes and hyphens, so "Tourette's" and "open-domain" stay whole).
 //! Offsets are preserved because the Answer Processing module cuts answer
-//! windows out of the original paragraph text.
+//! windows out of the original paragraph text. Boundaries come from
+//! [`crate::analyze::words`]; this module collects them into owned tokens.
+
+use crate::analyze::{push_lowercase, words};
 
 /// A token: its lower-cased text plus the byte span in the source string.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,72 +29,29 @@ impl Token {
     }
 }
 
-fn is_word_char(c: char) -> bool {
-    c.is_alphanumeric()
-}
-
-fn is_joiner(c: char) -> bool {
-    c == '\'' || c == '-'
-}
-
 /// Tokenize `text` into words with offsets.
 ///
 /// A joiner character (`'` or `-`) is kept inside a token only when it is
 /// surrounded by word characters on both sides.
 pub fn tokenize(text: &str) -> Vec<Token> {
-    let mut tokens = Vec::new();
-    let bytes = text.char_indices().collect::<Vec<_>>();
-    let mut i = 0usize;
-    while i < bytes.len() {
-        let (start_byte, c) = bytes[i];
-        if !is_word_char(c) {
-            i += 1;
-            continue;
-        }
-        let capitalized = c.is_uppercase();
-        let mut j = i + 1;
-        while j < bytes.len() {
-            let (_, cj) = bytes[j];
-            if is_word_char(cj) {
-                j += 1;
-            } else if is_joiner(cj) && j + 1 < bytes.len() && is_word_char(bytes[j + 1].1) {
-                j += 2;
-            } else {
-                break;
+    words(text)
+        .map(|w| {
+            let mut lower = String::with_capacity(w.end - w.start);
+            push_lowercase(&mut lower, &text[w.start..w.end]);
+            Token {
+                text: lower,
+                start: w.start,
+                end: w.end,
+                capitalized: w.capitalized,
             }
-        }
-        let end_byte = if j < bytes.len() {
-            bytes[j].0
-        } else {
-            text.len()
-        };
-        tokens.push(Token {
-            text: text[start_byte..end_byte].to_lowercase(),
-            start: start_byte,
-            end: end_byte,
-            capitalized,
-        });
-        i = j;
-    }
-    tokens
+        })
+        .collect()
 }
 
 /// Count words in `text` without allocating tokens; used by corpus
 /// statistics and the IR engine's document-length accounting.
 pub fn word_count(text: &str) -> usize {
-    let mut n = 0;
-    let mut in_word = false;
-    for c in text.chars() {
-        if is_word_char(c) {
-            if !in_word {
-                n += 1;
-                in_word = true;
-            }
-        } else if !(is_joiner(c) && in_word) {
-            in_word = false;
-        }
-    }
-    n
+    words(text).count()
 }
 
 #[cfg(test)]
@@ -149,6 +109,7 @@ mod tests {
             "Tourette's open-domain systems",
             "",
             "a b   c-d e'f",
+            "a--b a-'b x- -y",
         ] {
             assert_eq!(word_count(s), tokenize(s).len(), "for {s:?}");
         }

@@ -18,9 +18,9 @@
 //! 7. candidate specificity (multi-word entities are more specific).
 
 use crate::config::PipelineConfig;
-use ir_engine::terms::normalize_term;
 use nlp::ner::NamedEntityRecognizer;
 use nlp::tokenize::{tokenize, Token};
+use nlp::Analyzer;
 use qa_types::{Answer, AnswerType, AnswerWindow, Paragraph, ProcessedQuestion, RankedAnswers};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -54,8 +54,10 @@ pub fn extract_windows(
     cfg: &PipelineConfig,
 ) -> Vec<AnswerWindow> {
     let mut out = Vec::new();
+    let mut analyzer = Analyzer::default();
     for item in items {
-        for (ans, entity_type, offset, window) in candidates_in_paragraph(item, question, ner, cfg)
+        for (ans, entity_type, offset, window) in
+            candidates_in_paragraph(item, question, ner, cfg, &mut analyzer)
         {
             out.push(AnswerWindow {
                 paragraph: ans.paragraph,
@@ -83,9 +85,10 @@ pub fn extract_answers(
     cfg: &PipelineConfig,
 ) -> RankedAnswers {
     let mut best: HashMap<String, Answer> = HashMap::new();
+    let mut analyzer = Analyzer::default();
 
     for item in items {
-        for ans in answers_in_paragraph(item, question, ner, cfg) {
+        for (ans, ..) in candidates_in_paragraph(item, question, ner, cfg, &mut analyzer) {
             match best.get_mut(&ans.candidate) {
                 Some(cur) if !Answer::better(&ans, cur) => {}
                 Some(cur) => *cur = ans,
@@ -99,18 +102,6 @@ pub fn extract_answers(
     RankedAnswers::from_unsorted(best.into_values().collect(), cfg.answers_requested)
 }
 
-fn answers_in_paragraph(
-    item: &ApItem,
-    question: &ProcessedQuestion,
-    ner: &NamedEntityRecognizer,
-    cfg: &PipelineConfig,
-) -> Vec<Answer> {
-    candidates_in_paragraph(item, question, ner, cfg)
-        .into_iter()
-        .map(|(ans, _, _, _)| ans)
-        .collect()
-}
-
 /// Shared candidate extraction: every typed entity with keyword support,
 /// with its window metadata `(answer, entity type, byte offset, window
 /// text)`.
@@ -119,6 +110,7 @@ fn candidates_in_paragraph(
     question: &ProcessedQuestion,
     ner: &NamedEntityRecognizer,
     cfg: &PipelineConfig,
+    analyzer: &mut Analyzer,
 ) -> Vec<(Answer, AnswerType, usize, String)> {
     let text = &item.paragraph.text;
     let tokens = tokenize(text);
@@ -127,12 +119,13 @@ fn candidates_in_paragraph(
     }
     let mentions = ner.recognize_tokens(text, &tokens);
 
-    // Keyword positions in the token stream (after stemming).
+    // Keyword positions in the token stream (after stemming), every token
+    // normalized in the batch's one buffer.
     let kw_terms: Vec<&str> = question.keywords.iter().map(|k| k.term.as_str()).collect();
     let kw_pos: Vec<Vec<usize>> = {
         let mut pos = vec![Vec::new(); kw_terms.len()];
         for (i, t) in tokens.iter().enumerate() {
-            let stemmed = normalize_term(&t.text);
+            let stemmed = analyzer.normalize(&t.text);
             if let Some(k) = kw_terms.iter().position(|kt| *kt == stemmed) {
                 pos[k].push(i);
             }

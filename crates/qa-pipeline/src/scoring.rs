@@ -11,10 +11,10 @@
 //! 3. **proximity** — inverse length of the smallest token window that
 //!    contains every present keyword.
 
-use ir_engine::terms::index_terms;
+use ir_engine::terms::QueryTerms;
+use nlp::Analyzer;
 use qa_types::{Keyword, Paragraph};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// A paragraph plus its PS rank.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -33,104 +33,99 @@ const W_PROXIMITY: f64 = 0.3;
 
 /// Score one paragraph against the question keywords.
 pub fn score_paragraph(paragraph: &Paragraph, keywords: &[Keyword]) -> f64 {
-    if keywords.is_empty() {
-        return 0.0;
-    }
-    let terms = index_terms(&paragraph.text);
-    if terms.is_empty() {
-        return 0.0;
-    }
-
-    let kw_index: HashMap<&str, usize> = keywords
-        .iter()
-        .enumerate()
-        .map(|(i, k)| (k.term.as_str(), i))
-        .collect();
-
-    // Positions of each keyword in the term stream.
-    let mut positions: Vec<Vec<usize>> = vec![Vec::new(); keywords.len()];
-    let mut occurrences = 0usize;
-    for (pos, t) in terms.iter().enumerate() {
-        if let Some(&k) = kw_index.get(t.as_str()) {
-            positions[k].push(pos);
-            occurrences += 1;
-        }
-    }
-
-    let present = positions.iter().filter(|p| !p.is_empty()).count();
-    if present == 0 {
-        return 0.0;
-    }
-
-    let coverage = present as f64 / kw_index.len() as f64;
-    let density = (occurrences as f64 / terms.len() as f64).min(1.0);
-    let proximity = match smallest_window(&positions) {
-        Some(w) if present > 1 => (present as f64 / w as f64).min(1.0),
-        _ => {
-            if present == 1 {
-                0.5 // single keyword: neutral proximity
-            } else {
-                0.0
-            }
-        }
-    };
-
-    W_COVERAGE * coverage + W_DENSITY * density + W_PROXIMITY * proximity
+    Scorer::new(keywords).score(&paragraph.text)
 }
 
-/// Size (in tokens, inclusive) of the smallest window containing at least
-/// one occurrence of every *present* keyword. `None` when fewer than two
-/// keywords are present.
-fn smallest_window(positions: &[Vec<usize>]) -> Option<usize> {
-    // Merge all (position, keyword) pairs, sorted by position.
-    let mut events: Vec<(usize, usize)> = Vec::new();
+/// The keyword set and the scratch PS reuses from paragraph to paragraph.
+struct Scorer<'a> {
+    query: QueryTerms<'a>,
+    analyzer: Analyzer,
+    /// `(term position, keyword)` for every keyword occurrence, in text order.
+    hits: Vec<(usize, usize)>,
+    /// Occurrences of each keyword inside the sweep's current window.
+    in_window: Vec<usize>,
+}
+
+impl<'a> Scorer<'a> {
+    fn new(keywords: &'a [Keyword]) -> Self {
+        let query = QueryTerms::new(keywords.iter().map(|k| k.term.as_str()));
+        Self {
+            in_window: vec![0; query.len()],
+            query,
+            analyzer: Analyzer::default(),
+            hits: Vec::new(),
+        }
+    }
+
+    fn score(&mut self, text: &str) -> f64 {
+        self.hits.clear();
+        let mut n_terms = 0usize;
+        let mut terms = self.analyzer.terms(text);
+        while let Some(t) = terms.next_term() {
+            if let Some(k) = self.query.position(t) {
+                self.hits.push((n_terms, k));
+            }
+            n_terms += 1;
+        }
+        if self.hits.is_empty() {
+            return 0.0;
+        }
+
+        let (present, window) = smallest_window(&self.hits, &mut self.in_window);
+        let coverage = present as f64 / self.query.len() as f64;
+        let density = (self.hits.len() as f64 / n_terms as f64).min(1.0);
+        let proximity = match window {
+            Some(w) => (present as f64 / w as f64).min(1.0),
+            None => 0.5, // single keyword: neutral proximity
+        };
+
+        W_COVERAGE * coverage + W_DENSITY * density + W_PROXIMITY * proximity
+    }
+}
+
+/// How many distinct keywords `hits` (sorted by position) mention, and the
+/// size (in terms, inclusive) of the smallest window containing at least one
+/// occurrence of each of them — `None` when fewer than two are present.
+/// `counts` is per-keyword scratch.
+fn smallest_window(hits: &[(usize, usize)], counts: &mut [usize]) -> (usize, Option<usize>) {
+    counts.fill(0);
     let mut wanted = 0usize;
-    for (k, ps) in positions.iter().enumerate() {
-        if ps.is_empty() {
-            continue;
-        }
-        wanted += 1;
-        for &p in ps {
-            events.push((p, k));
-        }
+    for &(_, k) in hits {
+        wanted += usize::from(counts[k] == 0);
+        counts[k] += 1;
     }
     if wanted < 2 {
-        return None;
+        return (wanted, None);
     }
-    events.sort_unstable();
 
     // Classic minimum covering window sweep.
-    let mut counts: HashMap<usize, usize> = HashMap::new();
+    counts.fill(0);
     let mut have = 0usize;
     let mut best: Option<usize> = None;
     let mut lo = 0usize;
-    for hi in 0..events.len() {
-        let c = counts.entry(events[hi].1).or_insert(0);
-        if *c == 0 {
-            have += 1;
-        }
-        *c += 1;
+    for &(hi_pos, k) in hits {
+        have += usize::from(counts[k] == 0);
+        counts[k] += 1;
         while have == wanted {
-            let width = events[hi].0 - events[lo].0 + 1;
+            let (lo_pos, lo_k) = hits[lo];
+            let width = hi_pos - lo_pos + 1;
             best = Some(best.map_or(width, |b| b.min(width)));
-            let c = counts.get_mut(&events[lo].1).expect("tracked keyword");
-            *c -= 1;
-            if *c == 0 {
-                have -= 1;
-            }
+            counts[lo_k] -= 1;
+            have -= usize::from(counts[lo_k] == 0);
             lo += 1;
         }
     }
-    best
+    (wanted, best)
 }
 
 /// Score a batch of paragraphs (the PS module proper). Order is preserved —
 /// ordering is PO's job.
 pub fn score_paragraphs(paragraphs: Vec<Paragraph>, keywords: &[Keyword]) -> Vec<ScoredParagraph> {
+    let mut scorer = Scorer::new(keywords);
     paragraphs
         .into_iter()
         .map(|p| {
-            let score = score_paragraph(&p, keywords);
+            let score = scorer.score(&p.text);
             ScoredParagraph {
                 paragraph: p,
                 score,
@@ -142,7 +137,9 @@ pub fn score_paragraphs(paragraphs: Vec<Paragraph>, keywords: &[Keyword]) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use corpus::{Corpus, CorpusConfig, QuestionGenerator};
     use qa_types::{DocId, ParagraphId, SubCollectionId};
+    use std::collections::BTreeSet;
 
     fn para(text: &str) -> Paragraph {
         Paragraph {
@@ -207,13 +204,70 @@ mod tests {
 
     #[test]
     fn smallest_window_sweep() {
-        // keyword 0 at {0, 9}, keyword 1 at {5}: best window is 5..=9 -> 5.
-        let positions = vec![vec![0, 9], vec![5]];
-        assert_eq!(smallest_window(&positions), Some(5));
+        let mut counts = vec![7; 2]; // scratch may arrive dirty
+                                     // keyword 0 at {0, 9}, keyword 1 at {5}: best window is 5..=9 -> 5.
+        let hits = [(0, 0), (5, 1), (9, 0)];
+        assert_eq!(smallest_window(&hits, &mut counts), (2, Some(5)));
         // Single present keyword -> None.
-        assert_eq!(smallest_window(&[vec![3], vec![]]), None);
+        assert_eq!(smallest_window(&[(3, 0), (8, 0)], &mut counts), (1, None));
         // Adjacent keywords -> window 2.
-        assert_eq!(smallest_window(&[vec![4], vec![5]]), Some(2));
+        assert_eq!(
+            smallest_window(&[(4, 0), (5, 1)], &mut counts),
+            (2, Some(2))
+        );
+    }
+
+    /// PS from collected terms and sets, with the covering window found by
+    /// trying every pair of keyword occurrences.
+    fn score_oracle(text: &str, keywords: &[Keyword]) -> f64 {
+        let terms = ir_engine::terms::index_terms(text);
+        let distinct: BTreeSet<&str> = keywords.iter().map(|k| k.term.as_str()).collect();
+        let hits: Vec<(usize, &str)> = (terms.iter().map(String::as_str).enumerate())
+            .filter(|(_, t)| distinct.contains(t))
+            .collect();
+        let present: BTreeSet<&str> = hits.iter().map(|h| h.1).collect();
+        if present.is_empty() {
+            return 0.0;
+        }
+        let window = (0..hits.len())
+            .flat_map(|lo| (lo..hits.len()).map(move |hi| (lo, hi)))
+            .filter(|&(lo, hi)| {
+                hits[lo..=hi].iter().map(|h| h.1).collect::<BTreeSet<_>>() == present
+            })
+            .map(|(lo, hi)| hits[hi].0 - hits[lo].0 + 1)
+            .min()
+            .expect("the whole hit list covers every present keyword");
+        let proximity = match present.len() {
+            1 => 0.5,
+            n => (n as f64 / window as f64).min(1.0),
+        };
+        W_COVERAGE * (present.len() as f64 / distinct.len() as f64)
+            + W_DENSITY * (hits.len() as f64 / terms.len() as f64).min(1.0)
+            + W_PROXIMITY * proximity
+    }
+
+    #[test]
+    fn streamed_scores_are_bit_equal_to_the_oracle() {
+        let c = Corpus::generate(CorpusConfig::small(55)).unwrap();
+        let qp = nlp::QuestionProcessor::new();
+        let paragraphs: Vec<Paragraph> = (c.documents.iter().step_by(7))
+            .flat_map(|d| d.iter_paragraphs())
+            .collect();
+        let mut nonzero = 0;
+        for gq in QuestionGenerator::new(&c, 11).generate(12) {
+            let mut keywords = qp.process(&gq.question).unwrap().keywords;
+            keywords.push(keywords[0].clone());
+            let source = c.paragraph_text(gq.source).unwrap();
+            assert!(score_paragraph(&para(source), &keywords) > 0.0);
+            let batch = score_paragraphs(paragraphs.clone(), &keywords);
+            for (p, scored) in paragraphs.iter().zip(&batch) {
+                let want = score_oracle(&p.text, &keywords);
+                assert_eq!(scored.score.to_bits(), want.to_bits(), "{:?}", p.text);
+                assert_eq!(score_paragraph(p, &keywords).to_bits(), want.to_bits());
+                nonzero += usize::from(want > 0.0);
+            }
+        }
+        assert!(nonzero > 100, "only {nonzero} paragraphs held a keyword");
     }
 
     #[test]

@@ -4,8 +4,10 @@ use falcon_dqa::cluster_sim::{BalancingStrategy, QaSimulation, SimConfig};
 use falcon_dqa::dqa_runtime::{AdmissionGate, GateDecision};
 use falcon_dqa::ir_engine::postings::{intersect, union, PostingsList};
 use falcon_dqa::ir_engine::terms::index_terms;
+use falcon_dqa::nlp::analyze::words;
 use falcon_dqa::nlp::stem::stem;
-use falcon_dqa::nlp::tokenize::tokenize;
+use falcon_dqa::nlp::stopwords::is_stopword;
+use falcon_dqa::nlp::tokenize::{tokenize, word_count};
 use falcon_dqa::qa_types::{Answer, DocId, NodeId, OverloadPolicy, ParagraphId, RankedAnswers};
 use falcon_dqa::scheduler::partition::{
     partition_counts, partition_isend, partition_recv, partition_send,
@@ -67,8 +69,38 @@ proptest! {
     #[test]
     fn index_terms_never_contain_stopwords(text in "[a-zA-Z ]{0,120}") {
         for term in index_terms(&text) {
-            prop_assert!(!falcon_dqa::nlp::stopwords::is_stopword(&term), "term {term}");
+            prop_assert!(!is_stopword(&term), "term {term}");
         }
+    }
+
+    // The streaming analyser against its collecting wrappers, over text that
+    // mixes ASCII words, joiners and arbitrary Unicode.
+
+    #[test]
+    fn tokenize_is_spans_plus_lowercase(text in "([a-zA-Z0-9 '-]|[ÉéİΣσς’—]|.){0,160}") {
+        let tokens = tokenize(&text);
+        let spans: Vec<_> = words(&text).collect();
+        prop_assert_eq!(tokens.len(), spans.len());
+        prop_assert_eq!(word_count(&text), tokens.len());
+        let mut prev_end = 0;
+        for (t, w) in tokens.iter().zip(&spans) {
+            prop_assert!(prev_end <= w.start && w.start < w.end && w.end <= text.len());
+            prop_assert!(text.is_char_boundary(w.start) && text.is_char_boundary(w.end));
+            prev_end = w.end;
+            prop_assert_eq!((t.start, t.end, t.capitalized), (w.start, w.end, w.capitalized));
+            prop_assert_eq!(&t.text, &text[w.start..w.end].to_lowercase());
+            prop_assert_eq!(t.capitalized, t.source(&text).chars().next().is_some_and(char::is_uppercase));
+        }
+    }
+
+    #[test]
+    fn index_terms_is_filter_map_over_tokenize(text in "([a-zA-Z0-9 '-]|[ÉéİΣσς’—]|.){0,160}") {
+        let want: Vec<String> = tokenize(&text)
+            .iter()
+            .filter(|t| !is_stopword(&t.text))
+            .map(|t| stem(&t.text))
+            .collect();
+        prop_assert_eq!(index_terms(&text), want);
     }
 
     // ---- partitioning --------------------------------------------------
