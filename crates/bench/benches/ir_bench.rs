@@ -4,10 +4,9 @@
 
 use bench::fixtures::QaFixture;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use ir_engine::persist::{decode_index, encode_index};
 use ir_engine::query::{match_counts, quorum, BooleanQuery};
 use ir_engine::terms::QueryTerms;
-use ir_engine::{ParagraphFilter, ShardedIndex};
+use ir_engine::{decode_index_v2, encode_index_v2, ParagraphFilter, ShardedIndex};
 use nlp::QuestionProcessor;
 use qa_types::SubCollectionId;
 use std::hint::black_box;
@@ -59,8 +58,8 @@ fn bench_ir(c: &mut Criterion) {
 
     c.bench_function("ir/persist_round_trip", |b| {
         b.iter_batched(
-            || encode_index(&f.index),
-            |bytes| black_box(decode_index(&bytes).unwrap()),
+            || encode_index_v2(&f.index),
+            |bytes| black_box(decode_index_v2(&bytes).unwrap()),
             BatchSize::SmallInput,
         )
     });

@@ -33,6 +33,7 @@ use crate::fixtures::QaFixture;
 use dqa_obs::{splitmix64, MetricsRegistry};
 use dqa_runtime::{Cluster, ClusterConfig, DistributedAnswer};
 use nlp::NamedEntityRecognizer;
+pub use qa_types::stats::percentile;
 use qa_types::OverloadCounts;
 use serde::Serialize;
 use std::path::{Path, PathBuf};
@@ -162,16 +163,6 @@ fn digest(bytes: &str) -> u64 {
 /// and exactly one outcome — answered, degraded or rejected.
 pub fn conserved(counts: &OverloadCounts, records: usize, offered: usize) -> bool {
     counts.offered() == offered && records == offered
-}
-
-/// Nearest-rank percentile of an unsorted sample; 0.0 when empty.
-pub fn percentile(sample: &mut [f64], p: f64) -> f64 {
-    if sample.is_empty() {
-        return 0.0;
-    }
-    sample.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let rank = ((p * sample.len() as f64).ceil() as usize).clamp(1, sample.len());
-    sample[rank - 1]
 }
 
 /// A thread-runtime cluster over the fixture's index.

@@ -12,10 +12,8 @@
 //!   paper's observation that "the PO module provides also a good ranking of
 //!   the paragraph processing complexity", which is what makes ISEND work.
 
+use qa_types::rng::{LogNormal, Rng};
 use qa_types::ModuleProfile;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use rand_distr::{Distribution, LogNormal};
 
 /// All demands of one simulated question, in seconds of dedicated service.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,8 +36,7 @@ impl QuestionDemand {
     /// Sample demands for question `index` of a run seeded with `seed`.
     /// Pure function of `(profile, seed, index)`.
     pub fn sample(profile: &ModuleProfile, seed: u64, index: u64) -> QuestionDemand {
-        let mut rng =
-            SmallRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(index));
+        let mut rng = Rng::new(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(index));
 
         // Whole-question scale: lognormal with CV 0.6, mean 1.
         let scale = lognormal_mean1(0.6).sample(&mut rng);
@@ -79,7 +76,7 @@ impl QuestionDemand {
             *d *= rank_noise.sample(&mut rng);
         }
 
-        let memory = rng.gen_range(
+        let memory = rng.range(
             profile.question_memory_lo..=profile.question_memory_hi.max(profile.question_memory_lo),
         );
 
@@ -126,7 +123,7 @@ fn sigma_for(cv: f64) -> f64 {
 }
 
 /// A lognormal with mean 1 and the given CV.
-fn lognormal_mean1(cv: f64) -> LogNormal<f64> {
+fn lognormal_mean1(cv: f64) -> LogNormal {
     LogNormal::new(mu_for(1.0, cv), sigma_for(cv)).expect("valid lognormal")
 }
 

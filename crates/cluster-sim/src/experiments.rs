@@ -363,9 +363,22 @@ mod tests {
 
     #[test]
     fn table6_latency_ordering() {
-        let c = load_balancing_experiment(4, 13);
-        assert!(c.inter.mean_response_time() < c.dns.mean_response_time());
-        assert!(c.dqa.mean_response_time() < c.inter.mean_response_time());
+        // Table 6 orders mean response times DNS > INTER > DQA. Means over
+        // seeds 1..=8, each step by a 2 % margin. RED: INTER does not beat
+        // DNS on latency (EXPERIMENTS.md has the per-seed sweep); the
+        // assertion stays as the paper states it until that is root-caused.
+        let runs: Vec<StrategyComparison> = (1..=8)
+            .map(|seed| load_balancing_experiment(4, seed))
+            .collect();
+        let mean = |pick: fn(&StrategyComparison) -> &SimReport| {
+            runs.iter()
+                .map(|c| pick(c).mean_response_time())
+                .sum::<f64>()
+                / runs.len() as f64
+        };
+        let (dns, inter, dqa) = (mean(|c| &c.dns), mean(|c| &c.inter), mean(|c| &c.dqa));
+        assert!(inter < 0.98 * dns, "INTER {inter:.1} s vs DNS {dns:.1} s");
+        assert!(dqa < 0.98 * inter, "DQA {dqa:.1} s vs INTER {inter:.1} s");
     }
 
     #[test]

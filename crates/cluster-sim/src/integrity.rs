@@ -16,6 +16,7 @@
 //! the event loop orders ties by `(time, class, sequence)`.
 
 use faults::{CorruptTarget, FaultEvent, FaultSchedule};
+use qa_types::rng::{mix, unit_f64};
 use rebalance::{MigrationThrottle, ThrottleVerdict};
 use serde::{Deserialize, Serialize};
 
@@ -143,18 +144,6 @@ enum EventClass {
     Question,
 }
 
-/// splitmix64 — the same mix the fault framework's judges use, so sampled
-/// read-detection draws are stable per (seed, question, shard).
-fn mix(seed: u64, a: u64, b: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(a.wrapping_mul(0xbf58_476d_1ce4_e5b9))
-        .wrapping_add(b.wrapping_mul(0x94d0_49bb_1331_11eb))
-        .wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Run the integrity DES to its horizon.
 pub fn run_integrity_sim(cfg: &IntegritySimConfig) -> IntegritySimReport {
     let mut report = IntegritySimReport::default();
@@ -273,8 +262,7 @@ pub fn run_integrity_sim(cfg: &IntegritySimConfig) -> IntegritySimReport {
                             } else if sample == 0 {
                                 false
                             } else {
-                                let u =
-                                    (mix(seed, qid, s as u64) >> 11) as f64 / (1u64 << 53) as f64;
+                                let u = unit_f64(mix(seed, qid, s as u64));
                                 u < sample as f64 / blocks as f64
                             };
                             if hit {

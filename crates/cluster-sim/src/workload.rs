@@ -25,12 +25,12 @@ use dqa_obs::{
 use dqa_obs::{CausalSpan, CauseSet, CriticalPath};
 use faults::{FaultEvent, FaultSchedule, LinkDecision, LinkJudge, LossJudge};
 use loadsim::functions::LoadFunctions;
+use qa_types::rng::Rng;
+use qa_types::stats::percentile;
 use qa_types::{
     ModuleProfile, ModuleTimings, NodeId, OverloadCounts, OverloadPolicy, QaModule,
     QuestionOutcome, ResourceVector, ResourceWeights,
 };
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use rebalance::{
     plan_evacuation, plan_join, plan_skew, ElasticConfig, MigrationPlan, MigrationStep,
     OwnershipMap, RebalanceReason,
@@ -417,18 +417,12 @@ impl SimReport {
     /// Response-time percentile (`p` in `[0, 1]`; nearest-rank method).
     /// Interactive services care about the tail, not just Table 6's means.
     pub fn response_time_percentile(&self, p: f64) -> f64 {
-        if self.questions.is_empty() {
-            return 0.0;
-        }
         let mut times: Vec<f64> = self
             .questions
             .iter()
             .map(QuestionRecord::response_time)
             .collect();
-        times.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let p = p.clamp(0.0, 1.0);
-        let rank = ((p * times.len() as f64).ceil() as usize).clamp(1, times.len());
-        times[rank - 1]
+        percentile(&mut times, p)
     }
 
     /// Mean overhead breakdown (Table 9 rows).
@@ -457,13 +451,7 @@ impl SimReport {
             .filter(|q| q.outcome != QuestionOutcome::Rejected)
             .map(QuestionRecord::response_time)
             .collect();
-        if times.is_empty() {
-            return 0.0;
-        }
-        times.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let p = p.clamp(0.0, 1.0);
-        let rank = ((p * times.len() as f64).ceil() as usize).clamp(1, times.len());
-        times[rank - 1]
+        percentile(&mut times, p)
     }
 
     /// Per-phase [`Span`]s of question `q` in virtual time (QP → PR → PO →
@@ -754,7 +742,6 @@ const REPLAY_SECS_PER_RECORD: f64 = 2e-5;
 pub struct QaSimulation {
     cfg: SimConfig,
     engine: Engine<Tag>,
-    rng: SmallRng,
     states: Vec<QState>,
     arrivals: Vec<f64>,
     next_arrival: usize,
@@ -834,14 +821,14 @@ impl QaSimulation {
             })
             .collect();
         let clock = ManualClock::new();
-        let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0xd1b5_4a32_d192_ed03);
+        let mut rng = Rng::new(cfg.seed ^ 0xd1b5_4a32_d192_ed03);
 
         let mut arrivals = Vec::with_capacity(cfg.questions);
         let mut t = 0.0;
         for i in 0..cfg.questions {
             if i > 0 && !cfg.serial {
                 let (lo, hi) = cfg.arrival_spacing;
-                t += if hi > lo { rng.gen_range(lo..hi) } else { lo };
+                t += if hi > lo { rng.uniform(lo..hi) } else { lo };
             }
             arrivals.push(t);
         }
@@ -952,7 +939,6 @@ impl QaSimulation {
         };
         QaSimulation {
             engine,
-            rng,
             states,
             arrivals,
             next_arrival: 0,
@@ -2377,9 +2363,8 @@ impl QaSimulation {
                 .iter()
                 .enumerate()
                 .map(|(c, &d)| {
-                    let mut rng =
-                        rand::rngs::SmallRng::seed_from_u64(seed ^ (q as u64) << 8 ^ c as u64);
-                    let noise: f64 = 1.0 + cv * (rng.gen::<f64>() - 0.5) * 2.0;
+                    let mut rng = Rng::new(seed ^ (q as u64) << 8 ^ c as u64);
+                    let noise: f64 = 1.0 + cv * (rng.f64() - 0.5) * 2.0;
                     d * noise.max(0.1)
                 })
                 .collect();
@@ -2625,8 +2610,6 @@ impl QaSimulation {
         // The freed slot may admit (or deadline-reject) queued arrivals.
         self.drain_admission();
         self.publish_gate();
-        // Silence unused-field warnings for rng in builds without jitter.
-        let _ = &self.rng;
     }
 }
 
@@ -2688,32 +2671,32 @@ mod tests {
 
     #[test]
     fn high_load_strategies_rank_dns_inter_dqa() {
-        // Average over seeds: a single run is arrival-jitter noisy, exactly
-        // like a single benchmark run on real hardware.
-        let nodes = 4;
+        // Tables 5-6 are a claim about means: a single run is arrival-jitter
+        // noisy, exactly like a single benchmark run on real hardware, so
+        // rank the means over seeds 1..=8 and ask for a 2 % margin per step.
         let mean = |strategy| -> (f64, f64) {
-            let mut tp = 0.0;
-            let mut rt = 0.0;
-            for seed in [7, 8, 9] {
-                let r = QaSimulation::new(SimConfig::paper_high_load(nodes, strategy, seed)).run();
-                tp += r.throughput_per_minute();
-                rt += r.mean_response_time();
-            }
-            (tp / 3.0, rt / 3.0)
+            let runs: Vec<SimReport> = (1..=8)
+                .map(|seed| QaSimulation::new(SimConfig::paper_high_load(4, strategy, seed)).run())
+                .collect();
+            let over = |f: fn(&SimReport) -> f64| runs.iter().map(f).sum::<f64>() / 8.0;
+            (
+                over(SimReport::throughput_per_minute),
+                over(SimReport::mean_response_time),
+            )
         };
         let (t_dns, l_dns) = mean(BalancingStrategy::Dns);
         let (t_inter, _) = mean(BalancingStrategy::Inter);
         let (t_dqa, l_dqa) = mean(BalancingStrategy::Dqa);
         assert!(
-            t_inter > t_dns,
+            t_inter > 1.02 * t_dns,
             "INTER {t_inter:.2} q/min should beat DNS {t_dns:.2}"
         );
         assert!(
-            t_dqa > t_inter,
+            t_dqa > 1.02 * t_inter,
             "DQA {t_dqa:.2} q/min should beat INTER {t_inter:.2}"
         );
-        // Latency ranks the same way (Table 6).
-        assert!(l_dqa < l_dns, "DQA {l_dqa:.1}s vs DNS {l_dns:.1}s");
+        // Latency ranks the same way end to end (Table 6).
+        assert!(l_dqa < 0.98 * l_dns, "DQA {l_dqa:.1}s vs DNS {l_dns:.1}s");
     }
 
     #[test]

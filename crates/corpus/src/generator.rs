@@ -4,12 +4,10 @@ use crate::config::CorpusConfig;
 use crate::stats::CorpusStats;
 use crate::vocab::Vocabulary;
 use nlp::gazetteer::{Gazetteers, QUANTITY_UNITS};
+use qa_types::rng::Rng;
 use qa_types::{
     AnswerType, DocId, Document, ParagraphId, QaError, SubCollectionId, SubCollectionMeta,
 };
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// Verbs used by the sentence templates (real English so text reads
@@ -73,9 +71,7 @@ impl Corpus {
         let mut next_doc = 0u32;
 
         for coll in 0..config.sub_collections {
-            let mut rng = SmallRng::seed_from_u64(
-                config.seed.wrapping_mul(0x5851_f42d_4c95_7f2d) ^ coll as u64,
-            );
+            let mut rng = Rng::new(config.seed.wrapping_mul(0x5851_f42d_4c95_7f2d) ^ coll as u64);
             for _ in 0..config.docs_per_collection {
                 let doc_id = DocId::new(next_doc);
                 next_doc += 1;
@@ -197,11 +193,11 @@ fn generate_document(
     gaz: &Gazetteers,
     coll: usize,
     doc_id: DocId,
-    rng: &mut SmallRng,
+    rng: &mut Rng,
     plants: &mut Vec<PlantedEntity>,
 ) -> Document {
     let sub = SubCollectionId::new(coll as u32);
-    let n_paras = rng.gen_range(cfg.paragraphs_per_doc.0..=cfg.paragraphs_per_doc.1);
+    let n_paras = count_in(rng, cfg.paragraphs_per_doc);
     let title = format!(
         "Report on the {} {}",
         vocab.sample(coll, rng),
@@ -211,7 +207,7 @@ fn generate_document(
     let mut paragraphs = Vec::with_capacity(n_paras);
     for p in 0..n_paras {
         let pid = ParagraphId::new(doc_id, p as u32);
-        let n_sents = rng.gen_range(cfg.sentences_per_paragraph.0..=cfg.sentences_per_paragraph.1);
+        let n_sents = count_in(rng, cfg.sentences_per_paragraph);
         let mut text = String::new();
         for s in 0..n_sents {
             if s > 0 {
@@ -231,10 +227,15 @@ fn generate_document(
     }
 }
 
+/// Uniform count in an inclusive `(lo, hi)` configuration pair.
+fn count_in(rng: &mut Rng, (lo, hi): (usize, usize)) -> usize {
+    rng.range(lo as u64..=hi as u64) as usize
+}
+
 /// Pick an entity (surface form + type) to plant.
-fn pick_entity(gaz: &Gazetteers, rng: &mut SmallRng) -> (String, AnswerType) {
+fn pick_entity(gaz: &Gazetteers, rng: &mut Rng) -> (String, AnswerType) {
     // Weighted mix roughly matching TREC question-type frequencies.
-    let roll: f64 = rng.gen();
+    let roll = rng.f64();
     let ty = if roll < 0.28 {
         AnswerType::Person
     } else if roll < 0.52 {
@@ -254,21 +255,21 @@ fn pick_entity(gaz: &Gazetteers, rng: &mut SmallRng) -> (String, AnswerType) {
     };
     let surface = match ty {
         AnswerType::Date => {
-            let year = rng.gen_range(1900..=2000);
+            let year = rng.range(1900..=2000);
             format!("{year}")
         }
         AnswerType::Quantity => {
-            let n = rng.gen_range(2..=990);
-            let unit = QUANTITY_UNITS[rng.gen_range(0..QUANTITY_UNITS.len())];
+            let n = rng.range(2..=990);
+            let unit = QUANTITY_UNITS[rng.below(QUANTITY_UNITS.len())];
             format!("{n} {unit}")
         }
         AnswerType::Money => {
-            let n = rng.gen_range(10..=9000);
+            let n = rng.range(10..=9000);
             format!("{n} dollars")
         }
         _ => {
             let list = gaz.entities(ty);
-            list[rng.gen_range(0..list.len())].clone()
+            list[rng.below(list.len())].clone()
         }
     };
     (surface, ty)
@@ -282,15 +283,15 @@ fn generate_sentence(
     coll: usize,
     pid: ParagraphId,
     sub: SubCollectionId,
-    rng: &mut SmallRng,
+    rng: &mut Rng,
     plants: &mut Vec<PlantedEntity>,
 ) -> String {
     let w1 = vocab.sample(coll, rng).to_string();
     let w2 = vocab.sample(coll, rng).to_string();
     let w3 = vocab.sample(coll, rng).to_string();
-    let verb = *VERBS.choose(rng).expect("non-empty verb list");
+    let verb = *rng.choose(VERBS).expect("non-empty verb list");
 
-    if rng.gen_bool(cfg.entity_density) {
+    if rng.bool(cfg.entity_density) {
         let (entity, ty) = pick_entity(gaz, rng);
         let sentence = match ty {
             AnswerType::Person | AnswerType::Organization => {

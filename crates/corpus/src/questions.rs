@@ -6,9 +6,8 @@
 //! answers.
 
 use crate::generator::{Corpus, PlantedEntity};
+use qa_types::rng::Rng;
 use qa_types::{AnswerType, ParagraphId, Question, QuestionId, SubCollectionId};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 /// A question plus its ground truth.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,7 +28,7 @@ pub struct GeneratedQuestion {
 #[derive(Debug)]
 pub struct QuestionGenerator<'a> {
     corpus: &'a Corpus,
-    rng: SmallRng,
+    rng: Rng,
     next_id: u32,
 }
 
@@ -38,7 +37,7 @@ impl<'a> QuestionGenerator<'a> {
     pub fn new(corpus: &'a Corpus, seed: u64) -> Self {
         Self {
             corpus,
-            rng: SmallRng::seed_from_u64(seed ^ 0x51ed_270b),
+            rng: Rng::new(seed ^ 0x51ed_270b),
             next_id: 1,
         }
     }
@@ -53,7 +52,7 @@ impl<'a> QuestionGenerator<'a> {
         let mut attempts = 0usize;
         while out.len() < n && attempts < n * 20 {
             attempts += 1;
-            let plant = &plants[self.rng.gen_range(0..plants.len())];
+            let plant = &plants[self.rng.below(plants.len())];
             if let Some(q) = self.question_for(plant) {
                 out.push(q);
             }

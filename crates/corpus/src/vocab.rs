@@ -3,9 +3,7 @@
 use crate::config::CorpusConfig;
 use nlp::gazetteer::Gazetteers;
 use nlp::stopwords::is_stopword;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use rand_distr::{Distribution, Zipf};
+use qa_types::rng::{Rng, Zipf};
 use std::collections::HashSet;
 
 /// Consonant onsets used to synthesize content words.
@@ -39,7 +37,7 @@ pub struct Vocabulary {
     words: Vec<String>,
     /// `permutations[c][rank]` = word index occupying `rank` in collection c.
     permutations: Vec<Vec<u32>>,
-    zipf: Zipf<f64>,
+    zipf: Zipf,
     skew: f64,
 }
 
@@ -64,11 +62,11 @@ impl Vocabulary {
 
         let mut permutations = Vec::with_capacity(cfg.sub_collections);
         for c in 0..cfg.sub_collections {
-            let mut rng = SmallRng::seed_from_u64(cfg.seed ^ (0x9e37_79b9 + c as u64));
+            let mut rng = Rng::new(cfg.seed ^ (0x9e37_79b9 + c as u64));
             let mut perm: Vec<u32> = (0..cfg.vocab_size as u32).collect();
             // Fisher–Yates.
             for k in (1..perm.len()).rev() {
-                let j = rng.gen_range(0..=k);
+                let j = rng.below(k + 1);
                 perm.swap(k, j);
             }
             permutations.push(perm);
@@ -108,9 +106,9 @@ impl Vocabulary {
     /// Sample a word for sub-collection `coll`: a Zipf rank mapped through
     /// the collection's permutation with probability `topic_skew`, through
     /// the identity (global ranking) otherwise.
-    pub fn sample<'a>(&'a self, coll: usize, rng: &mut impl Rng) -> &'a str {
+    pub fn sample<'a>(&'a self, coll: usize, rng: &mut Rng) -> &'a str {
         let rank = (self.zipf.sample(rng) as usize - 1).min(self.words.len() - 1);
-        let idx = if rng.gen_bool(self.skew) {
+        let idx = if rng.bool(self.skew) {
             self.permutations[coll % self.permutations.len()][rank] as usize
         } else {
             rank
@@ -149,7 +147,7 @@ mod tests {
     #[test]
     fn sampling_is_zipf_skewed() {
         let v = vocab();
-        let mut rng = SmallRng::seed_from_u64(1);
+        let mut rng = Rng::new(1);
         let mut counts = std::collections::HashMap::new();
         for _ in 0..20_000 {
             *counts
@@ -168,7 +166,7 @@ mod tests {
     fn topic_skew_differentiates_collections() {
         let v = vocab();
         let top_word = |coll: usize| {
-            let mut rng = SmallRng::seed_from_u64(99);
+            let mut rng = Rng::new(99);
             let mut counts = std::collections::HashMap::new();
             for _ in 0..5_000 {
                 *counts
@@ -193,8 +191,8 @@ mod tests {
         let a = Vocabulary::generate(&CorpusConfig::small(3));
         let b = Vocabulary::generate(&CorpusConfig::small(3));
         assert_eq!(a.words(), b.words());
-        let mut ra = SmallRng::seed_from_u64(5);
-        let mut rb = SmallRng::seed_from_u64(5);
+        let mut ra = Rng::new(5);
+        let mut rb = Rng::new(5);
         for _ in 0..100 {
             assert_eq!(a.sample(1, &mut ra), b.sample(1, &mut rb));
         }

@@ -35,15 +35,10 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-/// Sebastiano Vigna's splitmix64 mixer: the deterministic, seedable hash
-/// from which every trace and span id derives. Not an RNG — a pure
-/// function of its input, so replays reproduce identities bit-for-bit.
-pub fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+/// The deterministic, seedable hash from which every trace and span id
+/// derives — a pure function of its input, so replays reproduce identities
+/// bit-for-bit.
+pub use qa_types::rng::splitmix64;
 
 /// Domain-separation salt so a trace id never collides with the span-id
 /// chain of another trace.

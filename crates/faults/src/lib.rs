@@ -23,6 +23,7 @@
 //! interleaving or call order, which is what makes the DES double-run
 //! determinism tests possible under every fault type.
 
+use qa_types::rng::{mix, unit_f64};
 use qa_types::NodeId;
 use serde::{Deserialize, Serialize};
 
@@ -687,20 +688,9 @@ impl Default for RetryPolicy {
     }
 }
 
-/// splitmix64 finalizer over the (seed, flow, msg) triple.
-fn mix(seed: u64, flow: u64, msg: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(flow.wrapping_mul(0xbf58_476d_1ce4_e5b9))
-        .wrapping_add(msg.wrapping_mul(0x94d0_49bb_1331_11eb))
-        .wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Uniform in `[0, 1)` from the hash.
+/// Uniform in `[0, 1)` from the hash of the (seed, flow, msg) triple.
 fn unit(seed: u64, flow: u64, msg: u64) -> f64 {
-    (mix(seed, flow, msg) >> 11) as f64 / (1u64 << 53) as f64
+    unit_f64(mix(seed, flow, msg))
 }
 
 #[cfg(test)]

@@ -32,6 +32,8 @@ use crate::estimator::LatencyEstimator;
 use crate::windows::FaultWindows;
 use cluster_sim::{BalancingStrategy, QaSimulation, SimConfig};
 use faults::FaultSchedule;
+use qa_types::rng::splitmix64;
+use qa_types::stats::percentile;
 use qa_types::{
     Coverage, FederationPolicy, OverloadCounts, OverloadPolicy, QuestionOutcome, ShardReport,
     ShardStatus,
@@ -154,21 +156,8 @@ impl FedSimReport {
             .filter(|q| q.outcome != QuestionOutcome::Rejected)
             .map(FedQuestionRecord::response_time)
             .collect();
-        if times.is_empty() {
-            return 0.0;
-        }
-        times.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let p = p.clamp(0.0, 1.0);
-        let rank = ((p * times.len() as f64).ceil() as usize).clamp(1, times.len());
-        times[rank - 1]
+        percentile(&mut times, p)
     }
-}
-
-const fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 const fn mix(h: u64, v: u64) -> u64 {

@@ -3,13 +3,12 @@
 //!
 //! The paper: "The TREC-9 collection was divided into 8 sub-collections,
 //! separately indexed using a Boolean information retrieval system built on
-//! top of Zprise." Index construction is data-parallel over documents
-//! (rayon), then merged per shard.
+//! top of Zprise." Index construction is data-parallel over shards
+//! (scoped threads, one per core).
 
 use crate::postings::PostingsList;
 use nlp::Analyzer;
 use qa_types::{DocId, Document, SubCollectionId};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
@@ -166,18 +165,38 @@ pub struct ShardedIndex {
 
 impl ShardedIndex {
     /// Build the index for a document set already labeled with
-    /// sub-collection ids. Shards build in parallel.
+    /// sub-collection ids. Shards build in parallel: one scoped thread per
+    /// available core, shards dealt round-robin, results in shard order.
     pub fn build(documents: &[Document], sub_collections: usize) -> ShardedIndex {
-        let shards: Vec<SubIndex> = (0..sub_collections)
-            .into_par_iter()
-            .map(|c| {
-                let id = SubCollectionId::new(c as u32);
-                let mut b = IndexBuilder::new(id);
-                for d in documents.iter().filter(|d| d.sub_collection == id) {
-                    b.add_document(d);
-                }
-                b.finish()
-            })
+        let build_shard = &|c: usize| {
+            let id = SubCollectionId::new(c as u32);
+            let mut b = IndexBuilder::new(id);
+            for d in documents.iter().filter(|d| d.sub_collection == id) {
+                b.add_document(d);
+            }
+            b.finish()
+        };
+        let lanes = std::thread::available_parallelism()
+            .map_or(1, usize::from)
+            .min(sub_collections.max(1));
+        let mut built: Vec<std::vec::IntoIter<SubIndex>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..lanes)
+                .map(|lane| {
+                    scope.spawn(move || {
+                        (lane..sub_collections)
+                            .step_by(lanes)
+                            .map(build_shard)
+                            .collect::<Vec<SubIndex>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("an index build lane panicked").into_iter())
+                .collect()
+        });
+        let shards = (0..sub_collections)
+            .map(|c| built[c % lanes].next().expect("lane built its share"))
             .collect();
         ShardedIndex { shards }
     }

@@ -1,10 +1,11 @@
 //! Self-verifying index segments: the versioned `DQAIDX2` format.
 //!
-//! `DQAIDX1` ([`crate::persist`]) carries no checksums, so a single
-//! flipped bit in a persisted sub-collection index silently changes
-//! answers — the fail-silent fault the robustness tiers before this one
-//! never covered. `DQAIDX2` wraps the same postings payload in two CRC
-//! layers so corruption is *detected*, attributed and recoverable:
+//! The paper's nodes keep pre-built sub-collection indexes on local disk;
+//! this codec is the equivalent, so examples can build once and reload.
+//! Without checksums a single flipped bit in a persisted index silently
+//! changes answers, so `DQAIDX2` — the only segment format — wraps the
+//! postings payload in two CRC layers and corruption is *detected*,
+//! attributed and recoverable:
 //!
 //! * a **self-checksummed directory** up front (`sub id`, body length,
 //!   body CRC per shard, the directory itself CRC-protected), so a
@@ -34,15 +35,16 @@
 //! everything and fails on the first damaged byte (strict load);
 //! [`decode_index_quarantining`] returns the intact shards plus a
 //! quarantine report for the damaged ones (the runtime's
-//! detect→degrade→repair path); [`decode_index_auto`] dispatches on the
-//! magic so `DQAIDX1` segments stay readable. [`verify_index_v2`] and
+//! detect→degrade→repair path); [`decode_index_auto`] is the strict load
+//! with the workspace's `QaError`. [`verify_index_v2`] and
 //! [`verify_sampled`] check without decoding (full scrub / paced
 //! spot-check). The CRC-32 is the IEEE polynomial with a compile-time
 //! table — no new dependencies.
 
 use crate::index::{ShardedIndex, SubIndex};
-use crate::persist::{self, put_bytes, put_u32, put_u64, Reader};
+use crate::persist::{put_bytes, put_u32, put_u64, Reader};
 use crate::postings::PostingsList;
+use qa_types::rng::mix;
 use qa_types::{DocId, QaError, SubCollectionId};
 use std::collections::HashMap;
 
@@ -154,19 +156,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xff) as usize];
     }
     !crc
-}
-
-/// splitmix64 finalizer for the sampled-verification block choice — the
-/// same per-decision discipline the fault framework uses, local so this
-/// crate stays free of the faults dependency.
-fn mix64(seed: u64, a: u64, b: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(a.wrapping_mul(0xbf58_476d_1ce4_e5b9))
-        .wrapping_add(b.wrapping_mul(0x94d0_49bb_1331_11eb))
-        .wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 // ---------------------------------------------------------------------
@@ -331,15 +320,11 @@ pub fn decode_index_quarantining(data: &[u8]) -> Result<VerifiedIndex, Integrity
     })
 }
 
-/// The verifying reader for untrusted segment bytes: dispatches on the
-/// magic so `DQAIDX1` segments (no checksums, structural validation
-/// only) stay readable while `DQAIDX2` segments get the full strict
-/// verification. Runtime index loads must come through here.
+/// The verifying reader for untrusted segment bytes: [`decode_index_v2`]
+/// with the error folded into [`QaError::Codec`]. Any other magic —
+/// including the retired checksum-less `DQAIDX1` — is rejected.
 pub fn decode_index_auto(data: &[u8]) -> Result<ShardedIndex, QaError> {
-    if data.len() >= 8 && &data[..8] == MAGIC_V2 {
-        return decode_index_v2(data).map_err(QaError::from);
-    }
-    persist::decode_index(data)
+    decode_index_v2(data).map_err(QaError::from)
 }
 
 fn decode_shard_body(sub: u32, body: &[u8]) -> Result<SubIndex, IntegrityError> {
@@ -533,7 +518,7 @@ fn verify_blocks(
         // seeds) sample different blocks, one pass is bit-replayable.
         let mut pick = vec![false; n_blocks];
         for draw in 0..max {
-            let b = (mix64(seed, u64::from(sub), draw as u64) % n_blocks as u64) as usize;
+            let b = (mix(seed, u64::from(sub), draw as u64) % n_blocks as u64) as usize;
             pick[b] = true;
         }
         pick
@@ -591,15 +576,77 @@ mod tests {
     }
 
     #[test]
-    fn auto_reader_dispatches_on_magic() {
+    fn auto_reader_is_the_strict_reader_and_rejects_the_retired_v1_magic() {
         let idx = index();
-        let v1 = persist::encode_index(&idx);
         let v2 = encode_index_v2(&idx);
-        let from_v1 = decode_index_auto(&v1).unwrap();
-        let from_v2 = decode_index_auto(&v2).unwrap();
-        for (a, b) in from_v1.shards().zip(from_v2.shards()) {
-            assert_eq!(a, b);
+        assert_eq!(decode_index_auto(&v2).unwrap(), idx);
+        let mut v1 = v2.clone();
+        v1[..8].copy_from_slice(b"DQAIDX1\0");
+        for bytes in [&v1[..], &v1[..8], b"DQAIDX1\0\0\0\0\0", b""] {
+            let err = decode_index_auto(bytes).unwrap_err();
+            assert!(matches!(err, QaError::Codec(_)), "{err:?}");
         }
+    }
+
+    /// A one-shard segment around `body`, every checksum valid, so the
+    /// structural guards behind the CRC layers are what gets exercised.
+    fn segment_around(body: &[u8]) -> Vec<u8> {
+        let mut out = MAGIC_V2.to_vec();
+        put_u32(&mut out, 1);
+        put_u32(&mut out, 0); // sub-collection id
+        put_u32(&mut out, body.len() as u32);
+        put_u32(&mut out, crc32(body));
+        let dir_crc = crc32(&out);
+        put_u32(&mut out, dir_crc);
+        out.extend_from_slice(body);
+        out
+    }
+
+    #[test]
+    fn rejects_absurd_counts_before_allocating() {
+        let rejected = |body: &[u8], what: &str| {
+            let err = decode_index_v2(&segment_around(body)).unwrap_err();
+            assert!(
+                matches!(err, IntegrityError::Format(ref s) if s.contains(what)),
+                "{what}: {err:?}"
+            );
+        };
+        // term occurrences · doc count · doc bytes · block count
+        let mut body = Vec::new();
+        put_u64(&mut body, 0);
+        put_u32(&mut body, u32::MAX); // giant doc count, zero payload bytes
+        put_bytes(&mut body, b"");
+        put_u32(&mut body, 0);
+        rejected(&body, "absurd doc id count");
+
+        let mut body = Vec::new();
+        put_u64(&mut body, 0);
+        put_u32(&mut body, 0);
+        put_bytes(&mut body, b"");
+        put_u32(&mut body, u32::MAX); // block count no input could hold
+        rejected(&body, "absurd block count");
+
+        let in_one_block = |blk: &[u8]| {
+            let mut body = Vec::new();
+            put_u64(&mut body, 0);
+            put_u32(&mut body, 0);
+            put_bytes(&mut body, b"");
+            put_u32(&mut body, 1);
+            put_u32(&mut body, blk.len() as u32);
+            put_u32(&mut body, crc32(blk));
+            body.extend_from_slice(blk);
+            body
+        };
+        let mut blk = Vec::new();
+        put_u32(&mut blk, u32::MAX); // term count
+        rejected(&in_one_block(&blk), "absurd term count");
+
+        let mut blk = Vec::new();
+        put_u32(&mut blk, 1);
+        put_bytes(&mut blk, b"dog");
+        put_u32(&mut blk, u32::MAX); // postings count, zero encoded bytes
+        put_bytes(&mut blk, b"");
+        rejected(&in_one_block(&blk), "absurd postings count");
     }
 
     #[test]

@@ -17,17 +17,16 @@
 //!   query relaxation, then paragraph extraction, with I/O accounting so the
 //!   simulator can charge disk time;
 //! * [`store`] — a document store resolving ids to text;
-//! * [`persist`] — binary serialization of indexes (`DQAIDX1`);
-//! * [`integrity`] — the checksummed `DQAIDX2` segment format: per-shard
-//!   and per-term-block CRCs, strict/quarantining/sampled verification,
-//!   and the version-dispatching reader untrusted loads go through;
+//! * [`integrity`] — binary serialization of indexes, the checksummed
+//!   `DQAIDX2` segment format: per-shard and per-term-block CRCs and
+//!   strict/quarantining/sampled verification;
 //! * [`estimate`] — PR query-cost estimation for cost-aware scheduling
 //!   (the future-work direction the paper's §1.4 sketches).
 
 pub mod estimate;
 pub mod index;
 pub mod integrity;
-pub mod persist;
+mod persist;
 pub mod postings;
 pub mod query;
 pub mod retrieval;

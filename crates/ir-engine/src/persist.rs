@@ -1,115 +1,8 @@
-//! Binary serialization of sharded indexes.
-//!
-//! The paper's nodes keep pre-built sub-collection indexes on local disk;
-//! this codec provides the equivalent so examples can build once and reload.
-//! The format is a simple length-prefixed little-endian layout with a magic
-//! header and explicit bounds checks — no `unsafe`, no external codec crate.
+//! Byte-level primitives of the index segment codec ([`crate::integrity`]):
+//! length-prefixed little-endian writers and a bounds-checked reader — no
+//! `unsafe`, no external codec crate.
 
-use crate::index::{ShardedIndex, SubIndex};
-use crate::postings::PostingsList;
-use qa_types::{DocId, QaError, SubCollectionId};
-use std::collections::HashMap;
-
-const MAGIC: &[u8; 8] = b"DQAIDX1\0";
-
-/// Serialize a sharded index to bytes.
-pub fn encode_index(index: &ShardedIndex) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    put_u32(&mut out, index.shard_count() as u32);
-    for shard in index.shards() {
-        encode_shard(&mut out, shard);
-    }
-    out
-}
-
-fn encode_shard(out: &mut Vec<u8>, shard: &SubIndex) {
-    put_u32(out, shard.id.raw());
-    put_u64(out, shard.term_occurrences());
-    // Doc ids, delta+varint via PostingsList (they are sorted).
-    let doc_posting = PostingsList::from_sorted(shard.doc_ids());
-    put_u32(out, doc_posting.len() as u32);
-    put_bytes(out, doc_posting.encoded());
-    // Terms sorted for deterministic output.
-    let mut terms: Vec<(&str, &PostingsList)> = shard.terms_iter().collect();
-    terms.sort_by_key(|(t, _)| *t);
-    put_u32(out, terms.len() as u32);
-    for (term, postings) in terms {
-        put_bytes(out, term.as_bytes());
-        put_u32(out, postings.len() as u32);
-        put_bytes(out, postings.encoded());
-    }
-}
-
-/// Deserialize a sharded index from bytes produced by [`encode_index`].
-pub fn decode_index(data: &[u8]) -> Result<ShardedIndex, QaError> {
-    let mut r = Reader { data, pos: 0 };
-    let magic = r.take(8)?;
-    if magic != MAGIC {
-        return Err(QaError::Codec("bad magic".into()));
-    }
-    let n_shards = r.u32()? as usize;
-    if n_shards > 1 << 16 {
-        return Err(QaError::Codec("absurd shard count".into()));
-    }
-    let mut shards = Vec::with_capacity(n_shards);
-    for _ in 0..n_shards {
-        shards.push(decode_shard(&mut r)?);
-    }
-    if r.pos != data.len() {
-        return Err(QaError::Codec("trailing bytes".into()));
-    }
-    Ok(ShardedIndex::from_shards(shards))
-}
-
-fn decode_shard(r: &mut Reader<'_>) -> Result<SubIndex, QaError> {
-    let id = SubCollectionId::new(r.u32()?);
-    let term_occurrences = r.u64()?;
-    let doc_len = r.u32()?;
-    let doc_bytes = r.bytes()?;
-    // Every encoded doc id is at least one varint byte, so a count larger
-    // than the byte payload is corrupt input — reject it before the
-    // count drives `to_vec`'s pre-allocation.
-    if doc_len as usize > doc_bytes.len() {
-        return Err(QaError::Codec("absurd doc id count".into()));
-    }
-    let doc_posting = PostingsList::from_raw(doc_bytes.to_vec(), doc_len);
-    let doc_ids: Vec<DocId> = doc_posting.to_vec();
-    if doc_ids.len() != doc_len as usize {
-        return Err(QaError::Codec("doc id list truncated".into()));
-    }
-    let n_terms = r.u32()? as usize;
-    // A term record spends at least 12 bytes on its three length
-    // prefixes; a term count the remaining input cannot possibly hold is
-    // the same absurd-count corruption `decode_index` guards shards
-    // against, and must not size the postings map.
-    if n_terms > r.remaining() / 12 {
-        return Err(QaError::Codec("absurd term count".into()));
-    }
-    let mut postings = HashMap::with_capacity(n_terms);
-    for _ in 0..n_terms {
-        let term_bytes = r.bytes()?;
-        let term = std::str::from_utf8(term_bytes)
-            .map_err(|_| QaError::Codec("term not utf-8".into()))?
-            .to_string();
-        let len = r.u32()?;
-        let enc = r.bytes()?.to_vec();
-        if len as usize > enc.len() {
-            return Err(QaError::Codec(format!("absurd postings count for {term}")));
-        }
-        let pl = PostingsList::from_raw(enc, len);
-        if pl.iter().count() != len as usize {
-            return Err(QaError::Codec(format!("postings for {term} truncated")));
-        }
-        postings.insert(term, pl);
-    }
-    Ok(SubIndex::from_parts(
-        id,
-        postings,
-        doc_ids,
-        term_occurrences,
-    ))
-}
+use qa_types::QaError;
 
 pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -156,115 +49,5 @@ impl<'a> Reader<'a> {
 
     pub(crate) fn remaining(&self) -> usize {
         self.data.len() - self.pos
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use corpus::{Corpus, CorpusConfig};
-
-    fn index() -> ShardedIndex {
-        let c = Corpus::generate(CorpusConfig::small(66)).unwrap();
-        ShardedIndex::build(&c.documents, c.config.sub_collections)
-    }
-
-    #[test]
-    fn round_trip() {
-        let idx = index();
-        let bytes = encode_index(&idx);
-        let back = decode_index(&bytes).unwrap();
-        assert_eq!(back.shard_count(), idx.shard_count());
-        assert_eq!(back.doc_count(), idx.doc_count());
-        for (a, b) in idx.shards().zip(back.shards()) {
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn encoding_is_deterministic() {
-        let idx = index();
-        assert_eq!(encode_index(&idx), encode_index(&idx));
-    }
-
-    #[test]
-    fn rejects_bad_magic() {
-        let mut bytes = encode_index(&index());
-        bytes[0] ^= 0xff;
-        assert!(matches!(decode_index(&bytes), Err(QaError::Codec(_))));
-    }
-
-    #[test]
-    fn rejects_truncation() {
-        let bytes = encode_index(&index());
-        for cut in [bytes.len() / 3, bytes.len() / 2, bytes.len() - 1] {
-            assert!(
-                decode_index(&bytes[..cut]).is_err(),
-                "cut at {cut} accepted"
-            );
-        }
-    }
-
-    #[test]
-    fn rejects_trailing_garbage() {
-        let mut bytes = encode_index(&index());
-        bytes.push(0);
-        assert!(matches!(decode_index(&bytes), Err(QaError::Codec(_))));
-    }
-
-    #[test]
-    fn empty_index_round_trips() {
-        let idx = ShardedIndex::build(&[], 0);
-        let back = decode_index(&encode_index(&idx)).unwrap();
-        assert_eq!(back.shard_count(), 0);
-    }
-
-    /// A shard header whose fixed fields are valid up to the term count.
-    fn shard_prefix(doc_len: u32, doc_bytes: u32) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        put_u32(&mut bytes, 1); // one shard
-        put_u32(&mut bytes, 0); // sub-collection id
-        put_u64(&mut bytes, 0); // term occurrences
-        put_u32(&mut bytes, doc_len);
-        put_u32(&mut bytes, doc_bytes);
-        bytes
-    }
-
-    #[test]
-    fn rejects_absurd_term_count_before_allocating() {
-        let mut bytes = shard_prefix(0, 0);
-        put_u32(&mut bytes, u32::MAX); // term count no input could hold
-        let err = decode_index(&bytes).unwrap_err();
-        assert!(
-            matches!(err, QaError::Codec(ref s) if s.contains("absurd term count")),
-            "{err:?}"
-        );
-    }
-
-    #[test]
-    fn rejects_absurd_doc_count_before_allocating() {
-        // Zero payload bytes but a giant claimed doc count.
-        let mut bytes = shard_prefix(u32::MAX, 0);
-        put_u32(&mut bytes, 0); // term count
-        let err = decode_index(&bytes).unwrap_err();
-        assert!(
-            matches!(err, QaError::Codec(ref s) if s.contains("absurd doc id count")),
-            "{err:?}"
-        );
-    }
-
-    #[test]
-    fn rejects_absurd_postings_count_before_allocating() {
-        let mut bytes = shard_prefix(0, 0);
-        put_u32(&mut bytes, 1); // one term
-        put_bytes(&mut bytes, b"dog");
-        put_u32(&mut bytes, u32::MAX); // postings count
-        put_u32(&mut bytes, 0); // zero encoded bytes
-        let err = decode_index(&bytes).unwrap_err();
-        assert!(
-            matches!(err, QaError::Codec(ref s) if s.contains("absurd postings count")),
-            "{err:?}"
-        );
     }
 }

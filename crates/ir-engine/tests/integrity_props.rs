@@ -2,15 +2,14 @@
 //!
 //! 1. **Round trip** — encode → strict decode reproduces every shard for
 //!    arbitrary generated document sets.
-//! 2. **Version dispatch** — the verifying auto reader decodes `DQAIDX1`
-//!    bytes for the same index to the same shards (backward compat).
+//! 2. **One format** — the auto reader is the strict reader, and the
+//!    same bytes under the retired `DQAIDX1` magic are rejected.
 //! 3. **No silent corruption** — flipping any single byte of a `DQAIDX2`
 //!    segment makes the strict reader error *or* (vacuously) decode the
 //!    identical index; it never returns silently different postings. The
 //!    quarantining reader likewise either flags damage or returns the
 //!    pristine index.
 
-use ir_engine::persist::encode_index;
 use ir_engine::{
     decode_index_auto, decode_index_quarantining, decode_index_v2, encode_index_v2,
     verify_index_v2, ShardedIndex,
@@ -74,11 +73,11 @@ proptest! {
     }
 
     #[test]
-    fn auto_reader_accepts_both_versions(idx in index_strategy()) {
-        let from_v1 = decode_index_auto(&encode_index(&idx)).unwrap();
-        let from_v2 = decode_index_auto(&encode_index_v2(&idx)).unwrap();
-        prop_assert!(shards_equal(&from_v1, &from_v2));
-        prop_assert!(shards_equal(&idx, &from_v2));
+    fn auto_reader_accepts_only_v2(idx in index_strategy()) {
+        let mut bytes = encode_index_v2(&idx);
+        prop_assert!(shards_equal(&idx, &decode_index_auto(&bytes).unwrap()));
+        bytes[..8].copy_from_slice(b"DQAIDX1\0");
+        prop_assert!(decode_index_auto(&bytes).is_err());
     }
 
     #[test]

@@ -10,6 +10,9 @@
 //!
 //! Everything here is plain data: no I/O, no concurrency. Higher crates
 //! (`ir-engine`, `qa-pipeline`, `cluster-sim`, …) build behaviour on top.
+//! The two pieces of arithmetic every crate must agree on bit for bit live
+//! here too: the seeded generator ([`rng`]) and the nearest-rank
+//! percentile ([`stats`]).
 
 pub mod answer;
 pub mod calibration;
@@ -22,6 +25,8 @@ pub mod overload;
 pub mod params;
 pub mod question;
 pub mod resources;
+pub mod rng;
+pub mod stats;
 
 pub use answer::{Answer, AnswerWindow, Coverage, RankedAnswers};
 pub use calibration::{ModuleProfile, Trec8Profile, Trec9Profile};

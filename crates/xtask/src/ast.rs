@@ -585,7 +585,7 @@ mod tests {
 
     #[test]
     fn parses_use_trees() {
-        let f = file("use std::collections::{HashMap, BTreeMap as Sorted};\nuse rand::*;\nuse a::b::{self, C};");
+        let f = file("use std::collections::{HashMap, BTreeMap as Sorted};\nuse serde::*;\nuse a::b::{self, C};");
         let all: Vec<(String, String, bool)> = f
             .items
             .iter()
@@ -598,7 +598,7 @@ mod tests {
             .collect();
         assert!(all.contains(&("HashMap".into(), "std::collections::HashMap".into(), false)));
         assert!(all.contains(&("Sorted".into(), "std::collections::BTreeMap".into(), false)));
-        assert!(all.contains(&("rand".into(), "rand".into(), true)));
+        assert!(all.contains(&("serde".into(), "serde".into(), true)));
         assert!(all.contains(&("b".into(), "a::b".into(), false)));
         assert!(all.contains(&("C".into(), "a::b::C".into(), false)));
     }

@@ -20,7 +20,6 @@ fn usage() -> ExitCode {
          \x20 unbounded-recv       no bare .recv() in dqa-runtime non-test code\n\
          \x20 unbounded-channel    no crossbeam_channel::unbounded in dqa-runtime\n\
          \x20 raw-fs-write         no ad-hoc fs writes in dqa-runtime (journal only)\n\
-         \x20 unseeded-rng         no thread_rng/from_entropy/rand::random outside qa-cli\n\
          \x20 lock-order           no cycles in the workspace lock-acquisition graph\n\
          \x20 blocking-under-guard no blocking call while a lock guard is held\n\
          \x20 hashmap-iter-order   no iteration over hash-container order\n\

@@ -70,8 +70,6 @@ pub const RULE_NAMES: &[&str] = &[
     "unbounded-recv",
     "unbounded-channel",
     "raw-fs-write",
-    "unseeded-rng",
-    "unchecked-decode",
     "lock-order",
     "blocking-under-guard",
     "hashmap-iter-order",
@@ -197,24 +195,6 @@ const RAW_FS_WRITE: Meta = Meta {
     help: "durable coordinator state must flow through the journal crate's checksummed \
            append-only log (CoordinatorJournal); ad-hoc writes bypass torn-tail recovery \
            and term fencing, so a crash can leave unreplayable state",
-};
-
-const UNSEEDED_RNG: Meta = Meta {
-    name: "unseeded-rng",
-    scope: RuleScope::AllExcept(&["qa-cli"]),
-    why: "entropy-seeded RNG outside the CLI",
-    help: "seed every generator from config (e.g. SmallRng::seed_from_u64) so experiment \
-           tables reproduce run to run",
-};
-
-const UNCHECKED_DECODE: Meta = Meta {
-    name: "unchecked-decode",
-    scope: RuleScope::AllExcept(&["ir-engine"]),
-    why: "index bytes decoded without checksum verification",
-    help: "load index segments through ir_engine::decode_index_auto (or decode_index_v2 / \
-           decode_index_quarantining) so CRC-failing shards are detected and quarantined \
-           instead of flowing silently into answers; the raw v1 reader skips verification \
-           and belongs only inside ir-engine and its codec microbenches",
 };
 
 /// Shared with [`crate::lockgraph`], which emits the actual diagnostics.
@@ -456,16 +436,10 @@ impl Checker<'_> {
                 ),
                 (&UNORDERED_STATE, "std::collections::HashMap", "HashMap"),
                 (&UNORDERED_STATE, "std::collections::HashSet", "HashSet"),
-                (&UNSEEDED_RNG, "rand::thread_rng", "rand::thread_rng"),
                 (
                     &UNBOUNDED_CHANNEL,
                     "crossbeam_channel::unbounded",
                     "crossbeam_channel::unbounded",
-                ),
-                (
-                    &UNCHECKED_DECODE,
-                    "ir_engine::persist::decode_index",
-                    "persist::decode_index",
                 ),
             ] {
                 if u.glob {
@@ -780,9 +754,6 @@ impl Checker<'_> {
                     self.acquire_guard(trees, i, name_line, st);
                 }
             }
-            "from_entropy" => {
-                self.report(&UNSEEDED_RNG, name_line, "SeedableRng::from_entropy");
-            }
             _ => {}
         }
 
@@ -965,12 +936,6 @@ impl Checker<'_> {
             ),
             (&UNORDERED_STATE, "std::collections::HashMap", "HashMap"),
             (&UNORDERED_STATE, "std::collections::HashSet", "HashSet"),
-            (&UNSEEDED_RNG, "rand::thread_rng", "rand::thread_rng"),
-            (
-                &UNSEEDED_RNG,
-                "SeedableRng::from_entropy",
-                "SeedableRng::from_entropy",
-            ),
         ] {
             if !self.in_scope(meta) {
                 continue;
@@ -1058,32 +1023,6 @@ impl Checker<'_> {
             "create" if segs.len() >= 2 => {
                 if judge(&self.ctx, segs, "std::fs::File::create") != Verdict::Innocent {
                     self.report(&RAW_FS_WRITE, last_line, "File::create");
-                }
-            }
-            "decode_index" => {
-                if judge(&self.ctx, segs, "ir_engine::persist::decode_index") != Verdict::Innocent {
-                    self.report(&UNCHECKED_DECODE, last_line, "persist::decode_index");
-                }
-            }
-            "random" if segs.len() >= 2 => {
-                if judge(&self.ctx, segs, "rand::random") != Verdict::Innocent {
-                    self.report(&UNSEEDED_RNG, last_line, "rand::random");
-                }
-            }
-            "thread_rng" => {
-                if judge(&self.ctx, segs, "rand::thread_rng") != Verdict::Innocent {
-                    self.report(&UNSEEDED_RNG, last_line, "rand::thread_rng");
-                }
-            }
-            "from_entropy" => {
-                // A SeedableRng trait method: fires through *any* receiver
-                // type (`SmallRng::from_entropy()`), so judge only whether
-                // the path is provably ours.
-                if !matches!(
-                    self.ctx.resolve(segs),
-                    crate::sem::Origin::Local | crate::sem::Origin::Internal
-                ) {
-                    self.report(&UNSEEDED_RNG, last_line, "SeedableRng::from_entropy");
                 }
             }
             "drop" if segs.len() == 1 => {

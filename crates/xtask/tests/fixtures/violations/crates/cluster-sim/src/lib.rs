@@ -18,11 +18,6 @@ pub fn waived_wall_clock() {
     let _t = Instant::now();
 }
 
-pub fn entropy() -> u32 {
-    let _rng = rand::thread_rng();
-    0
-}
-
 #[cfg(test)]
 mod tests {
     use std::collections::HashMap;

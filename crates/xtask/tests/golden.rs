@@ -15,7 +15,7 @@ fn fixture(name: &str) -> PathBuf {
 #[test]
 fn violations_fixture_flags_each_rule_at_exact_lines() {
     let (checked, diags) = run_lint(&fixture("violations")).expect("fixture lint");
-    assert_eq!(checked, 9, "fixture tree should contribute 9 source files");
+    assert_eq!(checked, 6, "fixture tree should contribute 6 source files");
 
     let got: Vec<(&str, &str, u32, &str)> = diags
         .iter()
@@ -25,7 +25,6 @@ fn violations_fixture_flags_each_rule_at_exact_lines() {
     let obs = "crates/dqa-obs/src/trace.rs";
     let rt = "crates/dqa-runtime/src/lib.rs";
     let fed = "crates/federation/src/lib.rs";
-    let fedl = "crates/federation/src/loader.rs";
     let reb = "crates/rebalance/src/lib.rs";
     let want = vec![
         (sim, "unordered-state", 4, "HashMap"),
@@ -33,7 +32,6 @@ fn violations_fixture_flags_each_rule_at_exact_lines() {
         (sim, "wall-clock", 8, "std::time::Instant"),
         (sim, "unordered-state", 9, "HashMap"),
         (sim, "wall-clock", 13, "thread::sleep"),
-        (sim, "unseeded-rng", 22, "rand::thread_rng"),
         (obs, "raw-instant", 8, "Instant::now()"),
         (rt, "runtime-panic", 5, ".unwrap()"),
         (rt, "runtime-panic", 9, ".expect()"),
@@ -45,13 +43,9 @@ fn violations_fixture_flags_each_rule_at_exact_lines() {
         (rt, "raw-fs-write", 54, "fs::write"),
         (rt, "raw-fs-write", 58, "File::create"),
         (fed, "unbounded-channel", 5, "crossbeam_channel::unbounded"),
-        (fedl, "unchecked-decode", 4, "persist::decode_index"),
-        (fedl, "unchecked-decode", 7, "persist::decode_index"),
-        (fedl, "unchecked-decode", 11, "persist::decode_index"),
         (reb, "raw-instant", 6, "Instant::now()"),
         (reb, "unbounded-recv", 10, ".recv()"),
         (reb, "unbounded-channel", 14, "crossbeam_channel::unbounded"),
-        ("src/lib.rs", "unseeded-rng", 5, "SeedableRng::from_entropy"),
     ];
     assert_eq!(got, want);
 }
@@ -99,7 +93,7 @@ fn pragma_and_test_code_waivers_hold_in_violations_fixture() {
     assert!(
         diags
             .iter()
-            .all(|d| !(d.file.ends_with("cluster-sim/src/lib.rs") && d.line >= 16 && d.line != 22)),
+            .all(|d| !(d.file.ends_with("cluster-sim/src/lib.rs") && d.line >= 16)),
         "waived or test-mod line flagged in cluster-sim fixture: {diags:?}"
     );
     assert!(
@@ -132,15 +126,6 @@ fn raw_instant_covers_the_trace_module_but_not_the_rest_of_dqa_obs() {
 }
 
 #[test]
-fn qa_cli_is_exempt_from_unseeded_rng() {
-    let (_, diags) = run_lint(&fixture("violations")).expect("fixture lint");
-    assert!(
-        diags.iter().all(|d| !d.file.contains("qa-cli")),
-        "qa-cli should be exempt from unseeded-rng: {diags:?}"
-    );
-}
-
-#[test]
 fn clean_fixture_has_zero_diagnostics() {
     let (checked, diags) = run_lint(&fixture("clean")).expect("fixture lint");
     assert_eq!(checked, 1);
@@ -159,7 +144,7 @@ fn json_rendering_is_valid_and_complete() {
     for d in &diags {
         assert!(json.contains(&format!("\"file\":\"{}\",\"line\":{}", d.file, d.line)));
     }
-    // All nine v1-style rule names exercised except the per-fixture
+    // All seven v1-style rule names exercised except the per-fixture
     // exemptions.
     for rule in [
         "wall-clock",
@@ -169,8 +154,6 @@ fn json_rendering_is_valid_and_complete() {
         "unbounded-recv",
         "unbounded-channel",
         "raw-fs-write",
-        "unseeded-rng",
-        "unchecked-decode",
     ] {
         assert!(
             json.contains(&format!("\"rule\":\"{rule}\"")),

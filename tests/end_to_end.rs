@@ -91,10 +91,10 @@ fn distributed_and_sequential_agree_answer_for_answer() {
 
 #[test]
 fn index_persistence_survives_full_round_trip() {
-    use falcon_dqa::ir_engine::persist::{decode_index, encode_index};
+    use falcon_dqa::ir_engine::{decode_index_v2, encode_index_v2};
     let (corpus, _, retriever) = build(503);
-    let bytes = encode_index(retriever.index());
-    let restored = Arc::new(decode_index(&bytes).unwrap());
+    let bytes = encode_index_v2(retriever.index());
+    let restored = Arc::new(decode_index_v2(&bytes).unwrap());
     let store = Arc::new(DocumentStore::new(corpus.documents.clone()));
     let retriever2 = ParagraphRetriever::new(restored, store, RetrievalConfig::default());
     let pipeline2 = QaPipeline::new(
