@@ -16,9 +16,9 @@ use crate::fixtures::QaFixture;
 use dqa_obs::MetricsRegistry;
 use dqa_runtime::{ClusterConfig, TraceKind};
 use faults::{FaultSchedule, RetryPolicy};
-use qa_types::NodeId;
+use qa_types::{NodeId, OverloadPolicy};
 use scheduler::partition::PartitionStrategy;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn config(faults: FaultSchedule, registry: &MetricsRegistry) -> ClusterConfig {
     ClusterConfig {
@@ -26,7 +26,7 @@ fn config(faults: FaultSchedule, registry: &MetricsRegistry) -> ClusterConfig {
         ap_partition: PartitionStrategy::Recv { chunk_size: 8 },
         faults,
         fault_time_scale: 0.001,
-        deadline: Some(Duration::from_secs(20)),
+        overload: OverloadPolicy::default().with_deadline(20.0),
         retry: RetryPolicy::with_budget(64),
         speculate_after: Some(5),
         metrics: Some(registry.clone()),

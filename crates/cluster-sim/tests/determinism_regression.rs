@@ -8,6 +8,8 @@
 //! anywhere in the sim/scheduler stack shows up here as a diff.
 
 use cluster_sim::{BalancingStrategy, QaSimulation, SimConfig};
+use faults::FaultSchedule;
+use qa_types::NodeId;
 use scheduler::PartitionStrategy;
 
 fn run_twice(cfg: SimConfig) -> (cluster_sim::SimReport, cluster_sim::SimReport) {
@@ -53,7 +55,7 @@ fn failure_recovery_path_replays_identically() {
     // (`ap_partitions`, now a BTreeMap): recovery dispatch order must be
     // seed-stable too.
     let mut cfg = SimConfig::paper_low_load(4, PartitionStrategy::Isend, 6, 99);
-    cfg.node_failures = vec![(30.0, 2)];
+    cfg.faults = FaultSchedule::none().crash(NodeId::new(2), 30.0);
     let (a, b) = run_twice(cfg);
     assert_eq!(a, b, "failure-recovery replay diverged");
 }

@@ -225,6 +225,22 @@ impl DqaMetrics {
             .counter(names::REBALANCE_THROTTLED_TOTAL, &[("cause", cause)])
     }
 
+    /// A migration plan entered the step queue — what both backends record
+    /// for it: the reason-labelled plan counter, the convergence gauge
+    /// broken, and the throttle deferrals its admission already cost
+    /// (`saturated`: it queued behind pending steps; `stalled`: steps a
+    /// stall window pushed back). Series appear only once they count.
+    pub fn plan_minted(&self, reason: &str, saturated: bool, stalled: usize) {
+        self.rebalance_plans(reason).inc();
+        self.rebalance_converged.set(0.0);
+        if saturated {
+            self.rebalance_throttled("saturated").inc();
+        }
+        if stalled > 0 {
+            self.rebalance_throttled("stalled").add(stalled as u64);
+        }
+    }
+
     /// Checksum-failure counter for one damage class (`target` is
     /// `"index"`, `"journal"` or `"message"`).
     pub fn integrity_checksum_failures(&self, target: &str) -> Counter {

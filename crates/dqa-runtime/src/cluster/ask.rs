@@ -9,6 +9,7 @@ use crate::trace::{seal_question_spans, TraceKind};
 use dqa_obs::{CausalSpan, CauseSet};
 use journal::{JournalRecord, QuestionRecovery, Recovery, SchedulingPoint};
 use qa_types::{NodeId, QaError, QaModule, Question};
+use scheduler::points::{place, Placement};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
@@ -284,51 +285,46 @@ impl Cluster {
                 retry_after_ms: 0,
             });
         }
-        // Scheduling point 1: the question dispatcher, deciding from the
-        // DNS-chosen node's *broadcast view* of the cluster (its own load
-        // table, §3.1) when warm; the shared board covers cold start.
-        let view = if dns_home.index() < self.monitors.len() {
-            self.monitors.view_from(dns_home)
-        } else {
-            Vec::new()
-        };
-        let mut loads = if view.len() == self.board.len() {
-            view.into_iter()
-                .filter(|(n, _)| self.board.is_alive(*n))
-                .collect()
-        } else {
-            self.board.live_loads()
-        };
+        // Scheduling point 1. The arrival reaches the DNS-chosen node —
+        // or, when that one is dead or at its resident cap, the next
+        // placeable node up the ring — and the question dispatcher decides
+        // there, from that node's *broadcast view* of the cluster (its own
+        // load table, §3.1) when warm; the shared board covers cold start.
+        let loads = self.member_loads();
         if loads.is_empty() {
             return Err(QaError::Disconnected("no live nodes".into()));
-        }
-        // Per-node admission cap: a node already hosting `max_per_node`
-        // questions cannot become another question's home; if every live
-        // node is saturated the question is rejected, not queued.
-        if let Some(cap) = self.cfg.overload.max_per_node {
-            loads.retain(|(n, _)| self.board.resident_questions(*n) < cap);
-            if loads.is_empty() {
-                return Err(QaError::Overloaded {
-                    reason: format!("every live node hosts {cap} questions"),
-                    retry_after_ms: (self.cfg.overload.retry_after_secs.max(0.0) * 1e3) as u64,
-                });
-            }
         }
         let dispatcher = scheduler::dispatcher::QuestionDispatcher {
             functions: self.functions,
             hysteresis: 1.0,
         };
-        let home = if loads.iter().any(|(n, _)| *n == dns_home) {
-            dispatcher
-                .decide(QaModule::Qp, dns_home, &loads)
-                .unwrap_or(dns_home)
-        } else {
-            // DNS pointed at a dead node: fall back to the least loaded.
-            loads[0].0
+        let placement = place(
+            &loads,
+            dns_home,
+            &self.cfg.overload,
+            |n| self.board.resident_questions(n),
+            |receiver, candidates| {
+                let view = self.monitors.view_from(receiver);
+                if view.len() == self.board.len() {
+                    let seen: Vec<_> = view
+                        .into_iter()
+                        .filter(|(n, _)| candidates.iter().any(|(c, _)| c == n))
+                        .collect();
+                    dispatcher.decide(QaModule::Qp, receiver, &seen)
+                } else {
+                    dispatcher.decide(QaModule::Qp, receiver, candidates)
+                }
+            },
+        );
+        let Placement::Placed { home, migrated, .. } = placement else {
+            return Err(QaError::Overloaded {
+                reason: "every live node hosts its cap of questions".into(),
+                retry_after_ms: (self.cfg.overload.retry_after_secs.max(0.0) * 1e3) as u64,
+            });
         };
-        if home != dns_home {
-            // The question dispatcher moved the question off its DNS
-            // placement — a Table 7 question migration.
+        if migrated {
+            // The question dispatcher moved the question off the node it
+            // arrived at — a Table 7 question migration.
             self.metrics.migrations_qa.inc();
         }
         self.board.question_delta(home, 1);
@@ -344,7 +340,7 @@ impl Cluster {
         }
         self.journal_scheduled(question.id, SchedulingPoint::Qa, &[home]);
 
-        let deadline = self.effective_deadline(admitted_at);
+        let deadline = self.policy_deadline(admitted_at);
         let result = self.coordinate(home, question, deadline, resume);
         self.board.question_delta(home, -1);
         if let Ok(answer) = &result {
@@ -353,17 +349,8 @@ impl Cluster {
         result
     }
 
-    /// The earliest of the config deadline (from coordination start) and
-    /// the overload-policy deadline (from admission, so queue wait counts).
-    fn effective_deadline(&self, admitted_at: Instant) -> Option<Instant> {
-        let cfg_deadline = self.cfg.deadline.map(|d| now_instant() + d);
-        match (cfg_deadline, self.policy_deadline(admitted_at)) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// The overload-policy deadline, anchored at admission.
+    /// The per-question deadline, anchored at admission so queue wait
+    /// counts against it.
     fn policy_deadline(&self, admitted_at: Instant) -> Option<Instant> {
         let secs = self.cfg.overload.deadline_secs?;
         Some(admitted_at + Duration::from_secs_f64(secs.max(0.0)))

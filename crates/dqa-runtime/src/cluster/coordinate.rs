@@ -10,9 +10,11 @@ use dqa_obs::Histogram;
 use journal::{QuestionRecovery, SchedulingPoint};
 use qa_pipeline::answer::ApItem;
 use qa_pipeline::ordering::order_paragraphs;
-use qa_types::{Coverage, ModuleTimings, NodeId, QaError, QaModule, Question, RankedAnswers};
-use scheduler::meta::meta_schedule;
+use qa_types::{
+    Coverage, ModuleTimings, NodeId, QaError, QaModule, Question, RankedAnswers, ResourceVector,
+};
 use scheduler::partition::{partition_isend, partition_recv, partition_send, PartitionStrategy};
+use scheduler::points::allocate;
 use std::time::Instant;
 
 impl Cluster {
@@ -56,12 +58,10 @@ impl Cluster {
             return Ok(out);
         }
 
-        // Scheduling point 2: PR dispatcher → node set for PR chunks,
-        // restricted under elastic membership to current sub-collection
-        // owners (a drained node must stop receiving PR work the moment
-        // its last sub-collection has moved, not when it goes dark).
+        // Scheduling point 2: PR dispatcher → node set for PR chunks
+        // (under elastic membership, current sub-collection owners only).
         let t = now_instant();
-        let pr_nodes = self.restrict_to_owners(self.allocate(QaModule::Pr, home), home);
+        let pr_nodes = self.allocate(QaModule::Pr, home);
         self.journal_scheduled(question.id, SchedulingPoint::Pr, &pr_nodes);
         let (chunks, skipped_subs) = self.readable_chunks(question.id, home);
         let (scored, pr_nodes_used, pr_coverage) =
@@ -139,60 +139,49 @@ impl Cluster {
         Ok(out)
     }
 
-    /// Meta-schedule a module over the live pool.
-    ///
-    /// The question's own residency on its home node is subtracted first:
-    /// the dispatcher is scheduling the *remainder* of this question, so
-    /// its own bookkeeping load must not push the home node out of the
-    /// partition set.
+    /// Scheduling points 2 and 3: the node set for one module, decided by
+    /// [`scheduler::points::allocate`] over the members in view. What the
+    /// runtime supplies is its own numbers — a resident question weighs
+    /// half a CPU task on the load board — and, for PR under elastic
+    /// membership, the current sub-collection owners (a drained node must
+    /// stop receiving PR work the moment its last sub-collection has
+    /// moved, not when it goes dark); what it carries out is the breaker
+    /// trip on the board and the Table 7 counters.
     fn allocate(&self, module: QaModule, home: NodeId) -> Vec<NodeId> {
-        let mut loads = self.board.live_loads();
-        if loads.is_empty() {
-            return vec![home];
-        }
-        if let Some(entry) = loads.iter_mut().find(|(n, _)| *n == home) {
-            entry.1.cpu = (entry.1.cpu - 0.5).max(0.0);
-        }
-        let f = self.functions;
-        // Per-node overload breaker: a node whose load-function value for
-        // this module exceeds the policy threshold is tripped into the
+        let view = self.member_loads();
+        let owners = match (&self.elastic, module) {
+            (Some(e), QaModule::Pr) => {
+                let nodes: Vec<NodeId> = view.iter().map(|(n, _)| *n).collect();
+                Some(e.lock().owners_among(&nodes, self.shards as u32))
+            }
+            _ => None,
+        };
+        let owns = owners.as_ref().map(|o| move |n: NodeId| o.contains(&n));
+        let out = allocate(
+            view,
+            home,
+            module,
+            &self.functions,
+            ResourceVector::new(0.5, 0.0),
+            &self.cfg.overload,
+            owns.as_ref().map(|f| f as &dyn Fn(NodeId) -> bool),
+        );
+        // Per-node overload breaker: a tripped node sits out the
         // flap-quarantine window — dispatchers (this one and every
-        // concurrent coordinator) skip it until the window expires, but its
-        // worker threads keep draining what they already hold.
-        if let Some(threshold) = self.cfg.overload.breaker_load {
-            loads.retain(|(n, v)| {
-                let saturated = f.load_for(module, *v) > threshold;
-                if saturated {
-                    self.board
-                        .trip_breaker(*n, self.cfg.quarantine.quarantine_secs);
-                    self.metrics.breaker_trips.inc();
-                }
-                !saturated
-            });
-            if loads.is_empty() {
-                // Everything is saturated: fall back to the home node
-                // rather than stalling the question with no workers.
-                return vec![home];
+        // concurrent coordinator) skip it until the window expires, but
+        // its worker threads keep draining what they already hold.
+        for node in &out.tripped {
+            self.board
+                .trip_breaker(*node, self.cfg.quarantine.quarantine_secs);
+        }
+        self.metrics.breaker_trips.add(out.tripped.len() as u64);
+        if out.left_home {
+            match module {
+                QaModule::Ap => self.metrics.migrations_ap.inc(),
+                _ => self.metrics.migrations_pr.inc(),
             }
         }
-        match meta_schedule(
-            &loads,
-            |v| f.load_for(module, v),
-            |v| f.is_underloaded(module, v),
-        ) {
-            Ok(alloc) => {
-                let nodes: Vec<NodeId> = alloc.iter().map(|a| a.node).collect();
-                if nodes.iter().any(|n| *n != home) {
-                    // Work left the home node — a Table 7 PR/AP migration.
-                    match module {
-                        QaModule::Ap => self.metrics.migrations_ap.inc(),
-                        _ => self.metrics.migrations_pr.inc(),
-                    }
-                }
-                nodes
-            }
-            Err(_) => vec![home],
-        }
+        out.nodes
     }
 
     /// Whether the remaining deadline budget can no longer cover the
@@ -207,7 +196,7 @@ impl Cluster {
             return false;
         };
         let remaining = d.saturating_duration_since(now_instant()).as_secs_f64();
-        remaining < estimate * self.cfg.overload.shed_headroom.max(0.0)
+        self.cfg.overload.cannot_afford(remaining, estimate)
     }
 }
 

@@ -1,6 +1,11 @@
 //! Elastic membership: the operator verbs (`drain`, `join`), the
-//! self-healing pass (`heal`), and the throttled, journal-fenced execution
-//! of the migration plans they mint.
+//! self-healing pass (`heal`), and the wall-clock driver of the
+//! [`Rebalancer`] they all go through. The rebalancer decides — who is a
+//! member, which plan to mint, which step is due, whether it yields to
+//! foreground, who departs, when the tier has healed; this file feeds it
+//! liveness from the load board and the failure detector, anchors its
+//! clock to the wall, sleeps until each step is due, and does the
+//! journaling, metrics and spans.
 
 use super::Cluster;
 use crate::board::LoadBoard;
@@ -9,8 +14,8 @@ use dqa_obs::{CausalSpan, CauseSet, DqaMetrics};
 use journal::{JournalRecord, RecoveredState};
 use qa_types::{NodeId, QaModule, SubCollectionId};
 use rebalance::{
-    plan_evacuation, plan_join, plan_skew, ElasticConfig, FailureDetector, MigrationPlan,
-    MigrationStep, NodeHealth, OwnershipMap, RebalanceReason, ThrottleVerdict,
+    ElasticConfig, FailureDetector, MigrationPlan, MigrationStep, Minted, NodeHealth,
+    RebalanceReason, Rebalancer, Stepped,
 };
 use std::time::{Duration, Instant};
 
@@ -18,27 +23,23 @@ use std::time::{Duration, Instant};
 /// plan id so they never collide with question traces).
 const MIGRATION_TRACE_NS: u64 = 0x4d49_4752_0000_0000; // "MIGR"
 
-/// Mutable state of the elastic-membership tier: who owns which
-/// sub-collection, what the failure detector believes, and the plan
-/// sequence counter. One mutex guards it all — rebalancing is a
-/// control-plane rarity, never on the per-question hot path (readers take
-/// the lock once per PR scheduling decision, holders never block on I/O).
+/// The elastic-membership tier in wall time: the shared state machine,
+/// what the failure detector believes, and the anchor that turns
+/// `Instant`s into the `f64` seconds both speak. One mutex guards it all —
+/// rebalancing is a control-plane rarity, never on the per-question hot
+/// path (readers take the lock once per PR scheduling decision, holders
+/// never block on I/O or sleep).
 pub(super) struct ElasticRuntime {
-    cfg: ElasticConfig,
-    ownership: OwnershipMap,
+    rebalancer: Rebalancer,
     detector: FailureDetector,
-    plan_seq: u64,
-    /// Wall anchor for the detector's f64 timeline.
+    /// Wall anchor for the `f64` timeline.
     epoch: Instant,
-    /// Set when convergence is first broken, cleared (into the
-    /// `dqa_rebalance_heal_seconds` histogram) when it is restored.
-    heal_started: Option<Instant>,
 }
 
 impl ElasticRuntime {
-    /// Boot-time state: the first `nodes - standby_nodes` nodes share the
-    /// sub-collections evenly; the rest are suspended as warm spares —
-    /// threads up, owning nothing until a `join`.
+    /// Boot-time state: the standbys the rebalancer starts outside the
+    /// pool are suspended on the board too — threads up, serving nothing
+    /// until a `join`.
     pub(super) fn boot(
         cfg: ElasticConfig,
         nodes: usize,
@@ -46,31 +47,38 @@ impl ElasticRuntime {
         board: &LoadBoard,
         metrics: &DqaMetrics,
     ) -> ElasticRuntime {
-        assert!(
-            cfg.standby_nodes < nodes,
-            "standby_nodes ({}) must leave at least one active node (nodes = {})",
-            cfg.standby_nodes,
-            nodes
-        );
-        let active = nodes - cfg.standby_nodes;
-        for i in active..nodes {
-            board.suspend(NodeId::new(i as u32));
+        let rebalancer = Rebalancer::new(cfg, nodes, shards as u32, Vec::new());
+        for node in (0..nodes).map(|i| NodeId::new(i as u32)) {
+            if !rebalancer.is_active(node) {
+                board.suspend(node);
+            }
         }
-        let owners: Vec<NodeId> = (0..active).map(|i| NodeId::new(i as u32)).collect();
         metrics.rebalance_converged.set(1.0);
         metrics.ownership_epoch.set(0.0);
         ElasticRuntime {
+            rebalancer,
             detector: FailureDetector::new(nodes, cfg.detector, 0.0),
-            ownership: OwnershipMap::balanced(shards as u32, &owners),
-            cfg,
-            plan_seq: 0,
             epoch: now_instant(),
-            heal_started: None,
         }
     }
 
     fn now_secs(&self) -> f64 {
         self.epoch.elapsed().as_secs_f64()
+    }
+
+    /// Whether `node` is an active member (takes placements and work).
+    pub(super) fn is_member(&self, node: NodeId) -> bool {
+        self.rebalancer.is_active(node)
+    }
+
+    /// The owner predicate of PR scheduling, as a snapshot: which of
+    /// `nodes` own a sub-collection right now.
+    pub(super) fn owners_among(&self, nodes: &[NodeId], shards: u32) -> Vec<NodeId> {
+        nodes
+            .iter()
+            .copied()
+            .filter(|n| self.rebalancer.owns_any(*n, shards))
+            .collect()
     }
 }
 
@@ -78,28 +86,24 @@ impl Cluster {
     /// Operator drain: migrate every sub-collection off `node` (live — the
     /// node keeps serving PR chunks while each transfer is in flight),
     /// then retire it from the pool. Returns the number of ownership
-    /// transfers applied. Without a [`ClusterConfig::elastic`] config this
-    /// degrades to [`Cluster::suspend_node`].
+    /// transfers applied. A drain that would leave nobody to serve is
+    /// refused (the node stays in service). Without a
+    /// [`ClusterConfig::elastic`] config this degrades to
+    /// [`Cluster::suspend_node`].
     pub fn drain(&self, node: NodeId) -> usize {
         let Some(e) = &self.elastic else {
             self.suspend_node(node);
             return 0;
         };
-        let plan = {
+        let live = self.live_pool();
+        let minted = {
             let mut es = e.lock();
             es.detector.mark_left(node);
-            self.mint_evacuation(&mut es, node, RebalanceReason::Drain)
+            let now = es.now_secs();
+            es.rebalancer.drain(node, &live, now, self.term())
         };
-        // Nowhere to evacuate to: refuse the drain rather than orphan the
-        // collection (the node stays in service).
-        let Some(plan) = plan else {
-            return 0;
-        };
-        let applied = self.execute_plan(&plan);
-        // Evacuation first, suspension second: the drain is live.
-        self.board.suspend(node);
-        self.finish_heal();
-        applied
+        self.plan_minted(minted.as_ref());
+        self.run_migrations()
     }
 
     /// Operator join: bring `node` (a warm standby, a previously drained
@@ -119,21 +123,15 @@ impl Cluster {
         while !self.board.is_alive(node) && now_instant() < patience {
             std::thread::sleep(self.cfg.heartbeat_every);
         }
-        let plan = {
+        let live = self.live_pool();
+        let minted = {
             let mut es = e.lock();
-            let at = es.now_secs();
-            es.detector.mark_joined(node, at);
-            let mut live = self.live_pool(None);
-            if !live.contains(&node) {
-                live.push(node);
-                live.sort();
-            }
-            es.plan_seq += 1;
-            plan_join(&es.ownership, node, &live, es.plan_seq, self.term())
+            let now = es.now_secs();
+            es.detector.mark_joined(node, now);
+            es.rebalancer.join(node, &live, now, self.term())
         };
-        let applied = self.execute_plan(&plan);
-        self.finish_heal();
-        applied
+        self.plan_minted(minted.as_ref());
+        self.run_migrations()
     }
 
     /// One self-healing pass: feed the failure detector from the load
@@ -148,56 +146,45 @@ impl Cluster {
         let Some(e) = &self.elastic else {
             return 0;
         };
-        let plans: Vec<MigrationPlan> = {
+        let live = self.live_pool();
+        let evacuations: Vec<Minted> = {
             let mut es = e.lock();
             let now = es.now_secs();
-            for n in self.live_pool(None) {
-                es.detector.observe(n, now);
+            for n in &live {
+                es.detector.observe(*n, now);
             }
-            let dead: Vec<NodeId> = (0..self.cfg.nodes)
+            (0..self.cfg.nodes)
                 .map(|i| NodeId::new(i as u32))
-                .filter(|n| {
-                    es.detector.health(*n, now) == NodeHealth::Dead
-                        && !es.ownership.owned_by(*n).is_empty()
-                })
-                .collect();
-            dead.into_iter()
-                .filter_map(|v| self.mint_evacuation(&mut es, v, RebalanceReason::PermanentLoss))
+                .filter(|n| es.detector.health(*n, now) == NodeHealth::Dead)
+                .collect::<Vec<_>>()
+                .into_iter()
+                // The phi accrual has already waited out the lease: the
+                // loss is detected as of now.
+                .filter_map(|dead| es.rebalancer.lost(dead, &live, now, self.term()))
                 .collect()
         };
-        let mut applied = 0;
-        for plan in &plans {
-            applied += self.execute_plan(plan);
+        for minted in &evacuations {
+            self.plan_minted(Some(minted));
         }
+        let mut applied = self.run_migrations();
         // Skew pass against the post-evacuation map: reuse the
         // dispatcher's PR load gauge as the imbalance signal, exactly the
         // quantity Eqs. 1–3 already maintain.
         let skew = {
             let mut es = e.lock();
-            es.cfg.skew_threshold.and_then(|threshold| {
-                let loads: Vec<(NodeId, f64)> = self
-                    .board
+            let now = es.now_secs();
+            es.rebalancer.skew(now, self.term(), || {
+                self.board
                     .live_loads()
                     .into_iter()
                     .map(|(n, v)| (n, self.functions.load_for(QaModule::Pr, v)))
-                    .collect();
-                let plan = plan_skew(
-                    &es.ownership,
-                    &loads,
-                    threshold,
-                    es.plan_seq + 1,
-                    self.term(),
-                );
-                if plan.is_some() {
-                    es.plan_seq += 1;
-                }
-                plan
+                    .collect()
             })
         };
-        if let Some(plan) = skew {
-            applied += self.execute_plan(&plan);
+        if skew.is_some() {
+            self.plan_minted(skew.as_ref());
+            applied += self.run_migrations();
         }
-        self.finish_heal();
         applied
     }
 
@@ -211,12 +198,16 @@ impl Cluster {
     }
 
     /// Elastic-tier status: `(ownership epoch, converged)` where converged
-    /// means every sub-collection is owned by exactly one live node.
+    /// means every sub-collection is owned by exactly one live member.
     /// `None` without an elastic config.
     pub fn rebalance_status(&self) -> Option<(u64, bool)> {
         let e = self.elastic.as_ref()?;
+        let live = self.live_pool();
         let es = e.lock();
-        Some((es.ownership.epoch(), self.converged(&es)))
+        Some((
+            es.rebalancer.ownership().epoch(),
+            es.rebalancer.converged(&live),
+        ))
     }
 
     /// Current sub-collection owners as `(sub, node)` pairs, ascending by
@@ -229,179 +220,163 @@ impl Cluster {
         let es = e.lock();
         (0..self.shards as u32)
             .filter_map(|s| {
-                es.ownership
+                es.rebalancer
+                    .ownership()
                     .owner(SubCollectionId::new(s))
                     .map(|n| (s, n.raw()))
             })
             .collect()
     }
 
-    /// The convergence invariant: every sub-collection is owned by exactly
-    /// one live node.
-    fn converged(&self, es: &ElasticRuntime) -> bool {
-        es.ownership
-            .verify_complete(self.shards as u32, &self.live_pool(None))
-            .is_ok()
-    }
-
-    /// Mint the plan that moves everything `victim` owns onto the rest of
-    /// the live pool; `None` when nobody is left to take it.
-    fn mint_evacuation(
-        &self,
-        es: &mut ElasticRuntime,
-        victim: NodeId,
-        reason: RebalanceReason,
-    ) -> Option<MigrationPlan> {
-        let survivors = self.live_pool(Some(victim));
-        if survivors.is_empty() {
-            return None;
-        }
-        es.plan_seq += 1;
-        Some(plan_evacuation(
-            &es.ownership,
-            victim,
-            &survivors,
-            reason,
-            es.plan_seq,
-            self.term(),
-        ))
-    }
-
-    /// Apply one migration plan: journal it, then walk its steps under the
-    /// throttle — each step waits (bounded) while the admission gate sits
-    /// above the headroom line, so in-flight questions keep their
-    /// deadlines and healing takes the leftovers. The elastic lock is
-    /// taken only for the instant each transfer commits, never across a
-    /// sleep: PR scheduling reads the map contention-free while the
-    /// migration paces itself. Returns transfers applied.
-    fn execute_plan(&self, plan: &MigrationPlan) -> usize {
-        let Some(e) = &self.elastic else {
-            return 0;
+    /// A plan entered the step queue: count it, break the convergence
+    /// gauge, and journal it before any of its steps applies.
+    fn plan_minted(&self, minted: Option<&Minted>) {
+        let Some(minted) = minted else {
+            return;
         };
-        if plan.is_empty() {
-            return 0;
-        }
-        self.metrics.rebalance_plans(&plan.reason.to_string()).inc();
-        self.metrics.rebalance_converged.set(0.0);
-        let throttle = {
-            let mut es = e.lock();
-            es.heal_started.get_or_insert_with(now_instant);
-            es.cfg.throttle
-        };
+        self.metrics.plan_minted(
+            &minted.plan.reason.to_string(),
+            minted.saturated,
+            minted.stalled,
+        );
         if self.cfg.journal.is_some() {
             self.journal_append(&JournalRecord::RebalancePlanned {
-                plan: plan.id,
-                steps: plan
+                plan: minted.plan.id,
+                steps: minted
+                    .plan
                     .steps
                     .iter()
                     .map(|s| (s.sub.raw(), s.from.raw(), s.to.raw()))
                     .collect(),
             });
         }
-        let quantum = Duration::from_secs_f64(throttle.step_secs.max(0.0));
+    }
+
+    /// Drive the rebalancer until its step queue is empty and the tier
+    /// has settled: sleep until each step is due, let it apply or yield
+    /// to foreground, journal every transfer, retire the nodes a finished
+    /// drain names, and publish convergence. The elastic lock is taken
+    /// only for the instant each decision is read or committed, never
+    /// across a sleep: PR scheduling reads the map contention-free while
+    /// the migration paces itself. Returns transfers applied.
+    fn run_migrations(&self) -> usize {
+        let Some(e) = &self.elastic else {
+            return 0;
+        };
+        let capacity = self.cfg.overload.max_in_flight;
         let mut applied = 0;
-        let plan_trace = self.tracer.trace_id(MIGRATION_TRACE_NS ^ plan.id);
-        let plan_start = self.tracer.now();
-        // Children are buffered so the root span (whose id they parent
-        // under) can be emitted first with its real end time.
-        let mut step_spans: Vec<CausalSpan> = Vec::with_capacity(plan.steps.len());
-        for step in &plan.steps {
-            let step_start = self.tracer.now();
-            let mut deferred = false;
-            self.yield_to_foreground(&throttle, |verdict| {
-                deferred = true;
-                let cause = match verdict {
-                    ThrottleVerdict::Yielding => "yielding",
-                    ThrottleVerdict::Saturated => "saturated",
-                    _ => "stalled",
-                };
-                self.metrics.rebalance_throttled(cause).inc();
-            });
-            let granted = self.tracer.now();
-            let (stepped, epoch) = {
-                let mut es = e.lock();
-                let st = es.ownership.apply_step(step);
-                (st, es.ownership.epoch())
+        // One span tree per plan: children are buffered so the root (whose
+        // id they parent under) can be emitted first with its real end.
+        let mut open: Option<(u64, f64, Vec<CausalSpan>)> = None;
+        let mut waiting_since = self.tracer.now();
+        let mut deferred = false;
+        loop {
+            let due = {
+                let es = e.lock();
+                es.rebalancer
+                    .next_due()
+                    .map(|t| es.epoch + Duration::from_secs_f64(t.max(0.0)))
             };
-            if stepped {
-                applied += 1;
-                self.metrics.rebalance_migrated.inc();
-                self.metrics.ownership_epoch.set(epoch as f64);
-                self.journal_append(&JournalRecord::RebalanceStepDone {
-                    plan: plan.id,
-                    sub: step.sub.raw(),
-                    to: step.to.raw(),
-                });
+            let Some(due) = due else {
+                let live = self.live_pool();
+                let settled = {
+                    let mut es = e.lock();
+                    let now = es.now_secs();
+                    es.rebalancer.settle(&live, now, self.term())
+                };
+                // `None`: another verb queued steps in between — drive them.
+                let Some(settled) = settled else { continue };
+                if !settled.replanned.is_empty() {
+                    for minted in &settled.replanned {
+                        self.plan_minted(Some(minted));
+                    }
+                    continue;
+                }
+                // Evacuation first, suspension second: the drain is live.
+                for node in settled.departures {
+                    self.board.suspend(node);
+                }
+                self.metrics
+                    .rebalance_converged
+                    .set(if settled.converged { 1.0 } else { 0.0 });
+                if let Some(secs) = settled.healed_secs {
+                    self.metrics.heal_seconds.observe(secs);
+                }
+                return applied;
+            };
+            std::thread::sleep(due.saturating_duration_since(now_instant()));
+            let in_flight = self.gate.in_flight();
+            let stepped = {
+                let mut es = e.lock();
+                let now = es.now_secs();
+                es.rebalancer.step(now, in_flight, capacity)
+            };
+            match stepped {
+                None => {}
+                Some(Stepped::Deferred(verdict)) => {
+                    deferred = true;
+                    self.metrics.rebalance_throttled(verdict.cause()).inc();
+                }
+                Some(Stepped::Done {
+                    plan,
+                    step,
+                    moved,
+                    epoch,
+                    plan_done,
+                }) => {
+                    let granted = self.tracer.now();
+                    if moved {
+                        applied += 1;
+                        self.metrics.rebalance_migrated.inc();
+                        self.metrics.ownership_epoch.set(epoch as f64);
+                        self.journal_append(&JournalRecord::RebalanceStepDone {
+                            plan,
+                            sub: step.sub.raw(),
+                            to: step.to.raw(),
+                        });
+                    }
+                    let trace = self.tracer.trace_id(MIGRATION_TRACE_NS ^ plan);
+                    let (_, plan_start, mut steps) = open
+                        .take()
+                        .filter(|(id, _, _)| *id == plan)
+                        .unwrap_or((plan, waiting_since, Vec::new()));
+                    steps.push(CausalSpan::new(
+                        trace,
+                        None,
+                        "migration-step",
+                        Some(step.to.raw()),
+                        waiting_since,
+                        self.tracer.now(),
+                        granted - waiting_since,
+                        if deferred {
+                            CauseSet::THROTTLED
+                        } else {
+                            CauseSet::none()
+                        },
+                    ));
+                    if plan_done {
+                        self.journal_append(&JournalRecord::RebalanceConverged { plan });
+                        let root = self.tracer.emit(CausalSpan::new(
+                            trace,
+                            None,
+                            "migration",
+                            None,
+                            plan_start,
+                            self.tracer.now(),
+                            0.0,
+                            CauseSet::none(),
+                        ));
+                        for mut s in steps {
+                            s.parent = Some(root);
+                            self.tracer.emit(s);
+                        }
+                    } else {
+                        open = Some((plan, plan_start, steps));
+                    }
+                    waiting_since = self.tracer.now();
+                    deferred = false;
+                }
             }
-            step_spans.push(CausalSpan::new(
-                plan_trace,
-                None,
-                "migration-step",
-                Some(step.to.raw()),
-                step_start,
-                self.tracer.now(),
-                granted - step_start,
-                if deferred {
-                    CauseSet::THROTTLED
-                } else {
-                    CauseSet::none()
-                },
-            ));
-            std::thread::sleep(quantum);
-        }
-        self.journal_append(&JournalRecord::RebalanceConverged { plan: plan.id });
-        let root = self.tracer.emit(CausalSpan::new(
-            plan_trace,
-            None,
-            "migration",
-            None,
-            plan_start,
-            self.tracer.now(),
-            0.0,
-            CauseSet::none(),
-        ));
-        for mut s in step_spans {
-            s.parent = Some(root);
-            self.tracer.emit(s);
-        }
-        applied
-    }
-
-    /// Re-verify the convergence invariant and settle the heal timer: when
-    /// every sub-collection is owned by a live node again, the gauge flips
-    /// back to 1 and the outage duration lands in
-    /// `dqa_rebalance_heal_seconds`.
-    fn finish_heal(&self) {
-        let Some(e) = &self.elastic else {
-            return;
-        };
-        let mut es = e.lock();
-        let ok = self.converged(&es);
-        self.metrics
-            .rebalance_converged
-            .set(if ok { 1.0 } else { 0.0 });
-        if ok {
-            if let Some(t) = es.heal_started.take() {
-                self.metrics.heal_seconds.observe(t.elapsed().as_secs_f64());
-            }
-        }
-    }
-
-    /// Under elastic membership, strip non-owners from a PR worker set —
-    /// a node owning no sub-collections (drained, mid-join standby) gets
-    /// no PR chunk traffic. Falls back to the home node rather than an
-    /// empty set, mirroring every other allocator fallback.
-    pub(super) fn restrict_to_owners(&self, mut nodes: Vec<NodeId>, home: NodeId) -> Vec<NodeId> {
-        let Some(e) = &self.elastic else {
-            return nodes;
-        };
-        let es = e.lock();
-        nodes.retain(|n| !es.ownership.owned_by(*n).is_empty());
-        drop(es);
-        if nodes.is_empty() {
-            vec![home]
-        } else {
-            nodes
         }
     }
 
@@ -416,42 +391,41 @@ impl Cluster {
         let Some(e) = &self.elastic else {
             return;
         };
-        let pending = {
+        let adopted: Vec<Minted> = {
             let mut es = e.lock();
             for (sub, to) in state.rebalanced_owners() {
-                es.ownership
-                    .set_owner(SubCollectionId::new(sub), NodeId::new(to));
-            }
-            let pending: Vec<_> = state
-                .unfinished_rebalances()
-                .map(|(id, r)| (id, r.pending_steps()))
-                .collect();
-            // Never mint a future plan id below one the journal has seen.
-            for (plan_id, _) in &pending {
-                es.plan_seq = es.plan_seq.max(*plan_id);
+                es.rebalancer
+                    .restore_owner(SubCollectionId::new(sub), NodeId::new(to));
             }
             self.metrics
                 .ownership_epoch
-                .set(es.ownership.epoch() as f64);
-            pending
+                .set(es.rebalancer.ownership().epoch() as f64);
+            let now = es.now_secs();
+            state
+                .unfinished_rebalances()
+                .filter_map(|(id, r)| {
+                    let plan = MigrationPlan {
+                        id,
+                        term: self.term(),
+                        reason: RebalanceReason::PermanentLoss,
+                        steps: r
+                            .pending_steps()
+                            .into_iter()
+                            .map(|(sub, from, to)| MigrationStep {
+                                sub: SubCollectionId::new(sub),
+                                from: NodeId::new(from),
+                                to: NodeId::new(to),
+                            })
+                            .collect(),
+                    };
+                    es.rebalancer.adopt(plan, now)
+                })
+                .collect()
         };
-        for (plan_id, steps) in pending {
-            let plan = MigrationPlan {
-                id: plan_id,
-                term: self.term(),
-                reason: RebalanceReason::PermanentLoss,
-                steps: steps
-                    .into_iter()
-                    .map(|(sub, from, to)| MigrationStep {
-                        sub: SubCollectionId::new(sub),
-                        from: NodeId::new(from),
-                        to: NodeId::new(to),
-                    })
-                    .collect(),
-            };
-            self.execute_plan(&plan);
+        for minted in &adopted {
+            self.plan_minted(Some(minted));
         }
-        self.finish_heal();
+        self.run_migrations();
     }
 }
 
@@ -552,6 +526,46 @@ mod tests {
         assert!(cl.join(standby) > 0, "joining pulls in a fair share");
         assert!(cl.ownership().iter().any(|(_, n)| *n == standby.raw()));
         assert_eq!(cl.node_health(standby), Some(NodeHealth::Alive));
+        cl.shutdown();
+    }
+
+    #[test]
+    fn drain_never_evacuates_onto_a_standby() {
+        // The `soak rebalance` regression, through `Cluster`: nodes 0–2
+        // active, node 3 a warm standby whose boot heartbeat is still
+        // fresh, so the board calls it alive. drain(1) must not hand it
+        // anything, or join(3) finds its fair share already met and
+        // moves nothing.
+        let ecfg = ElasticConfig {
+            standby_nodes: 1,
+            ..fast_throttle()
+        };
+        let (_c, cl) = elastic_cluster(4, ecfg);
+        let (victim, standby) = (NodeId::new(1), NodeId::new(3));
+        assert!(
+            cl.board().is_alive(standby),
+            "the drill needs a live standby"
+        );
+        assert!(cl.drain(victim) > 0);
+        assert!(
+            cl.ownership().iter().all(|(_, n)| *n != standby.raw()),
+            "a standby received a sub-collection before its join: {:?}",
+            cl.ownership()
+        );
+        assert!(cl.join(standby) > 0, "the join plan is non-empty");
+        let owned = |n: u32| cl.ownership().iter().filter(|(_, o)| *o == n).count();
+        let counts = [owned(0), owned(2), owned(3)];
+        assert_eq!(owned(1), 0);
+        assert!(
+            counts.iter().max().unwrap() - counts.iter().min().unwrap() <= 1,
+            "final counts {counts:?} are not within one of each other"
+        );
+        assert_eq!(cl.rebalance_status().map(|(_, ok)| ok), Some(true));
+        let snap = cl.metrics().snapshot();
+        for reason in ["drain", "join"] {
+            let key = format!(r#"dqa_rebalance_plans_total{{reason="{reason}"}}"#);
+            assert_eq!(snap.counter(&key), 1, "{reason} plans");
+        }
         cl.shutdown();
     }
 

@@ -7,6 +7,8 @@ use crate::integrity::ScrubReport;
 use crate::trace::TraceKind;
 use faults::FaultEvent;
 use qa_types::{NodeId, QuestionId, SubCollectionId};
+use rebalance::MAX_DEFERRALS;
+use std::time::Duration;
 
 impl Cluster {
     /// Apply one corruption fault event against the integrity store's
@@ -53,10 +55,19 @@ impl Cluster {
             it.cfg.throttle
         };
         let mut report = ScrubReport::default();
-        self.yield_to_foreground(&throttle, |_| {
+        // The deferral rule migration steps follow inside the rebalancer:
+        // yield a quantum at a time, at most MAX_DEFERRALS times, then go
+        // anyway — scrubbing must stay live under a persistently full gate.
+        let quantum = Duration::from_secs_f64(throttle.step_secs.max(0.0));
+        let cap = self.cfg.overload.max_in_flight;
+        for _ in 0..MAX_DEFERRALS {
+            if throttle.grant(self.gate.in_flight(), cap, 0, false).is_go() {
+                break;
+            }
             report.throttled += 1;
             self.metrics.integrity_scrub_throttled.inc();
-        });
+            std::thread::sleep(quantum);
+        }
         let (step, progress, quarantined) = {
             let mut it = integ.lock();
             let step = it.scrub_quantum();

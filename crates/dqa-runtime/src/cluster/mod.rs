@@ -41,9 +41,10 @@ use loadsim::functions::LoadFunctions;
 use nlp::{NamedEntityRecognizer, QuestionProcessor};
 use qa_pipeline::PipelineConfig;
 use qa_types::{
-    Coverage, ModuleTimings, NodeId, OverloadPolicy, ProcessedQuestion, RankedAnswers, Trec9Profile,
+    Coverage, ModuleTimings, NodeId, OverloadPolicy, ProcessedQuestion, RankedAnswers,
+    ResourceVector, Trec9Profile,
 };
-use rebalance::{ElasticConfig, MigrationThrottle, ThrottleVerdict};
+use rebalance::ElasticConfig;
 use scheduler::partition::PartitionStrategy;
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
@@ -81,11 +82,6 @@ pub struct ClusterConfig {
     /// Wall-clock seconds per schedule second (`0.001` runs a schedule
     /// authored in simulator seconds at millisecond scale).
     pub fault_time_scale: f64,
-    /// Per-question deadline. Past it, coordinators abandon outstanding
-    /// chunks and return a degraded, coverage-annotated answer instead of
-    /// blocking. `None` (default) waits indefinitely, the pre-fault-
-    /// framework behavior.
-    pub deadline: Option<Duration>,
     /// Bounded retry budget per phase: every recovered (re-queued or
     /// speculated) chunk spends one unit; an exhausted budget degrades the
     /// answer instead of retrying forever.
@@ -98,6 +94,9 @@ pub struct ClusterConfig {
     pub quarantine: QuarantinePolicy,
     /// Admission control and load shedding (see [`OverloadPolicy`]). The
     /// default is fully permissive, preserving the pre-overload behavior.
+    /// Its `deadline_secs` is the per-question deadline: past it,
+    /// coordinators abandon outstanding chunks and return a degraded,
+    /// coverage-annotated answer instead of blocking.
     pub overload: OverloadPolicy,
     /// Capacity of each node's bounded ingress queue. Past it, senders
     /// block up to [`ClusterConfig::send_timeout`] and then re-queue the
@@ -158,7 +157,6 @@ impl Default for ClusterConfig {
             workers_per_node: 2,
             faults: FaultSchedule::none(),
             fault_time_scale: 1.0,
-            deadline: None,
             retry: RetryPolicy::default(),
             speculate_after: None,
             quarantine: QuarantinePolicy::default(),
@@ -399,36 +397,27 @@ impl Cluster {
         self.board.resume(node);
     }
 
-    /// The live candidate pool for placements: board-alive nodes, minus an
-    /// optional victim. Standbys and drained nodes are board-suspended, so
-    /// they fall out here without extra bookkeeping.
-    fn live_pool(&self, exclude: Option<NodeId>) -> Vec<NodeId> {
-        (0..self.cfg.nodes)
-            .map(|i| NodeId::new(i as u32))
-            .filter(|n| Some(*n) != exclude && self.board.is_alive(*n))
-            .collect()
+    /// The cluster view scheduling decisions are taken over: the loads of
+    /// the board-alive nodes, ascending, minus — under elastic membership —
+    /// standbys and draining nodes, which take nothing new however alive
+    /// they still look.
+    fn member_loads(&self) -> Vec<(NodeId, ResourceVector)> {
+        let mut loads = self.board.live_loads();
+        if let Some(e) = &self.elastic {
+            let es = e.lock();
+            loads.retain(|(n, _)| es.is_member(*n));
+        }
+        loads
     }
 
-    /// Background work (migration steps, scrub quanta) yielding to
-    /// foreground questions: wait while the admission gate sits above the
-    /// throttle's headroom line, `on_yield` seeing each refusal — but for
-    /// at most 64 quanta, then go anyway, because healing and scrubbing
-    /// must stay live under a persistently full gate.
-    fn yield_to_foreground(
-        &self,
-        throttle: &MigrationThrottle,
-        mut on_yield: impl FnMut(ThrottleVerdict),
-    ) {
-        let quantum = Duration::from_secs_f64(throttle.step_secs.max(0.0));
-        let cap = self.cfg.overload.max_in_flight;
-        for _ in 0..64 {
-            let verdict = throttle.grant(self.gate.in_flight(), cap, 0, false);
-            if verdict.is_go() {
-                break;
-            }
-            on_yield(verdict);
-            std::thread::sleep(quantum);
-        }
+    /// The board-alive nodes, ascending: the liveness half of every
+    /// membership decision. Who is a *member* is the rebalancer's call — a
+    /// suspended standby stays board-alive until its heartbeat goes stale.
+    fn live_pool(&self) -> Vec<NodeId> {
+        (0..self.cfg.nodes)
+            .map(|i| NodeId::new(i as u32))
+            .filter(|n| self.board.is_alive(*n))
+            .collect()
     }
 
     /// Shut the cluster down, joining every worker. Taking `self` by value

@@ -405,7 +405,7 @@ impl<P: Phase> PhaseRun<'_, P> {
         });
         if self.active.is_empty() && !self.queue.drained() {
             // Try to recruit replacements from the live pool.
-            self.active.extend(cl.live_pool(None));
+            self.active.extend(cl.live_pool());
             return (requeued, !self.active.is_empty());
         }
         (requeued, true)
@@ -437,7 +437,7 @@ impl<P: Phase> PhaseRun<'_, P> {
     /// from the live pool, not just the active set. Returns true when
     /// paying for the twin exhausted the retry budget.
     fn speculate(&mut self) -> bool {
-        let live = self.cl.live_pool(None);
+        let live = self.cl.live_pool();
         let Some((to, id, chunk)) = speculate_oldest(&mut self.queue, &self.active, &live) else {
             return false;
         };
@@ -573,6 +573,7 @@ mod tests {
     use super::*;
     use ir_engine::ParagraphRetriever;
     use nlp::NamedEntityRecognizer;
+    use qa_types::OverloadPolicy;
     use scheduler::partition::PartitionStrategy;
     use std::sync::Arc;
 
@@ -609,7 +610,7 @@ mod tests {
             NamedEntityRecognizer::standard(),
             ClusterConfig {
                 nodes: 2,
-                deadline: Some(Duration::ZERO),
+                overload: OverloadPolicy::default().with_deadline(0.0),
                 ..ClusterConfig::default()
             },
         );

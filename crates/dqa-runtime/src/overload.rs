@@ -21,7 +21,9 @@
 use crate::cluster::DistributedAnswer;
 use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::{Condvar, Mutex};
-use qa_types::{ModuleProfile, ModuleTimings, OverloadPolicy, QaError, QaModule, QuestionOutcome};
+use qa_types::{
+    ModuleProfile, ModuleTimings, Offer, OverloadPolicy, QaError, QaModule, QuestionOutcome,
+};
 use std::time::{Duration, Instant};
 
 /// Outcome of offering one question to the concurrent front-end
@@ -89,8 +91,7 @@ struct GateState {
 /// waiter is woken deterministically by [`AdmissionGate::drain`].
 #[derive(Debug)]
 pub struct AdmissionGate {
-    max_in_flight: Option<usize>,
-    queue_depth: usize,
+    policy: OverloadPolicy,
     state: Mutex<GateState>,
     cv: Condvar,
     draining: AtomicBool,
@@ -100,8 +101,7 @@ impl AdmissionGate {
     /// A gate enforcing `policy`'s in-flight cap and queue depth.
     pub fn new(policy: &OverloadPolicy) -> AdmissionGate {
         AdmissionGate {
-            max_in_flight: policy.max_in_flight,
-            queue_depth: policy.admission_queue,
+            policy: *policy,
             state: Mutex::new(GateState::default()),
             cv: Condvar::new(),
             draining: AtomicBool::new(false),
@@ -115,16 +115,15 @@ impl AdmissionGate {
         if self.draining.load(Ordering::Acquire) {
             return GateDecision::ShuttingDown;
         }
-        let Some(cap) = self.max_in_flight else {
-            s.in_flight += 1;
-            return GateDecision::Admitted;
-        };
-        if s.in_flight < cap {
-            s.in_flight += 1;
-            return GateDecision::Admitted;
-        }
-        if s.waiting >= self.queue_depth {
-            return GateDecision::Rejected;
+        // The decision is the policy's (one answer for both backends);
+        // the lock, the condvar and the counters are the gate's.
+        match self.policy.offer(s.in_flight, s.waiting) {
+            Offer::Admit => {
+                s.in_flight += 1;
+                return GateDecision::Admitted;
+            }
+            Offer::Reject => return GateDecision::Rejected,
+            Offer::Queue => {}
         }
         s.waiting += 1;
         s.peak_waiting = s.peak_waiting.max(s.waiting);
@@ -140,7 +139,8 @@ impl AdmissionGate {
                 s.waiting -= 1;
                 return GateDecision::ShuttingDown;
             }
-            if s.in_flight < cap {
+            // A parked arrival is not competing with itself for the queue.
+            if self.policy.offer(s.in_flight, 0) == Offer::Admit {
                 s.waiting -= 1;
                 s.in_flight += 1;
                 return GateDecision::Admitted;

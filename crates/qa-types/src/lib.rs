@@ -35,7 +35,7 @@ pub use error::QaError;
 pub use federation::{FederationPolicy, ShardReport, ShardStatus};
 pub use ids::{DocId, NodeId, ParagraphId, QuestionId, SubCollectionId};
 pub use modules::{ModuleTimings, QaModule};
-pub use overload::{OverloadCounts, OverloadPolicy, QuestionOutcome};
+pub use overload::{Offer, OverloadCounts, OverloadPolicy, QuestionOutcome};
 pub use params::SystemParams;
 pub use question::{AnswerType, Keyword, ProcessedQuestion, Question};
 pub use resources::{Resource, ResourceVector, ResourceWeights};

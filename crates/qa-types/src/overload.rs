@@ -118,6 +118,41 @@ impl OverloadPolicy {
     pub fn limits_admission(&self) -> bool {
         self.max_in_flight.is_some() || self.max_per_node.is_some()
     }
+
+    /// The admission trichotomy for one arrival that finds `in_flight`
+    /// questions admitted and `waiting` parked: take a free slot, park in
+    /// the bounded queue, or bounce. A zero cap can never free a slot, so
+    /// it rejects at once rather than stranding the arrival in the queue.
+    /// Both backends ask this one question — the runtime's
+    /// `AdmissionGate` under its lock, the DES at each virtual arrival.
+    pub fn offer(&self, in_flight: usize, waiting: usize) -> Offer {
+        match self.max_in_flight {
+            None => Offer::Admit,
+            Some(cap) if in_flight < cap => Offer::Admit,
+            Some(cap) if cap > 0 && waiting < self.admission_queue => Offer::Queue,
+            Some(_) => Offer::Reject,
+        }
+    }
+
+    /// Whether `remaining_secs` of deadline budget can no longer cover a
+    /// phase estimated at `estimate_secs` (scaled by the shed headroom):
+    /// the shedding decision both backends take before PR and before AP.
+    /// The estimate itself is the caller's — the runtime's EWMA, the DES's
+    /// sampled demand.
+    pub fn cannot_afford(&self, remaining_secs: f64, estimate_secs: f64) -> bool {
+        remaining_secs < estimate_secs * self.shed_headroom.max(0.0)
+    }
+}
+
+/// What [`OverloadPolicy::offer`] decides for one arrival.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Offer {
+    /// An in-flight slot is free: admit now.
+    Admit,
+    /// At capacity with queue room: wait for a slot.
+    Queue,
+    /// At capacity with the queue full (or a zero cap): refuse.
+    Reject,
 }
 
 /// How one offered question left the system. Every question terminates in
@@ -201,6 +236,54 @@ mod tests {
         assert!(p.limits_admission());
         assert_eq!(p.deadline_secs, Some(2.0));
         assert_eq!(p.breaker_load, Some(6.0));
+    }
+
+    #[test]
+    fn offer_table() {
+        let capped = |cap, queue| OverloadPolicy::server(cap).with_queue(queue);
+        // (policy, in_flight, waiting, expected)
+        let offers = [
+            (OverloadPolicy::unlimited(), 1_000, 0, Offer::Admit),
+            (capped(2, 1), 1, 0, Offer::Admit),
+            (capped(2, 1), 2, 0, Offer::Queue),
+            (capped(2, 1), 2, 1, Offer::Reject),
+            (capped(2, 0), 2, 0, Offer::Reject),
+            // A zero cap never frees a slot: queue room or not, reject.
+            (capped(0, 4), 0, 0, Offer::Reject),
+            (capped(0, 4), 0, 3, Offer::Reject),
+        ];
+        for (policy, in_flight, waiting, want) in offers {
+            assert_eq!(
+                policy.offer(in_flight, waiting),
+                want,
+                "cap {:?} queue {} at {in_flight}/{waiting}",
+                policy.max_in_flight,
+                policy.admission_queue
+            );
+        }
+    }
+
+    #[test]
+    fn cannot_afford_table() {
+        // (headroom, remaining, estimate, expected)
+        let sheds = [
+            (1.0, 2.0, 1.0, false),
+            (1.0, 1.0, 1.0, false),
+            (1.0, 0.5, 1.0, true),
+            (2.0, 1.5, 1.0, true),
+            (0.0, 0.0, 9.0, false),
+            // A negative headroom is read as zero, never as "always shed".
+            (-1.0, 0.1, 9.0, false),
+            (1.0, -0.1, 0.0, true),
+        ];
+        for (headroom, remaining, estimate, want) in sheds {
+            let p = OverloadPolicy::default().with_headroom(headroom);
+            assert_eq!(
+                p.cannot_afford(remaining, estimate),
+                want,
+                "headroom {headroom}, {remaining} s left for {estimate} s"
+            );
+        }
     }
 
     #[test]

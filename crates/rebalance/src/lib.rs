@@ -18,16 +18,21 @@
 //!   backends — and a successor coordinator replaying the journal — derive
 //!   byte-identical plans from the same membership view;
 //! * a [`MigrationThrottle`] paces plan application so migration traffic
-//!   yields to foreground questions at the admission gate.
+//!   yields to foreground questions at the admission gate;
+//! * the [`Rebalancer`] ties them together: membership, the verbs that
+//!   mint-and-admit plans (`drain`, `join`, `lost`, `skew`), the queue of
+//!   scheduled steps and the settle pass. Both backends drive the same
+//!   one, so the planners have no caller outside this crate.
 //!
 //! Everything here is pure, single-threaded state: no clocks, no channels,
 //! no I/O. Times are `f64` seconds supplied by the caller (wall seconds in
-//! the runtime, virtual seconds in the DES), which is what makes the DES
-//! mirror bit-stable under seeded replay.
+//! the runtime, virtual seconds in the DES), which is what keeps the DES
+//! bit-stable under seeded replay.
 
 pub mod detector;
 pub mod ownership;
 pub mod plan;
+pub mod rebalancer;
 pub mod throttle;
 
 pub use detector::{DetectorConfig, FailureDetector, NodeHealth};
@@ -35,7 +40,8 @@ pub use ownership::{ConvergenceError, OwnershipMap};
 pub use plan::{
     plan_evacuation, plan_join, plan_skew, MigrationPlan, MigrationStep, RebalanceReason,
 };
-pub use throttle::{MigrationThrottle, ThrottleVerdict};
+pub use rebalancer::{Minted, Rebalancer, Settled, Stepped};
+pub use throttle::{MigrationThrottle, ThrottleVerdict, MAX_DEFERRALS};
 
 use serde::{Deserialize, Serialize};
 

@@ -19,6 +19,11 @@
 
 use serde::{Deserialize, Serialize};
 
+/// How many times in a row background work (a migration step, a scrub
+/// quantum) yields to a busy foreground before it goes anyway: healing
+/// and scrubbing must stay live under a persistently full gate.
+pub const MAX_DEFERRALS: u32 = 64;
+
 /// Why the throttle deferred (or allowed) a step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ThrottleVerdict {
@@ -36,6 +41,17 @@ impl ThrottleVerdict {
     /// Whether the verdict lets the step start.
     pub fn is_go(self) -> bool {
         self == ThrottleVerdict::Go
+    }
+
+    /// The `cause` label a deferral is counted under
+    /// (`dqa_rebalance_throttled_total{cause}`).
+    pub fn cause(self) -> &'static str {
+        match self {
+            ThrottleVerdict::Go => "go",
+            ThrottleVerdict::Stalled => "stalled",
+            ThrottleVerdict::Saturated => "saturated",
+            ThrottleVerdict::Yielding => "yielding",
+        }
     }
 }
 
@@ -108,6 +124,7 @@ mod tests {
     fn stall_window_blocks_everything() {
         let t = MigrationThrottle::default();
         assert_eq!(t.grant(0, None, 0, true), ThrottleVerdict::Stalled);
+        assert_eq!(t.grant(0, None, 0, true).cause(), "stalled");
     }
 
     #[test]

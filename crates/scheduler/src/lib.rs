@@ -15,6 +15,11 @@
 //!   difference between the load of the source node and the load of the
 //!   destination node is greater than the average workload of a single
 //!   question");
+//! * [`points`] — the three scheduling points as pure decisions over a
+//!   cluster view, the one copy both backends (`dqa-runtime`,
+//!   `cluster-sim`) drive: arrival placement (per-node cap, DNS fallback,
+//!   arrival decision) and PR/AP allocation (own-load subtraction, breaker
+//!   and owner filters, the meta-scheduler, the home fallback);
 //! * [`diffusion`] — classic baselines from the related work (sender-
 //!   initiated diffusion, the gradient model) for broader comparisons.
 
@@ -22,6 +27,7 @@ pub mod diffusion;
 pub mod dispatcher;
 pub mod meta;
 pub mod partition;
+pub mod points;
 pub mod recovery;
 
 pub use diffusion::{GradientModel, SenderDiffusion};

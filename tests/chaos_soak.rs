@@ -43,7 +43,7 @@ fn chaos_config(faults: FaultSchedule) -> ClusterConfig {
         // Schedules are authored in simulator seconds; run them at
         // millisecond scale so a crash at t=20 lands 20 ms in.
         fault_time_scale: 0.001,
-        deadline: Some(Duration::from_secs(20)),
+        overload: OverloadPolicy::default().with_deadline(20.0),
         retry: RetryPolicy::with_budget(64),
         speculate_after: Some(5),
         ..ClusterConfig::default()

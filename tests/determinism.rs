@@ -4,10 +4,12 @@
 
 use falcon_dqa::cluster_sim::workload::{BalancingStrategy, QaSimulation, SimConfig};
 use falcon_dqa::corpus::{trec, Corpus, CorpusConfig, QuestionGenerator};
+use falcon_dqa::faults::FaultSchedule;
 use falcon_dqa::ir_engine::{encode_index_v2, ShardedIndex};
 use falcon_dqa::nlp::NamedEntityRecognizer;
 use falcon_dqa::qa_pipeline::{PipelineConfig, QaPipeline};
 use falcon_dqa::qa_types::rng::splitmix64;
+use falcon_dqa::qa_types::NodeId;
 use falcon_dqa::scheduler::partition::PartitionStrategy;
 
 #[test]
@@ -86,7 +88,7 @@ fn simulator_traces_are_stable_including_failures() {
     let run = || {
         let cfg = SimConfig {
             record_trace: true,
-            node_failures: vec![(40.0, 1)],
+            faults: FaultSchedule::none().crash(NodeId::new(1), 40.0),
             ..SimConfig::paper_low_load(4, PartitionStrategy::Recv { chunk_size: 40 }, 3, 2027)
         };
         QaSimulation::new(cfg).run()
