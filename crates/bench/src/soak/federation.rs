@@ -1,6 +1,6 @@
 //! Federation chaos soak: drive the broker tier through shard loss,
 //! shard partitions and broker crashes on *both* backends — the
-//! virtual-time mirror (`federation::sim`) and the thread runtime
+//! virtual-time model (`federation::sim`) and the thread runtime
 //! (`federation::FederationBroker`) — and assert the partial-failure
 //! contract end to end:
 //!

@@ -1,8 +1,8 @@
 //! Elastic-membership soak: drive the re-sharding tier through drains,
-//! joins, permanent losses and stall windows on *both* backends — the
-//! virtual-time mirror (`cluster_sim`) and the thread runtime
-//! (`dqa_runtime::Cluster`) — and assert the self-healing contract end
-//! to end:
+//! joins, permanent losses and stall windows on *both* drivers of
+//! `rebalance::Rebalancer` — the DES (`cluster_sim`) and the thread
+//! runtime (`dqa_runtime::Cluster`) — and assert the self-healing
+//! contract end to end:
 //!
 //! 1. **Conservation** — every offered question completes; membership
 //!    churn never loses or rejects a question under a permissive policy.
@@ -18,6 +18,10 @@
 //!    multiple of the fault-free p99, a mid-run drain must shed nothing:
 //!    migration yields to foreground instead of pushing it past its
 //!    deadline.
+//! 5. **One state machine** — the runtime drill's final ownership vector
+//!    and per-reason plan counts equal, exactly, those of the same
+//!    drain → join sequence through a bare `Rebalancer` on a manual
+//!    clock.
 //!
 //! `--ci` runs 6 questions per DES run and a 4-question runtime drill.
 
@@ -27,8 +31,8 @@ use cluster_sim::{QaSimulation, SimConfig, SimReport};
 use dqa_obs::{metric_key, names, MetricsRegistry, Snapshot};
 use dqa_runtime::{Cluster, ClusterConfig};
 use faults::FaultSchedule;
-use qa_types::NodeId;
-use rebalance::ElasticConfig;
+use qa_types::{NodeId, SubCollectionId};
+use rebalance::{ElasticConfig, Minted, Rebalancer};
 use scheduler::partition::PartitionStrategy;
 
 /// `dqa_rebalance_plans_total{reason}`.
@@ -115,6 +119,54 @@ fn low_cfg(questions: usize, seed: u64) -> SimConfig {
     )
 }
 
+/// Drive a bare [`Rebalancer`] to quiescence on a manual clock with an
+/// idle foreground, noting the reason of every plan minted on the way
+/// (`first`: what the verb that started it returned).
+fn quiesce(
+    r: &mut Rebalancer,
+    live: &[NodeId],
+    now: &mut f64,
+    first: Option<Minted>,
+    minted: &mut Vec<String>,
+) {
+    minted.extend(first.map(|m| m.plan.reason.to_string()));
+    loop {
+        while let Some(due) = r.next_due() {
+            *now = due.max(*now);
+            r.step(*now, 0, None);
+        }
+        match r.settle(live, *now, 0) {
+            Some(settled) if settled.replanned.is_empty() => return,
+            Some(settled) => {
+                minted.extend(settled.replanned.iter().map(|m| m.plan.reason.to_string()))
+            }
+            None => {}
+        }
+    }
+}
+
+/// The runtime drill's membership sequence — 4 nodes, node 3 a standby,
+/// drain(1) then join(3) — on a bare [`Rebalancer`]. Returns the final
+/// owner of each sub-collection and the plans minted per reason.
+fn reference_drill(ecfg: ElasticConfig, subs: u32) -> (Vec<u32>, [(&'static str, u64); 4]) {
+    let live: Vec<NodeId> = (0..4).map(NodeId::new).collect();
+    let mut r = Rebalancer::new(ecfg, 4, subs, Vec::new());
+    let (mut minted, mut now) = (Vec::new(), 0.0);
+    let drained = r.drain(NodeId::new(1), &live, now, 0);
+    quiesce(&mut r, &live, &mut now, drained, &mut minted);
+    let joined = r.join(NodeId::new(3), &live, now, 0);
+    quiesce(&mut r, &live, &mut now, joined, &mut minted);
+    let owners = (0..subs)
+        .filter_map(|s| r.ownership().owner(SubCollectionId::new(s)))
+        .map(NodeId::raw)
+        .collect();
+    let count = |reason: &str| minted.iter().filter(|m| *m == reason).count() as u64;
+    (
+        owners,
+        ["permanent-loss", "drain", "join", "load-skew"].map(|reason| (reason, count(reason))),
+    )
+}
+
 /// Thread-runtime drill: a live drain and a standby join between answer
 /// waves, with every post-healing answer byte-compared against the
 /// fault-free baseline. This is the "Coverage byte-identical" clause of
@@ -183,7 +235,8 @@ fn run_runtime_demo(ctx: &Ctx, out: &mut Outcome) {
             "runtime: ownership did not converge after the round trip ({status:?})"
         )),
     }
-    if cluster.ownership().iter().any(|&(_, node)| node == 1) {
+    let owners: Vec<u32> = cluster.ownership().iter().map(|&(_, node)| node).collect();
+    if owners.contains(&1) {
         out.violations
             .push("runtime: the drained node still owns a sub-collection".into());
     }
@@ -194,6 +247,26 @@ fn run_runtime_demo(ctx: &Ctx, out: &mut Outcome) {
         if plans(&snap, reason) != 1 {
             out.violations.push(format!(
                 "runtime: expected exactly one {reason} plan, saw {}",
+                plans(&snap, reason)
+            ));
+        }
+    }
+    // Cross-backend check, exact because the code is shared: the same
+    // drain(1) → join(3) through a bare `Rebalancer` on a manual clock
+    // must end on the same owners after the same plans. A driver that
+    // stops passing membership or liveness through faithfully fails here.
+    let subs = fixture.corpus.config.sub_collections as u32;
+    let (want_owners, want_plans) = reference_drill(ecfg, subs);
+    if owners != want_owners {
+        out.violations.push(format!(
+            "runtime: final ownership {owners:?} differs from the Rebalancer \
+             reference {want_owners:?}"
+        ));
+    }
+    for (reason, want) in want_plans {
+        if plans(&snap, reason) != want {
+            out.violations.push(format!(
+                "runtime: {} {reason} plan(s), the Rebalancer reference minted {want}",
                 plans(&snap, reason)
             ));
         }

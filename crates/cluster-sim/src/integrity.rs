@@ -17,7 +17,7 @@
 
 use faults::{CorruptTarget, FaultEvent, FaultSchedule};
 use qa_types::rng::{mix, unit_f64};
-use rebalance::{MigrationThrottle, ThrottleVerdict};
+use rebalance::MigrationThrottle;
 use serde::{Deserialize, Serialize};
 
 /// A piecewise-constant window of modeled foreground load: the admission
@@ -216,10 +216,7 @@ pub fn run_integrity_sim(cfg: &IntegritySimConfig) -> IntegritySimReport {
                 }
             }
             EventClass::Scrub => {
-                let verdict = cfg
-                    .throttle
-                    .grant(in_flight_at(t), Some(cfg.capacity), 0, false);
-                if verdict != ThrottleVerdict::Go {
+                if cfg.throttle.yields(in_flight_at(t), Some(cfg.capacity)) {
                     report.throttled_steps += 1;
                     continue;
                 }

@@ -149,17 +149,16 @@ impl QaSimulation {
             .and_then(|r| r.step(at, in_flight, capacity))
         {
             None => return,
-            Some(Stepped::Deferred(verdict)) => {
-                self.metrics.rebalance_throttled(verdict.cause()).inc();
+            Some(Stepped::Deferred) => {
+                self.metrics.rebalance_throttled("yielding").inc();
                 return;
             }
-            Some(Stepped::Done { moved, epoch, .. }) => {
-                if moved {
-                    self.metrics.rebalance_migrated.inc();
-                    self.metrics.ownership_epoch.set(epoch as f64);
-                    // The completed transfer is journaled (step-done record).
-                    self.journal_mark(1);
-                }
+            Some(Stepped::Done { moved: false, .. }) => {}
+            Some(Stepped::Done { epoch, .. }) => {
+                self.metrics.rebalance_migrated.inc();
+                self.metrics.ownership_epoch.set(epoch as f64);
+                // The completed transfer is journaled (step-done record).
+                self.journal_mark(1);
             }
         }
         self.settle_rebalance(at);
@@ -187,16 +186,15 @@ impl QaSimulation {
         for node in settled.departures {
             self.fail_node(node);
         }
+        let converged = if settled.converged { 1.0 } else { 0.0 };
+        self.metrics.rebalance_converged.set(converged);
         if settled.converged {
-            self.metrics.rebalance_converged.set(1.0);
             // Convergence is journaled: a successor replaying the log
             // knows the plan is retired, not resumable.
             self.journal_mark(1);
-            if let Some(secs) = settled.healed_secs {
-                self.metrics.heal_seconds.observe(secs);
-            }
-        } else {
-            self.metrics.rebalance_converged.set(0.0);
+        }
+        if let Some(secs) = settled.healed_secs {
+            self.metrics.heal_seconds.observe(secs);
         }
     }
 
@@ -352,6 +350,30 @@ mod tests {
             r.metrics.gauges["dqa_rebalance_converged"], 1.0,
             "survivors own everything after healing"
         );
+    }
+
+    #[test]
+    fn standby_hosts_nothing_until_its_join() {
+        // `ElasticConfig::standby_nodes` means here what it means in the
+        // runtime: node 3 boots outside the pool, owning nothing and
+        // taking no placements, until a `NodeJoin` brings it in.
+        let mut cfg =
+            SimConfig::paper_low_load(4, PartitionStrategy::Recv { chunk_size: 40 }, 9, 307);
+        cfg.elastic = Some(ElasticConfig::with_standby(1));
+        cfg.faults = FaultSchedule::seeded(307).node_join(NodeId::new(3), 200.0);
+        let r = QaSimulation::new(cfg).run();
+        assert_eq!(r.questions.len(), 9);
+        for q in r.questions.iter().filter(|q| q.finished < 200.0) {
+            assert_ne!(q.home, NodeId::new(3), "a standby hosted a question");
+            assert!(q.pr_nodes <= 3, "a standby served PR chunks");
+        }
+        assert_eq!(
+            r.metrics
+                .counter(r#"dqa_rebalance_plans_total{reason="join"}"#),
+            1,
+            "the join pulls in a fair share"
+        );
+        assert_eq!(r.metrics.gauges["dqa_rebalance_converged"], 1.0);
     }
 
     #[test]

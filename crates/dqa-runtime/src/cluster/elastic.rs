@@ -10,6 +10,7 @@
 use super::Cluster;
 use crate::board::LoadBoard;
 use crate::clock::now_instant;
+use crate::sync::Mutex;
 use dqa_obs::{CausalSpan, CauseSet, DqaMetrics};
 use journal::{JournalRecord, RecoveredState};
 use qa_types::{NodeId, QaModule, SubCollectionId};
@@ -91,19 +92,16 @@ impl Cluster {
     /// [`ClusterConfig::elastic`] config this degrades to
     /// [`Cluster::suspend_node`].
     pub fn drain(&self, node: NodeId) -> usize {
-        let Some(e) = &self.elastic else {
+        if self.elastic.is_none() {
             self.suspend_node(node);
-            return 0;
-        };
-        let live = self.live_pool();
-        let minted = {
-            let mut es = e.lock();
+        }
+        self.rebalance(|es, live, now, term| {
             es.detector.mark_left(node);
-            let now = es.now_secs();
-            es.rebalancer.drain(node, &live, now, self.term())
-        };
-        self.plan_minted(minted.as_ref());
-        self.run_migrations()
+            es.rebalancer
+                .drain(node, live, now, term)
+                .into_iter()
+                .collect()
+        })
     }
 
     /// Operator join: bring `node` (a warm standby, a previously drained
@@ -112,26 +110,21 @@ impl Cluster {
     /// ownership transfers applied.
     pub fn join(&self, node: NodeId) -> usize {
         self.board.resume(node);
-        let Some(e) = &self.elastic else {
-            return 0;
-        };
         // A resumed node turns live with its first heartbeat, one idle poll
         // away. Wait for it (bounded by the staleness window: a killed or
         // flap-quarantined node never shows) so the plan, the convergence
         // check and PR routing all see the node they hand data to.
         let patience = now_instant() + self.cfg.staleness;
-        while !self.board.is_alive(node) && now_instant() < patience {
+        while self.elastic.is_some() && !self.board.is_alive(node) && now_instant() < patience {
             std::thread::sleep(self.cfg.heartbeat_every);
         }
-        let live = self.live_pool();
-        let minted = {
-            let mut es = e.lock();
-            let now = es.now_secs();
+        self.rebalance(|es, live, now, term| {
             es.detector.mark_joined(node, now);
-            es.rebalancer.join(node, &live, now, self.term())
-        };
-        self.plan_minted(minted.as_ref());
-        self.run_migrations()
+            es.rebalancer
+                .join(node, live, now, term)
+                .into_iter()
+                .collect()
+        })
     }
 
     /// One self-healing pass: feed the failure detector from the load
@@ -143,57 +136,40 @@ impl Cluster {
     /// it between question waves); each call is cheap when healthy.
     /// Returns the number of ownership transfers applied.
     pub fn heal(&self) -> usize {
-        let Some(e) = &self.elastic else {
-            return 0;
-        };
-        let live = self.live_pool();
-        let evacuations: Vec<Minted> = {
-            let mut es = e.lock();
-            let now = es.now_secs();
-            for n in &live {
+        let evacuated = self.rebalance(|es, live, now, term| {
+            for n in live {
                 es.detector.observe(*n, now);
             }
-            (0..self.cfg.nodes)
+            let dead: Vec<NodeId> = (0..self.cfg.nodes)
                 .map(|i| NodeId::new(i as u32))
                 .filter(|n| es.detector.health(*n, now) == NodeHealth::Dead)
-                .collect::<Vec<_>>()
-                .into_iter()
-                // The phi accrual has already waited out the lease: the
-                // loss is detected as of now.
-                .filter_map(|dead| es.rebalancer.lost(dead, &live, now, self.term()))
+                .collect();
+            // The phi accrual has already waited out the lease: the loss
+            // is detected as of now.
+            dead.into_iter()
+                .filter_map(|n| es.rebalancer.lost(n, live, now, term))
                 .collect()
-        };
-        for minted in &evacuations {
-            self.plan_minted(Some(minted));
-        }
-        let mut applied = self.run_migrations();
+        });
         // Skew pass against the post-evacuation map: reuse the
         // dispatcher's PR load gauge as the imbalance signal, exactly the
         // quantity Eqs. 1–3 already maintain.
-        let skew = {
-            let mut es = e.lock();
-            let now = es.now_secs();
-            es.rebalancer.skew(now, self.term(), || {
-                self.board
-                    .live_loads()
-                    .into_iter()
-                    .map(|(n, v)| (n, self.functions.load_for(QaModule::Pr, v)))
-                    .collect()
+        evacuated
+            + self.rebalance(|es, _, now, term| {
+                let loads = || {
+                    let loads = self.board.live_loads().into_iter();
+                    loads
+                        .map(|(n, v)| (n, self.functions.load_for(QaModule::Pr, v)))
+                        .collect()
+                };
+                es.rebalancer.skew(now, term, loads).into_iter().collect()
             })
-        };
-        if skew.is_some() {
-            self.plan_minted(skew.as_ref());
-            applied += self.run_migrations();
-        }
-        applied
     }
 
     /// The detector's three-way verdict for `node` right now (`None`
     /// without an elastic config). Suspect ≠ Dead is the whole point:
     /// only `Dead` ever triggers migration.
     pub fn node_health(&self, node: NodeId) -> Option<NodeHealth> {
-        let e = self.elastic.as_ref()?;
-        let es = e.lock();
+        let es = self.elastic.as_ref()?.lock();
         Some(es.detector.health(node, es.now_secs()))
     }
 
@@ -201,13 +177,10 @@ impl Cluster {
     /// means every sub-collection is owned by exactly one live member.
     /// `None` without an elastic config.
     pub fn rebalance_status(&self) -> Option<(u64, bool)> {
-        let e = self.elastic.as_ref()?;
         let live = self.live_pool();
-        let es = e.lock();
-        Some((
-            es.rebalancer.ownership().epoch(),
-            es.rebalancer.converged(&live),
-        ))
+        let es = self.elastic.as_ref()?.lock();
+        let r = &es.rebalancer;
+        Some((r.ownership().epoch(), r.converged(&live)))
     }
 
     /// Current sub-collection owners as `(sub, node)` pairs, ascending by
@@ -218,34 +191,48 @@ impl Cluster {
             return Vec::new();
         };
         let es = e.lock();
+        let owner = |s| es.rebalancer.ownership().owner(SubCollectionId::new(s));
         (0..self.shards as u32)
-            .filter_map(|s| {
-                es.rebalancer
-                    .ownership()
-                    .owner(SubCollectionId::new(s))
-                    .map(|n| (s, n.raw()))
-            })
+            .filter_map(|s| owner(s).map(|n| (s, n.raw())))
             .collect()
+    }
+
+    /// Take one membership decision — `decide(tier, live nodes, now,
+    /// term)` under the elastic lock, returning the plans it minted — then
+    /// drive the step queue dry. Returns transfers applied; 0 without an
+    /// elastic config.
+    fn rebalance(
+        &self,
+        decide: impl FnOnce(&mut ElasticRuntime, &[NodeId], f64, u64) -> Vec<Minted>,
+    ) -> usize {
+        let Some(e) = &self.elastic else {
+            return 0;
+        };
+        let live = self.live_pool();
+        let minted = {
+            let mut es = e.lock();
+            let now = es.now_secs();
+            decide(&mut es, &live, now, self.term())
+        };
+        minted.iter().for_each(|m| self.plan_minted(m));
+        self.run_migrations(e)
     }
 
     /// A plan entered the step queue: count it, break the convergence
     /// gauge, and journal it before any of its steps applies.
-    fn plan_minted(&self, minted: Option<&Minted>) {
-        let Some(minted) = minted else {
-            return;
-        };
-        self.metrics.plan_minted(
-            &minted.plan.reason.to_string(),
-            minted.saturated,
-            minted.stalled,
-        );
+    fn plan_minted(&self, minted: &Minted) {
+        let Minted {
+            plan,
+            saturated,
+            stalled,
+        } = minted;
+        self.metrics
+            .plan_minted(&plan.reason.to_string(), *saturated, *stalled);
         if self.cfg.journal.is_some() {
+            let steps = plan.steps.iter();
             self.journal_append(&JournalRecord::RebalancePlanned {
-                plan: minted.plan.id,
-                steps: minted
-                    .plan
-                    .steps
-                    .iter()
+                plan: plan.id,
+                steps: steps
                     .map(|s| (s.sub.raw(), s.from.raw(), s.to.raw()))
                     .collect(),
             });
@@ -259,23 +246,20 @@ impl Cluster {
     /// only for the instant each decision is read or committed, never
     /// across a sleep: PR scheduling reads the map contention-free while
     /// the migration paces itself. Returns transfers applied.
-    fn run_migrations(&self) -> usize {
-        let Some(e) = &self.elastic else {
-            return 0;
-        };
+    fn run_migrations(&self, e: &Mutex<ElasticRuntime>) -> usize {
         let capacity = self.cfg.overload.max_in_flight;
         let mut applied = 0;
-        // One span tree per plan: children are buffered so the root (whose
-        // id they parent under) can be emitted first with its real end.
-        let mut open: Option<(u64, f64, Vec<CausalSpan>)> = None;
-        let mut waiting_since = self.tracer.now();
-        let mut deferred = false;
+        // One span tree per plan (a plan's steps are contiguous in the
+        // queue): children are buffered so the root, whose id they parent
+        // under, can be emitted first with its real end.
+        let mut children: Vec<CausalSpan> = Vec::new();
+        let (mut plan_start, mut waiting_since) = (self.tracer.now(), self.tracer.now());
+        let mut causes = CauseSet::none();
         loop {
             let due = {
                 let es = e.lock();
-                es.rebalancer
-                    .next_due()
-                    .map(|t| es.epoch + Duration::from_secs_f64(t.max(0.0)))
+                let due = es.rebalancer.next_due();
+                due.map(|t| es.epoch + Duration::from_secs_f64(t.max(0.0)))
             };
             let Some(due) = due else {
                 let live = self.live_pool();
@@ -287,18 +271,15 @@ impl Cluster {
                 // `None`: another verb queued steps in between — drive them.
                 let Some(settled) = settled else { continue };
                 if !settled.replanned.is_empty() {
-                    for minted in &settled.replanned {
-                        self.plan_minted(Some(minted));
-                    }
+                    settled.replanned.iter().for_each(|m| self.plan_minted(m));
                     continue;
                 }
                 // Evacuation first, suspension second: the drain is live.
                 for node in settled.departures {
                     self.board.suspend(node);
                 }
-                self.metrics
-                    .rebalance_converged
-                    .set(if settled.converged { 1.0 } else { 0.0 });
+                let converged = if settled.converged { 1.0 } else { 0.0 };
+                self.metrics.rebalance_converged.set(converged);
                 if let Some(secs) = settled.healed_secs {
                     self.metrics.heal_seconds.observe(secs);
                 }
@@ -311,11 +292,12 @@ impl Cluster {
                 let now = es.now_secs();
                 es.rebalancer.step(now, in_flight, capacity)
             };
-            match stepped {
-                None => {}
-                Some(Stepped::Deferred(verdict)) => {
-                    deferred = true;
-                    self.metrics.rebalance_throttled(verdict.cause()).inc();
+            let (plan, step, moved, epoch, plan_done) = match stepped {
+                None => continue,
+                Some(Stepped::Deferred) => {
+                    causes = CauseSet::THROTTLED;
+                    self.metrics.rebalance_throttled("yielding").inc();
+                    continue;
                 }
                 Some(Stepped::Done {
                     plan,
@@ -323,59 +305,37 @@ impl Cluster {
                     moved,
                     epoch,
                     plan_done,
-                }) => {
-                    let granted = self.tracer.now();
-                    if moved {
-                        applied += 1;
-                        self.metrics.rebalance_migrated.inc();
-                        self.metrics.ownership_epoch.set(epoch as f64);
-                        self.journal_append(&JournalRecord::RebalanceStepDone {
-                            plan,
-                            sub: step.sub.raw(),
-                            to: step.to.raw(),
-                        });
-                    }
-                    let trace = self.tracer.trace_id(MIGRATION_TRACE_NS ^ plan);
-                    let (_, plan_start, mut steps) = open
-                        .take()
-                        .filter(|(id, _, _)| *id == plan)
-                        .unwrap_or((plan, waiting_since, Vec::new()));
-                    steps.push(CausalSpan::new(
-                        trace,
-                        None,
-                        "migration-step",
-                        Some(step.to.raw()),
-                        waiting_since,
-                        self.tracer.now(),
-                        granted - waiting_since,
-                        if deferred {
-                            CauseSet::THROTTLED
-                        } else {
-                            CauseSet::none()
-                        },
-                    ));
-                    if plan_done {
-                        self.journal_append(&JournalRecord::RebalanceConverged { plan });
-                        let root = self.tracer.emit(CausalSpan::new(
-                            trace,
-                            None,
-                            "migration",
-                            None,
-                            plan_start,
-                            self.tracer.now(),
-                            0.0,
-                            CauseSet::none(),
-                        ));
-                        for mut s in steps {
-                            s.parent = Some(root);
-                            self.tracer.emit(s);
-                        }
-                    } else {
-                        open = Some((plan, plan_start, steps));
-                    }
-                    waiting_since = self.tracer.now();
-                    deferred = false;
+                }) => (plan, step, moved, epoch, plan_done),
+            };
+            let granted = self.tracer.now();
+            if moved {
+                applied += 1;
+                self.metrics.rebalance_migrated.inc();
+                self.metrics.ownership_epoch.set(epoch as f64);
+                self.journal_append(&JournalRecord::RebalanceStepDone {
+                    plan,
+                    sub: step.sub.raw(),
+                    to: step.to.raw(),
+                });
+            }
+            let trace = self.tracer.trace_id(MIGRATION_TRACE_NS ^ plan);
+            let span = |name, node, start, queued, causes| {
+                let end = self.tracer.now();
+                CausalSpan::new(trace, None, name, node, start, end, queued, causes)
+            };
+            let to = Some(step.to.raw());
+            let queued = granted - waiting_since;
+            children.push(span("migration-step", to, waiting_since, queued, causes));
+            (waiting_since, causes) = (self.tracer.now(), CauseSet::none());
+            if plan_done {
+                self.journal_append(&JournalRecord::RebalanceConverged { plan });
+                let root = span("migration", None, plan_start, 0.0, CauseSet::none());
+                let root = self.tracer.emit(root);
+                for mut child in children.drain(..) {
+                    child.parent = Some(root);
+                    self.tracer.emit(child);
                 }
+                plan_start = waiting_since;
             }
         }
     }
@@ -388,44 +348,28 @@ impl Cluster {
     /// step re-runs, no step is dropped, and the re-appended records are
     /// absorbed by the same idempotent fold on the next replay.
     pub(super) fn resume_rebalances(&self, state: &RecoveredState) {
-        let Some(e) = &self.elastic else {
-            return;
-        };
-        let adopted: Vec<Minted> = {
-            let mut es = e.lock();
+        self.rebalance(|es, _, now, term| {
             for (sub, to) in state.rebalanced_owners() {
-                es.rebalancer
-                    .restore_owner(SubCollectionId::new(sub), NodeId::new(to));
+                let (sub, to) = (SubCollectionId::new(sub), NodeId::new(to));
+                es.rebalancer.restore_owner(sub, to);
             }
-            self.metrics
-                .ownership_epoch
-                .set(es.rebalancer.ownership().epoch() as f64);
-            let now = es.now_secs();
-            state
-                .unfinished_rebalances()
-                .filter_map(|(id, r)| {
-                    let plan = MigrationPlan {
-                        id,
-                        term: self.term(),
-                        reason: RebalanceReason::PermanentLoss,
-                        steps: r
-                            .pending_steps()
-                            .into_iter()
-                            .map(|(sub, from, to)| MigrationStep {
-                                sub: SubCollectionId::new(sub),
-                                from: NodeId::new(from),
-                                to: NodeId::new(to),
-                            })
-                            .collect(),
-                    };
-                    es.rebalancer.adopt(plan, now)
-                })
+            let epoch = es.rebalancer.ownership().epoch();
+            self.metrics.ownership_epoch.set(epoch as f64);
+            let step = |(sub, from, to)| MigrationStep {
+                sub: SubCollectionId::new(sub),
+                from: NodeId::new(from),
+                to: NodeId::new(to),
+            };
+            let unfinished = state.unfinished_rebalances().map(|(id, r)| MigrationPlan {
+                id,
+                term,
+                reason: RebalanceReason::PermanentLoss,
+                steps: r.pending_steps().into_iter().map(step).collect(),
+            });
+            unfinished
+                .filter_map(|plan| es.rebalancer.admit(plan, now))
                 .collect()
-        };
-        for minted in &adopted {
-            self.plan_minted(Some(minted));
-        }
-        self.run_migrations();
+        });
     }
 }
 

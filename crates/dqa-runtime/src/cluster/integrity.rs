@@ -61,7 +61,7 @@ impl Cluster {
         let quantum = Duration::from_secs_f64(throttle.step_secs.max(0.0));
         let cap = self.cfg.overload.max_in_flight;
         for _ in 0..MAX_DEFERRALS {
-            if throttle.grant(self.gate.in_flight(), cap, 0, false).is_go() {
+            if !throttle.yields(self.gate.in_flight(), cap) {
                 break;
             }
             report.throttled += 1;

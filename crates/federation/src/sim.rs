@@ -1,4 +1,4 @@
-//! Virtual-time mirror of the federation broker.
+//! Virtual-time model of the federation broker.
 //!
 //! The runtime broker in [`crate::broker`] demonstrates the federation
 //! tier with real threads; this module reproduces its *decisions* in
@@ -17,10 +17,21 @@
 //!   with an admission rejection aggregate a retry-after, zero responders
 //!   otherwise merge an empty answer — never an error, never a drop.
 //!
+//! **Unit.** Every duration in this module is a *virtual* second of the
+//! shard simulations' clock: arrival spacing, shard latencies, fault
+//! windows, and the policy's hedge floor and shard deadline. A shard
+//! answers in tens to hundreds of virtual seconds (the paper's questions
+//! take 48–94 s sequentially), so [`FederationPolicy`]'s defaults — wall
+//! seconds sized for the thread runtime's millisecond questions — do not
+//! apply here; [`FedSimConfig::new`] derives both durations from the
+//! shard profile instead.
+//!
 //! Deliberate simplifications versus the runtime (documented so the soak
 //! asserts the right things): circuit breakers are not simulated (their
 //! inputs — wall-clock failure streaks — have no virtual analog here),
-//! and responder coverage is composed at shard granularity only.
+//! and responder coverage is composed at shard granularity only. This is
+//! a model that shares the broker's [`LatencyEstimator`], [`FaultWindows`]
+//! and policy type, not a second driver of one broker core.
 //!
 //! Everything is a pure function of the config, so running a config twice
 //! yields `PartialEq`-identical — and therefore digest-identical —
@@ -56,6 +67,8 @@ pub struct FedSimConfig {
     /// Master seed; shard and replica simulations are salted from it.
     pub seed: u64,
     /// Scatter-gather policy (quorum, hedge trigger/budget, deadlines).
+    /// Every duration in it — `hedge_after_secs`, `default_deadline_secs`,
+    /// `breaker_cooldown_secs` — is read as **virtual** seconds here.
     pub policy: FederationPolicy,
     /// Admission policy inside each shard simulation.
     pub overload: OverloadPolicy,
@@ -66,17 +79,44 @@ pub struct FedSimConfig {
     pub replicated: bool,
 }
 
+/// How many times over a shard node may take to serve its share of the
+/// offered questions before the broker stops waiting: the shard model's
+/// thrashing floor is 20 % of a node's speed, so five times the unloaded
+/// back-to-back time is the slowest a *healthy* shard can be. Like the
+/// runtime's 30 s default against millisecond questions, the deadline is
+/// a backstop for dark shards, not a latency target.
+const DEADLINE_SHARES: f64 = 5.0;
+
 impl FedSimConfig {
-    /// Defaults mirroring [`crate::broker::FederationConfig::new`].
+    /// The defaults of [`crate::broker::FederationConfig::new`], with the
+    /// policy's two durations restated in virtual seconds from the
+    /// slowest profile the shard simulations draw from (a derived value,
+    /// the way `SimConfig::paper_high_load` derives its hysteresis from
+    /// Table 3): the hedge floor is one unloaded sequential question
+    /// ([`ModuleProfile::sequential_total`](qa_types::ModuleProfile::sequential_total))
+    /// — a shard slower than that is being held up by load or a fault —
+    /// and the shard deadline is [`DEADLINE_SHARES`] × the time one node
+    /// needs for its share, `⌈questions / nodes_per_shard⌉`, of them back
+    /// to back.
     pub fn new(shards: usize, questions: usize, seed: u64) -> FedSimConfig {
+        let nodes_per_shard = 2;
+        let strategy = BalancingStrategy::Dqa;
+        let sequential = SimConfig::paper_high_load(nodes_per_shard, strategy, seed)
+            .profiles
+            .iter()
+            .map(|p| p.sequential_total())
+            .fold(0.0, f64::max);
+        let share = questions.div_ceil(nodes_per_shard).max(1) as f64;
+        let mut policy = FederationPolicy::for_shards(shards.max(1)).with_hedge_after(sequential);
+        policy.default_deadline_secs = DEADLINE_SHARES * share * sequential;
         FedSimConfig {
             shards: shards.max(1),
-            nodes_per_shard: 2,
-            strategy: BalancingStrategy::Dqa,
+            nodes_per_shard,
+            strategy,
             questions,
             arrival_spacing_secs: 2.0,
             seed,
-            policy: FederationPolicy::for_shards(shards.max(1)),
+            policy,
             overload: OverloadPolicy::default(),
             faults: FaultSchedule::none(),
             replicated: true,
@@ -84,7 +124,7 @@ impl FedSimConfig {
     }
 }
 
-/// One broker-level question in the mirror.
+/// One broker-level question in the model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FedQuestionRecord {
     /// Virtual arrival at the broker (after any broker-crash hold).
@@ -110,7 +150,7 @@ impl FedQuestionRecord {
     }
 }
 
-/// Aggregate mirror output. `PartialEq` + [`FedSimReport::digest`] give
+/// Aggregate model output. `PartialEq` + [`FedSimReport::digest`] give
 /// double-run bit-identity checks.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FedSimReport {
@@ -186,7 +226,7 @@ fn shard_service(cfg: &FedSimConfig, seed: u64) -> Vec<(f64, QuestionOutcome)> {
         .collect()
 }
 
-/// Run the federation mirror. Pure function of `cfg`: identical configs
+/// Run the federation model. Pure function of `cfg`: identical configs
 /// produce `PartialEq`-identical reports (the double-run soak property).
 pub fn run_fed_sim(cfg: &FedSimConfig) -> FedSimReport {
     let shards = cfg.shards.max(1);

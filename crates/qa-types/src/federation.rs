@@ -4,7 +4,7 @@
 //! in front of several coordinator *shards*, each owning a partition of
 //! the corpus. This module holds the plain-data policy and status types
 //! that tier shares between the thread-backed broker (`federation`), its
-//! virtual-time mirror, `qa-cli` and the soak harnesses. Everything here
+//! virtual-time model, `qa-cli` and the soak harnesses. Everything here
 //! follows the `OverloadPolicy` conventions: durations are `f64` seconds
 //! (virtual in the DES, scaled wall-clock in the runtime), defaults are
 //! permissive, and the types are serde round-trippable.

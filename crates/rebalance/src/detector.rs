@@ -3,7 +3,7 @@
 //! Pure accrual detector over caller-supplied timestamps: each node's
 //! heartbeats feed an EWMA of its inter-arrival gap, and the *suspicion*
 //! of a node is the ratio of the current silence to that learned gap (a
-//! simplified phi — linear, not logarithmic, which keeps the DES mirror
+//! simplified phi — linear, not logarithmic, which keeps the DES
 //! bit-stable without transcendental functions). Two thresholds split the
 //! verdict three ways:
 //!

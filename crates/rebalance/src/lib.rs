@@ -41,7 +41,7 @@ pub use plan::{
     plan_evacuation, plan_join, plan_skew, MigrationPlan, MigrationStep, RebalanceReason,
 };
 pub use rebalancer::{Minted, Rebalancer, Settled, Stepped};
-pub use throttle::{MigrationThrottle, ThrottleVerdict, MAX_DEFERRALS};
+pub use throttle::{MigrationThrottle, MAX_DEFERRALS};
 
 use serde::{Deserialize, Serialize};
 

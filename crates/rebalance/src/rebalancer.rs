@@ -23,7 +23,7 @@ use crate::ownership::OwnershipMap;
 use crate::plan::{
     plan_evacuation, plan_join, plan_skew, MigrationPlan, MigrationStep, RebalanceReason,
 };
-use crate::throttle::{ThrottleVerdict, MAX_DEFERRALS};
+use crate::throttle::MAX_DEFERRALS;
 use crate::ElasticConfig;
 use qa_types::{NodeId, SubCollectionId};
 use std::collections::VecDeque;
@@ -57,8 +57,8 @@ pub struct Minted {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Stepped {
     /// Foreground questions need the headroom: the step moved one quantum
-    /// later.
-    Deferred(ThrottleVerdict),
+    /// later (deferral cause `yielding`).
+    Deferred,
     /// The step left the queue.
     Done {
         /// The plan it belonged to.
@@ -133,20 +133,14 @@ impl Rebalancer {
         );
         let active = nodes - cfg.standby_nodes;
         let owners: Vec<NodeId> = (0..active).map(|i| NodeId::new(i as u32)).collect();
+        let mut members = vec![Membership::Active; active];
+        members.resize(nodes, Membership::Standby);
         stalls.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
         Rebalancer {
             cfg,
             subs,
             ownership: OwnershipMap::balanced(subs, &owners),
-            members: (0..nodes)
-                .map(|i| {
-                    if i < active {
-                        Membership::Active
-                    } else {
-                        Membership::Standby
-                    }
-                })
-                .collect(),
+            members,
             plan_seq: 0,
             pending: VecDeque::new(),
             stalls,
@@ -159,7 +153,8 @@ impl Rebalancer {
         &self.cfg
     }
 
-    /// The ownership map (read-only: it changes through steps alone).
+    /// The ownership map (read-only: it changes through steps, and
+    /// through [`restore_owner`](Self::restore_owner) on journal replay).
     pub fn ownership(&self) -> &OwnershipMap {
         &self.ownership
     }
@@ -179,17 +174,14 @@ impl Rebalancer {
     /// The convergence invariant: every sub-collection is owned by a live
     /// active member.
     pub fn converged(&self, live: &[NodeId]) -> bool {
-        self.ownership
-            .verify_complete(self.subs, &self.pool(live))
-            .is_ok()
+        let pool = self.pool(live);
+        self.ownership.verify_complete(self.subs, &pool).is_ok()
     }
 
     /// The live active members.
     fn pool(&self, live: &[NodeId]) -> Vec<NodeId> {
-        live.iter()
-            .copied()
-            .filter(|n| self.is_active(*n))
-            .collect()
+        let members = live.iter().copied();
+        members.filter(|n| self.is_active(*n)).collect()
     }
 
     fn quantum(&self) -> f64 {
@@ -202,15 +194,11 @@ impl Rebalancer {
     /// at the next [`settle`](Self::settle)), or nobody would be left to
     /// serve — then the drain is refused and the node stays active.
     pub fn drain(&mut self, node: NodeId, live: &[NodeId], now: f64, term: u64) -> Option<Minted> {
-        if !self.is_active(node) {
-            return None;
-        }
-        let survivors: Vec<NodeId> = self.pool(live).into_iter().filter(|n| *n != node).collect();
-        if survivors.is_empty() {
+        if !self.is_active(node) || self.pool(live).iter().all(|n| *n == node) {
             return None;
         }
         self.members[node.index()] = Membership::Draining;
-        self.evacuate(node, &survivors, RebalanceReason::Drain, now, term)
+        self.evacuate(node, live, RebalanceReason::Drain, now, term)
     }
 
     /// `node` — a standby, a drained node, a recovered crash — becomes an
@@ -224,8 +212,7 @@ impl Rebalancer {
             // Its first heartbeat may still be in flight.
             pool.push(node);
         }
-        self.plan_seq += 1;
-        let plan = plan_join(&self.ownership, node, &pool, self.plan_seq, term);
+        let plan = plan_join(&self.ownership, node, &pool, self.plan_seq + 1, term);
         self.admit(plan, now)
     }
 
@@ -242,18 +229,11 @@ impl Rebalancer {
         detected_at: f64,
         term: u64,
     ) -> Option<Minted> {
-        self.pending
-            .retain(|p| p.step.from != node && p.step.to != node);
-        if self.ownership.owned_by(node).is_empty() {
-            return None;
-        }
-        let survivors: Vec<NodeId> = self.pool(live).into_iter().filter(|n| *n != node).collect();
-        if survivors.is_empty() {
-            return None;
-        }
+        let touches = |p: &Pending| p.step.from == node || p.step.to == node;
+        self.pending.retain(|p| !touches(p));
         self.evacuate(
             node,
-            &survivors,
+            live,
             RebalanceReason::PermanentLoss,
             detected_at,
             term,
@@ -277,50 +257,41 @@ impl Rebalancer {
         let mut loads = loads();
         loads.retain(|(n, _)| self.is_active(*n));
         let plan = plan_skew(&self.ownership, &loads, threshold, self.plan_seq + 1, term)?;
-        self.plan_seq += 1;
         self.admit(plan, now)
     }
 
-    /// Journal replay, part one: fold a completed transfer back into the
-    /// map. Idempotent.
+    /// Journal replay: fold a completed transfer back into the map.
+    /// Idempotent.
     pub fn restore_owner(&mut self, sub: SubCollectionId, node: NodeId) {
         self.ownership.set_owner(sub, node);
     }
 
-    /// Journal replay, part two: re-admit an unfinished plan's pending
-    /// steps under their original plan id, and never mint a later plan
-    /// below an id the journal has seen.
-    pub fn adopt(&mut self, plan: MigrationPlan, now: f64) -> Option<Minted> {
-        self.plan_seq = self.plan_seq.max(plan.id);
-        self.admit(plan, now)
-    }
-
+    /// Move what `victim` owns onto the live active members (nothing, when
+    /// it owns nothing or there are none).
     fn evacuate(
         &mut self,
         victim: NodeId,
-        survivors: &[NodeId],
+        live: &[NodeId],
         reason: RebalanceReason,
         at: f64,
         term: u64,
     ) -> Option<Minted> {
-        self.plan_seq += 1;
-        let plan = plan_evacuation(
-            &self.ownership,
-            victim,
-            survivors,
-            reason,
-            self.plan_seq,
-            term,
-        );
+        let (pool, id) = (self.pool(live), self.plan_seq + 1);
+        let plan = plan_evacuation(&self.ownership, victim, &pool, reason, id, term);
         self.admit(plan, at)
     }
 
     /// Schedule a plan's steps: one per throttle quantum from `at`, behind
-    /// any steps already pending, pushed past stall windows.
-    fn admit(&mut self, plan: MigrationPlan, at: f64) -> Option<Minted> {
+    /// any steps already pending, pushed past stall windows. The verbs
+    /// admit what they mint; a journal-recovered plan's unfinished steps
+    /// re-enter here under their original id. Plan ids only grow: no later
+    /// plan is minted below an id seen here. `None` for an empty plan —
+    /// it vanishes without a trace.
+    pub fn admit(&mut self, plan: MigrationPlan, at: f64) -> Option<Minted> {
         if plan.is_empty() {
             return None;
         }
+        self.plan_seq = self.plan_seq.max(plan.id);
         self.heal_start.get_or_insert(at);
         let quantum = self.quantum();
         let saturated = !self.pending.is_empty();
@@ -368,12 +339,12 @@ impl Rebalancer {
     /// pending.
     pub fn step(&mut self, now: f64, in_flight: usize, capacity: Option<usize>) -> Option<Stepped> {
         let quantum = self.quantum();
+        let yields = self.cfg.throttle.yields(in_flight, capacity);
         let head = self.pending.front_mut()?;
-        let verdict = self.cfg.throttle.grant(in_flight, capacity, 0, false);
-        if !verdict.is_go() && head.deferrals < MAX_DEFERRALS {
+        if yields && head.deferrals < MAX_DEFERRALS {
             head.deferrals += 1;
             head.due = now.max(head.due) + quantum;
-            return Some(Stepped::Deferred(verdict));
+            return Some(Stepped::Deferred);
         }
         let Pending { plan, step, .. } = self.pending.pop_front()?;
         let moved = self.ownership.apply_step(&step);
@@ -395,29 +366,19 @@ impl Rebalancer {
             return None;
         }
         let mut out = Settled::default();
-        let draining: Vec<NodeId> = live
-            .iter()
-            .copied()
-            .filter(|n| self.members.get(n.index()) == Some(&Membership::Draining))
-            .collect();
+        let is_draining = |n: &NodeId| self.members.get(n.index()) == Some(&Membership::Draining);
+        let draining: Vec<NodeId> = live.iter().copied().filter(is_draining).collect();
         for &node in &draining {
-            if self.ownership.owned_by(node).is_empty() {
-                continue;
-            }
-            let survivors = self.pool(live);
-            if !survivors.is_empty() {
-                let minted = self.evacuate(node, &survivors, RebalanceReason::Drain, now, term);
-                out.replanned.extend(minted);
-            }
+            let minted = self.evacuate(node, live, RebalanceReason::Drain, now, term);
+            out.replanned.extend(minted);
         }
         if !out.replanned.is_empty() {
             return Some(out);
         }
-        for node in draining {
-            if self.ownership.owned_by(node).is_empty() {
-                self.members[node.index()] = Membership::Standby;
-                out.departures.push(node);
-            }
+        let owns_nothing = |n: &NodeId| self.ownership.owned_by(*n).is_empty();
+        out.departures = draining.into_iter().filter(owns_nothing).collect();
+        for node in &out.departures {
+            self.members[node.index()] = Membership::Standby;
         }
         out.converged = self.converged(live);
         if out.converged {
@@ -449,7 +410,7 @@ mod tests {
                 *now = now.max(due);
                 match r.step(*now, 0, None).unwrap() {
                     Stepped::Done { step, .. } => steps.push(step),
-                    Stepped::Deferred(v) => panic!("idle foreground deferred a step: {v:?}"),
+                    Stepped::Deferred => panic!("idle foreground deferred a step"),
                 }
             }
             if r.settle(live, *now, 1).unwrap().replanned.is_empty() {
@@ -631,8 +592,7 @@ mod tests {
             let done = loop {
                 let due = r.next_due().expect("step pending");
                 match r.step(due, in_flight, capacity).unwrap() {
-                    Stepped::Deferred(v) => {
-                        assert_eq!(v, ThrottleVerdict::Yielding, "{case}");
+                    Stepped::Deferred => {
                         deferrals += 1;
                         assert_eq!(
                             r.next_due(),
@@ -661,33 +621,6 @@ mod tests {
             );
             assert_eq!(r.step(99.0, 0, None), None, "{case}: queue empty");
         }
-    }
-
-    #[test]
-    fn plans_queue_one_quantum_apart_and_clear_of_stall_windows() {
-        let cfg = ElasticConfig::default(); // 0.05 s quantum
-        let mut r = Rebalancer::new(cfg, 4, 8, vec![(5.0, 60.0)]);
-        let live = ids(&[0, 1, 2, 3]);
-        let first = r.drain(n(1), &live, 1.0, 1).unwrap();
-        assert_eq!((first.saturated, first.stalled), (false, 0));
-        assert!((r.next_due().unwrap() - 1.05).abs() < 1e-12);
-        // A second plan queues behind the first; minted inside the stall
-        // window, its first step is pushed to the window's close and the
-        // rest follow a quantum apart.
-        let second = r.drain(n(2), &live, 5.0, 1).unwrap();
-        assert!(second.saturated);
-        assert_eq!(second.stalled, 1);
-        let mut dues = Vec::new();
-        while let Some(due) = r.next_due() {
-            dues.push(due);
-            r.step(due, 0, None);
-        }
-        assert_eq!(dues.len(), first.plan.steps.len() + second.plan.steps.len());
-        assert!(dues.windows(2).all(|w| w[0] <= w[1]), "due order: {dues:?}");
-        assert!(
-            dues[first.plan.steps.len()..].iter().all(|d| *d >= 60.0),
-            "stalled steps landed inside the window: {dues:?}"
-        );
     }
 
     #[test]
@@ -736,7 +669,7 @@ mod tests {
     }
 
     #[test]
-    fn adopt_resumes_a_journaled_plan_under_its_id() {
+    fn admit_resumes_a_journaled_plan_under_its_id() {
         let mut r = Rebalancer::new(ElasticConfig::default(), 2, 4, Vec::new());
         // The journal shows sub 1 already moved and sub 3 still pending.
         r.restore_owner(SubCollectionId::new(1), n(0));
@@ -757,7 +690,7 @@ mod tests {
                 },
             ],
         };
-        assert_eq!(r.adopt(plan, 0.0).unwrap().plan.id, 7);
+        assert_eq!(r.admit(plan, 0.0).unwrap().plan.id, 7);
         let mut moved = Vec::new();
         while let Some(due) = r.next_due() {
             if let Some(Stepped::Done { plan, moved: m, .. }) = r.step(due, 0, None) {

@@ -3,16 +3,14 @@
 //!
 //! The throttle is a pure decision function — the caller supplies the
 //! foreground occupancy it reads at its admission gate (runtime: the
-//! [`AdmissionGate`] in-flight count; DES: the virtual in-flight counter)
-//! and the throttle answers whether the next migration step may start
-//! now. Three independent brakes:
-//!
-//! * a concurrency cap (`max_concurrent` steps in flight),
-//! * a foreground-headroom gate: when the admission gate is above
-//!   `headroom` of its capacity, migrations wait — in-flight questions
-//!   keep their deadlines, healing takes the leftovers,
-//! * operator/fault stall windows (`RebalanceStall`), during which
-//!   nothing migrates at all.
+//! `AdmissionGate` in-flight count; DES: the virtual in-flight counter)
+//! and the throttle answers whether the next background step must wait:
+//! when the gate is above `headroom` of its capacity, in-flight questions
+//! keep their deadlines and healing takes the leftovers. The other two
+//! brakes on migration live in the [`Rebalancer`](crate::Rebalancer)'s
+//! step queue, where both backends get them for free: steps apply one at
+//! a time, a quantum apart, each plan behind the ones before it; and
+//! steps minted inside a `RebalanceStall` window land when it closes.
 //!
 //! A denied step is *deferred*, never dropped: the plan's remaining steps
 //! stay queued and the journal's exactly-once accounting is untouched.
@@ -24,42 +22,9 @@ use serde::{Deserialize, Serialize};
 /// and scrubbing must stay live under a persistently full gate.
 pub const MAX_DEFERRALS: u32 = 64;
 
-/// Why the throttle deferred (or allowed) a step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ThrottleVerdict {
-    /// The step may start now.
-    Go,
-    /// A stall window is open.
-    Stalled,
-    /// `max_concurrent` steps are already in flight.
-    Saturated,
-    /// Foreground occupancy is above the headroom line.
-    Yielding,
-}
-
-impl ThrottleVerdict {
-    /// Whether the verdict lets the step start.
-    pub fn is_go(self) -> bool {
-        self == ThrottleVerdict::Go
-    }
-
-    /// The `cause` label a deferral is counted under
-    /// (`dqa_rebalance_throttled_total{cause}`).
-    pub fn cause(self) -> &'static str {
-        match self {
-            ThrottleVerdict::Go => "go",
-            ThrottleVerdict::Stalled => "stalled",
-            ThrottleVerdict::Saturated => "saturated",
-            ThrottleVerdict::Yielding => "yielding",
-        }
-    }
-}
-
 /// Migration pacing policy.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MigrationThrottle {
-    /// Maximum migration steps in flight at once.
-    pub max_concurrent: usize,
     /// Fraction of the admission gate's in-flight capacity above which
     /// migrations yield to foreground traffic. With no capacity configured
     /// (an unlimited gate) the headroom brake is inert.
@@ -72,7 +37,6 @@ pub struct MigrationThrottle {
 impl Default for MigrationThrottle {
     fn default() -> Self {
         MigrationThrottle {
-            max_concurrent: 1,
             headroom: 0.75,
             step_secs: 0.05,
         }
@@ -80,61 +44,34 @@ impl Default for MigrationThrottle {
 }
 
 impl MigrationThrottle {
-    /// Decide whether the next step may start.
-    ///
-    /// * `foreground_in_flight` / `capacity`: the admission gate's current
-    ///   occupancy and configured `max_in_flight` (`None` = unlimited).
-    /// * `active_steps`: migration steps currently in flight.
-    /// * `stalled`: whether a `RebalanceStall` window is open.
-    pub fn grant(
-        &self,
-        foreground_in_flight: usize,
-        capacity: Option<usize>,
-        active_steps: usize,
-        stalled: bool,
-    ) -> ThrottleVerdict {
-        if stalled {
-            return ThrottleVerdict::Stalled;
-        }
-        if active_steps >= self.max_concurrent.max(1) {
-            return ThrottleVerdict::Saturated;
-        }
-        if let Some(cap) = capacity {
-            if cap > 0 && (foreground_in_flight as f64) > self.headroom.clamp(0.0, 1.0) * cap as f64
-            {
-                return ThrottleVerdict::Yielding;
-            }
-        }
-        ThrottleVerdict::Go
+    /// Whether the next background step must yield to foreground traffic:
+    /// `in_flight` of the admission gate's `capacity` (its configured
+    /// `max_in_flight`; `None` = unlimited) are taken, and that is above
+    /// the headroom line.
+    pub fn yields(&self, in_flight: usize, capacity: Option<usize>) -> bool {
+        capacity.is_some_and(|cap| {
+            cap > 0 && (in_flight as f64) > self.headroom.clamp(0.0, 1.0) * cap as f64
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ElasticConfig, Rebalancer};
+    use qa_types::NodeId;
+
+    fn nodes(n: u32) -> Vec<NodeId> {
+        (0..n).map(NodeId::new).collect()
+    }
 
     #[test]
     fn grants_when_idle() {
         let t = MigrationThrottle::default();
-        assert_eq!(t.grant(0, Some(8), 0, false), ThrottleVerdict::Go);
-        assert!(t.grant(0, None, 0, false).is_go());
-    }
-
-    #[test]
-    fn stall_window_blocks_everything() {
-        let t = MigrationThrottle::default();
-        assert_eq!(t.grant(0, None, 0, true), ThrottleVerdict::Stalled);
-        assert_eq!(t.grant(0, None, 0, true).cause(), "stalled");
-    }
-
-    #[test]
-    fn concurrency_cap_saturates() {
-        let t = MigrationThrottle {
-            max_concurrent: 2,
-            ..MigrationThrottle::default()
-        };
-        assert!(t.grant(0, None, 1, false).is_go());
-        assert_eq!(t.grant(0, None, 2, false), ThrottleVerdict::Saturated);
+        assert!(!t.yields(0, Some(8)));
+        assert!(!t.yields(0, None));
+        // A zero-capacity gate admits nothing: there is no foreground.
+        assert!(!t.yields(0, Some(0)));
     }
 
     #[test]
@@ -144,16 +81,51 @@ mod tests {
             ..MigrationThrottle::default()
         };
         // 8-slot gate: above 4 in flight, migrations wait.
-        assert!(t.grant(4, Some(8), 0, false).is_go());
-        assert_eq!(t.grant(5, Some(8), 0, false), ThrottleVerdict::Yielding);
+        assert!(!t.yields(4, Some(8)));
+        assert!(t.yields(5, Some(8)));
         // Unlimited gate: the headroom brake is inert.
-        assert!(t.grant(500, None, 0, false).is_go());
+        assert!(!t.yields(500, None));
+    }
+
+    #[test]
+    fn stall_window_blocks_everything() {
+        // Minted inside a stall window, a plan's first step lands when
+        // the window closes and the rest follow a quantum apart.
+        let mut r = Rebalancer::new(ElasticConfig::default(), 4, 8, vec![(5.0, 60.0)]);
+        let minted = r.drain(NodeId::new(2), &nodes(4), 5.0, 1).unwrap();
+        assert_eq!((minted.saturated, minted.stalled), (false, 1));
+        let mut dues = Vec::new();
+        while let Some(due) = r.next_due() {
+            dues.push(due);
+            r.step(due, 0, None);
+        }
+        assert_eq!(dues.len(), minted.plan.steps.len());
+        assert!(dues.iter().all(|d| *d >= 60.0), "landed inside: {dues:?}");
+        assert!(dues.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn concurrency_cap_saturates() {
+        // Steps apply one at a time: a second plan queues behind the
+        // first, a quantum (0.05 s) per step.
+        let mut r = Rebalancer::new(ElasticConfig::default(), 4, 8, Vec::new());
+        let first = r.drain(NodeId::new(1), &nodes(4), 1.0, 1).unwrap();
+        assert!(!first.saturated);
+        assert!((r.next_due().unwrap() - 1.05).abs() < 1e-12);
+        let second = r.drain(NodeId::new(2), &nodes(4), 1.0, 1).unwrap();
+        assert!(second.saturated);
+        let mut dues = Vec::new();
+        while let Some(due) = r.next_due() {
+            dues.push(due);
+            r.step(due, 0, None);
+        }
+        assert_eq!(dues.len(), first.plan.steps.len() + second.plan.steps.len());
+        assert!(dues.windows(2).all(|w| w[1] - w[0] > 0.049), "{dues:?}");
     }
 
     #[test]
     fn round_trips_through_serde() {
         let t = MigrationThrottle {
-            max_concurrent: 3,
             headroom: 0.9,
             step_secs: 0.01,
         };
