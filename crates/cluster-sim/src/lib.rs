@@ -25,9 +25,11 @@
 //! * [`demand`] — deterministic sampling of per-question/per-item demands;
 //! * [`engine`] — the processor-sharing event engine;
 //! * [`workload`] — the per-question state machine wiring dispatchers and
-//!   partitioning into engine tasks;
+//!   partitioning into engine tasks, and the virtual-time driver of the
+//!   control plane `dqa-runtime` runs (`OverloadPolicy::offer`,
+//!   `scheduler::points`, `rebalance::Rebalancer`);
 //! * [`experiments`] — drivers that regenerate Tables 5–11 and Fig. 10;
-//! * [`integrity`] — a virtual-time mirror of the runtime's data-integrity
+//! * [`integrity`] — a virtual-time model of the runtime's data-integrity
 //!   tier (corruption → detection → quarantine → scrub-and-repair) for
 //!   time-to-repair and scrub-interference measurements.
 

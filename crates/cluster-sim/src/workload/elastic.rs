@@ -122,10 +122,12 @@ impl QaSimulation {
     /// dead node's sub-collections evacuate onto the survivors.
     pub(super) fn elastic_on_loss(&mut self, node: NodeId, at: f64) {
         let (live, term) = (self.live(), self.failover.term);
-        let minted = self.elastic.as_mut().and_then(|r| {
-            let detected = at + r.config().detector.lease_secs.max(0.0);
-            r.lost(node, &live, detected, term)
-        });
+        let lease = self.cfg.elastic.unwrap_or_default().detector.lease_secs;
+        let detected = at + lease.max(0.0);
+        let minted = self
+            .elastic
+            .as_mut()
+            .and_then(|r| r.lost(node, &live, detected, term));
         self.plan_minted(minted);
     }
 

@@ -320,20 +320,10 @@ impl QaSimulation {
         let own = Self::scaled(Self::question_commit(), self.states[q].work_scale);
         let view = self.loads_seen_by(home);
         let subs = self.states[q].demand.pr_per_collection.len() as u32;
-        let owns = self
-            .elastic
-            .as_ref()
-            .filter(|_| module == QaModule::Pr)
-            .map(|r| move |n: NodeId| r.owns_any(n, subs));
-        let out = allocate(
-            view,
-            home,
-            module,
-            &self.functions,
-            own,
-            &self.cfg.overload,
-            owns.as_ref().map(|f| f as &dyn Fn(NodeId) -> bool),
-        );
+        let routed = self.elastic.as_ref().filter(|_| module == QaModule::Pr);
+        let owns = |n| routed.is_none_or(|r| r.owns_any(n, subs));
+        let (f, policy) = (&self.functions, &self.cfg.overload);
+        let out = allocate(view, home, module, f, own, policy, owns);
         self.metrics.breaker_trips.add(out.tripped.len() as u64);
         if out.left_home {
             match module {

@@ -290,7 +290,7 @@ impl Cluster {
         // placeable node up the ring — and the question dispatcher decides
         // there, from that node's *broadcast view* of the cluster (its own
         // load table, §3.1) when warm; the shared board covers cold start.
-        let loads = self.member_loads();
+        let (loads, _) = self.member_view(false);
         if loads.is_empty() {
             return Err(QaError::Disconnected("no live nodes".into()));
         }
@@ -304,16 +304,13 @@ impl Cluster {
             &self.cfg.overload,
             |n| self.board.resident_questions(n),
             |receiver, candidates| {
-                let view = self.monitors.view_from(receiver);
-                if view.len() == self.board.len() {
-                    let seen: Vec<_> = view
-                        .into_iter()
-                        .filter(|(n, _)| candidates.iter().any(|(c, _)| c == n))
-                        .collect();
-                    dispatcher.decide(QaModule::Qp, receiver, &seen)
+                let mut seen = self.monitors.view_from(receiver);
+                if seen.len() == self.board.len() {
+                    seen.retain(|(n, _)| candidates.iter().any(|(c, _)| c == n));
                 } else {
-                    dispatcher.decide(QaModule::Qp, receiver, candidates)
+                    seen = candidates.to_vec();
                 }
+                dispatcher.decide(QaModule::Qp, receiver, &seen)
             },
         );
         let Placement::Placed { home, migrated, .. } = placement else {

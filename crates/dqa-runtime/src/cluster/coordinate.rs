@@ -148,24 +148,11 @@ impl Cluster {
     /// moved, not when it goes dark); what it carries out is the breaker
     /// trip on the board and the Table 7 counters.
     fn allocate(&self, module: QaModule, home: NodeId) -> Vec<NodeId> {
-        let view = self.member_loads();
-        let owners = match (&self.elastic, module) {
-            (Some(e), QaModule::Pr) => {
-                let nodes: Vec<NodeId> = view.iter().map(|(n, _)| *n).collect();
-                Some(e.lock().owners_among(&nodes, self.shards as u32))
-            }
-            _ => None,
-        };
-        let owns = owners.as_ref().map(|o| move |n: NodeId| o.contains(&n));
-        let out = allocate(
-            view,
-            home,
-            module,
-            &self.functions,
-            ResourceVector::new(0.5, 0.0),
-            &self.cfg.overload,
-            owns.as_ref().map(|f| f as &dyn Fn(NodeId) -> bool),
-        );
+        let (view, owners) = self.member_view(module == QaModule::Pr);
+        let owns = |n| owners.as_ref().is_none_or(|o| o.contains(&n));
+        let own = ResourceVector::new(0.5, 0.0);
+        let (f, policy) = (&self.functions, &self.cfg.overload);
+        let out = allocate(view, home, module, f, own, policy, owns);
         // Per-node overload breaker: a tripped node sits out the
         // flap-quarantine window — dispatchers (this one and every
         // concurrent coordinator) skip it until the window expires, but

@@ -72,14 +72,10 @@ impl ElasticRuntime {
         self.rebalancer.is_active(node)
     }
 
-    /// The owner predicate of PR scheduling, as a snapshot: which of
-    /// `nodes` own a sub-collection right now.
-    pub(super) fn owners_among(&self, nodes: &[NodeId], shards: u32) -> Vec<NodeId> {
-        nodes
-            .iter()
-            .copied()
-            .filter(|n| self.rebalancer.owns_any(*n, shards))
-            .collect()
+    /// Whether `node` owns a sub-collection right now (the PR owner
+    /// predicate).
+    pub(super) fn owns(&self, node: NodeId, shards: u32) -> bool {
+        self.rebalancer.owns_any(node, shards)
     }
 }
 

@@ -400,14 +400,19 @@ impl Cluster {
     /// The cluster view scheduling decisions are taken over: the loads of
     /// the board-alive nodes, ascending, minus — under elastic membership —
     /// standbys and draining nodes, which take nothing new however alive
-    /// they still look.
-    fn member_loads(&self) -> Vec<(NodeId, ResourceVector)> {
+    /// they still look. With `owners`, also which of those nodes own a
+    /// sub-collection right now (`None` without the elastic tier): the PR
+    /// owner predicate, read under the same lock acquisition.
+    fn member_view(&self, owners: bool) -> (Vec<(NodeId, ResourceVector)>, Option<Vec<NodeId>>) {
         let mut loads = self.board.live_loads();
-        if let Some(e) = &self.elastic {
-            let es = e.lock();
-            loads.retain(|(n, _)| es.is_member(*n));
-        }
-        loads
+        let Some(e) = &self.elastic else {
+            return (loads, None);
+        };
+        let es = e.lock();
+        loads.retain(|(n, _)| es.is_member(*n));
+        let nodes = loads.iter().map(|(n, _)| *n);
+        let owning = owners.then(|| nodes.filter(|n| es.owns(*n, self.shards as u32)).collect());
+        (loads, owning)
     }
 
     /// The board-alive nodes, ascending: the liveness half of every

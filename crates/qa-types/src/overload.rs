@@ -36,9 +36,9 @@ pub struct OverloadPolicy {
     pub max_per_node: Option<usize>,
     /// Per-question deadline in seconds, measured from admission (so time
     /// spent waiting in the admission queue counts against it). Phases the
-    /// remaining budget can no longer cover are shed. `None` disables
-    /// deadline shedding (the runtime's own `ClusterConfig::deadline`
-    /// still applies if set).
+    /// remaining budget can no longer cover are shed, and past it a
+    /// coordinator abandons outstanding chunks and closes the answer
+    /// degraded. `None`: no deadline, questions wait indefinitely.
     pub deadline_secs: Option<f64>,
     /// Retry hint, in seconds, attached to every rejection.
     pub retry_after_secs: f64,

@@ -148,11 +148,6 @@ impl Rebalancer {
         }
     }
 
-    /// The tier's configuration.
-    pub fn config(&self) -> &ElasticConfig {
-        &self.cfg
-    }
-
     /// The ownership map (read-only: it changes through steps, and
     /// through [`restore_owner`](Self::restore_owner) on journal replay).
     pub fn ownership(&self) -> &OwnershipMap {

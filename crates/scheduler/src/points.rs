@@ -99,9 +99,10 @@ pub struct Allocated {
 /// The dispatcher schedules the *remainder* of the question, so `own` —
 /// the load the question itself contributes to its home row — is
 /// subtracted first, or an otherwise idle home would be pushed out of its
-/// own partition set. Then nodes past the breaker threshold go, then (for
-/// PR under elastic membership) nodes that fail `owns`, and the
-/// meta-scheduler of Fig. 4 runs over the rest. Whenever a filter leaves
+/// own partition set. Then nodes past the breaker threshold go, then
+/// nodes that fail `owns` (PR under elastic membership: sub-collection
+/// owners only; `|_| true` otherwise), and the meta-scheduler of Fig. 4
+/// runs over the rest. Whenever a filter leaves
 /// nothing, the home node serves alone rather than stalling the question.
 pub fn allocate(
     mut view: Vec<(NodeId, ResourceVector)>,
@@ -110,7 +111,7 @@ pub fn allocate(
     functions: &LoadFunctions,
     own: ResourceVector,
     policy: &OverloadPolicy,
-    owns: Option<&dyn Fn(NodeId) -> bool>,
+    owns: impl Fn(NodeId) -> bool,
 ) -> Allocated {
     let mut out = Allocated {
         nodes: vec![home],
@@ -130,9 +131,7 @@ pub fn allocate(
             within
         });
     }
-    if let Some(owns) = owns {
-        view.retain(|(n, _)| owns(*n));
-    }
+    view.retain(|(n, _)| owns(*n));
     if let Ok(alloc) = meta_schedule(
         &view,
         |v| functions.load_for(module, v),
@@ -162,14 +161,12 @@ mod tests {
 
     #[test]
     fn place_table() {
-        let dispatch = |hysteresis: f64| {
-            move |at: NodeId, v: &[(NodeId, ResourceVector)]| {
-                QuestionDispatcher {
-                    functions: LoadFunctions::paper(),
-                    hysteresis,
-                }
-                .decide(QaModule::Qp, at, v)
+        let dispatch = |at: NodeId, v: &[(NodeId, ResourceVector)]| {
+            QuestionDispatcher {
+                functions: LoadFunctions::paper(),
+                hysteresis: 0.25,
             }
+            .decide(QaModule::Qp, at, v)
         };
         let placed = |dns: u32, home: u32| Placement::Placed {
             dns: n(dns),
@@ -178,14 +175,13 @@ mod tests {
         };
         let no_cap = OverloadPolicy::default();
         let cap = |c| OverloadPolicy::default().with_per_node_cap(c);
-        // (case, view, resident per node id, dns, policy, hysteresis, want)
+        // (case, view, resident per node id, dns, policy, want)
         type Row<'a> = (
             &'a str,
             Vec<(NodeId, ResourceVector)>,
             [usize; 4],
             u32,
             OverloadPolicy,
-            f64,
             Placement,
         );
         let rows: Vec<Row> = vec![
@@ -195,7 +191,6 @@ mod tests {
                 [0; 4],
                 1,
                 no_cap,
-                0.25,
                 placed(1, 1),
             ),
             (
@@ -204,7 +199,6 @@ mod tests {
                 [0; 4],
                 0,
                 no_cap,
-                0.25,
                 placed(0, 1),
             ),
             (
@@ -214,7 +208,6 @@ mod tests {
                 [0; 4],
                 1,
                 no_cap,
-                0.25,
                 placed(2, 2),
             ),
             (
@@ -224,7 +217,6 @@ mod tests {
                 [0; 4],
                 1,
                 no_cap,
-                0.25,
                 placed(2, 3),
             ),
             (
@@ -233,7 +225,6 @@ mod tests {
                 [0; 4],
                 3,
                 no_cap,
-                0.25,
                 placed(0, 0),
             ),
             (
@@ -242,7 +233,6 @@ mod tests {
                 [0, 2, 0, 0],
                 1,
                 cap(2),
-                0.25,
                 placed(2, 2),
             ),
             (
@@ -251,7 +241,6 @@ mod tests {
                 [0, 2, 0, 0],
                 0,
                 cap(2),
-                0.25,
                 placed(0, 2),
             ),
             (
@@ -260,7 +249,6 @@ mod tests {
                 [3, 3, 0, 0],
                 0,
                 cap(3),
-                0.25,
                 Placement::Saturated,
             ),
             (
@@ -269,7 +257,6 @@ mod tests {
                 [0; 4],
                 0,
                 cap(0),
-                0.25,
                 Placement::Saturated,
             ),
             (
@@ -278,18 +265,11 @@ mod tests {
                 [0; 4],
                 0,
                 no_cap,
-                0.25,
                 Placement::Saturated,
             ),
         ];
-        for (case, v, resident, dns, policy, hysteresis, want) in rows {
-            let got = place(
-                &v,
-                n(dns),
-                &policy,
-                |node| resident[node.index()],
-                dispatch(hysteresis),
-            );
+        for (case, v, resident, dns, policy, want) in rows {
+            let got = place(&v, n(dns), &policy, |node| resident[node.index()], dispatch);
             assert_eq!(got, want, "{case}");
         }
     }
@@ -416,16 +396,8 @@ mod tests {
             ),
         ];
         for (case, v, home, own, policy, owners, nodes, tripped, left_home) in rows {
-            let owns = owners.map(|o| move |node: NodeId| o.contains(&node.raw()));
-            let got = allocate(
-                v,
-                n(home),
-                QaModule::Pr,
-                &f,
-                own,
-                &policy,
-                owns.as_ref().map(|f| f as &dyn Fn(NodeId) -> bool),
-            );
+            let owns = |node: NodeId| owners.as_ref().is_none_or(|o| o.contains(&node.raw()));
+            let got = allocate(v, n(home), QaModule::Pr, &f, own, &policy, owns);
             let mut got_nodes = got.nodes.clone();
             got_nodes.sort();
             assert_eq!(got_nodes, ids(&nodes), "{case}: nodes");
