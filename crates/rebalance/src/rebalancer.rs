@@ -557,7 +557,6 @@ mod tests {
         let throttle = MigrationThrottle {
             headroom: 0.5,
             step_secs: 1.0,
-            ..MigrationThrottle::default()
         };
         let cfg = ElasticConfig {
             throttle,
