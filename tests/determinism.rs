@@ -146,3 +146,46 @@ fn simulator_stream_is_pinned() {
     }
     assert_eq!(h, 0xcf76_14ad_fdce_2a15, "simulator digest {h:#018x}");
 }
+
+/// What PR returns and what the pipeline answers, pinned across commits
+/// (`pipeline_answers_are_stable_across_runs` only compares a run with
+/// itself). The constant was captured before `ir-engine` moved to
+/// text-unit postings and must never be edited with a change to retrieval.
+#[test]
+fn retrieval_and_answers_are_pinned() {
+    use falcon_dqa::ir_engine::{DocumentStore, ParagraphRetriever, RetrievalConfig};
+    let c = Corpus::generate(CorpusConfig::small(405)).unwrap();
+    let retriever = ParagraphRetriever::new(
+        std::sync::Arc::new(ShardedIndex::build(&c.documents, c.config.sub_collections)),
+        std::sync::Arc::new(DocumentStore::new(c.documents.clone())),
+        RetrievalConfig::default(),
+    );
+    let qa = QaPipeline::new(
+        retriever.clone(),
+        NamedEntityRecognizer::standard(),
+        PipelineConfig::default(),
+    );
+    let questions = QuestionGenerator::new(&c, 3).generate(24);
+    assert!(questions.len() >= 16, "{} questions", questions.len());
+    let pid = |h: u64, p: falcon_dqa::qa_types::ParagraphId| {
+        fold(fold(h, u64::from(p.doc.raw())), u64::from(p.ordinal))
+    };
+    let mut h = 0;
+    let mut paragraphs = 0;
+    for gq in &questions {
+        let keywords = qa.process_question(&gq.question).unwrap().keywords;
+        let pr = retriever.retrieve_all(&keywords);
+        paragraphs += pr.paragraphs.len();
+        for p in &pr.paragraphs {
+            h = fold_str(pid(h, p.id), &p.text);
+        }
+        h = fold(h, pr.docs_matched as u64);
+        h = fold(h, pr.quorum_used as u64);
+        for a in &qa.answer(&gq.question).unwrap().answers.answers {
+            h = fold_str(h, &a.candidate);
+            h = fold(pid(h, a.paragraph), a.score.to_bits());
+        }
+    }
+    assert!(paragraphs > 100, "only {paragraphs} paragraphs retrieved");
+    assert_eq!(h, 0x8848_22be_d3dd_617b, "retrieval digest {h:#018x}");
+}
