@@ -1,12 +1,12 @@
 //! Criterion benches of the IR substrate: index construction, Boolean
-//! evaluation, match counting and quorum relaxation, the paragraph filter,
-//! postings codec, full paragraph retrieval.
+//! evaluation, match counting and quorum relaxation, postings codec, full
+//! paragraph retrieval.
 
 use bench::fixtures::QaFixture;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ir_engine::query::{match_counts, quorum, BooleanQuery};
 use ir_engine::terms::QueryTerms;
-use ir_engine::{decode_index_v2, encode_index_v2, ParagraphFilter, ShardedIndex};
+use ir_engine::{decode_index_v2, encode_index_v2, ShardedIndex};
 use nlp::QuestionProcessor;
 use qa_types::SubCollectionId;
 use std::hint::black_box;
@@ -39,21 +39,6 @@ fn bench_ir(c: &mut Criterion) {
     c.bench_function("ir/match_counts", |b| {
         let query = QueryTerms::new(terms.iter().map(String::as_str));
         b.iter(|| black_box(match_counts(black_box(shard), &query)))
-    });
-
-    // PR's post-filter over every paragraph of the shard's documents, at the
-    // default `min_paragraph_terms`.
-    c.bench_function("ir/paragraph_filter", |b| {
-        let query = QueryTerms::new(terms.iter().map(String::as_str));
-        let mut filter = ParagraphFilter::new(query, 2);
-        let docs: Vec<_> = f.store.docs_in(shard.id).collect();
-        b.iter(|| {
-            let mut kept = 0usize;
-            for p in docs.iter().flat_map(|d| &d.paragraphs) {
-                kept += usize::from(filter.accepts(black_box(p)));
-            }
-            black_box(kept)
-        })
     });
 
     c.bench_function("ir/persist_round_trip", |b| {

@@ -134,7 +134,7 @@ pub struct ClusterConfig {
     /// (default) disables the tier; every pre-elastic behavior — routing,
     /// recovery, journaling — is unchanged.
     pub elastic: Option<ElasticConfig>,
-    /// Data-integrity tier: a checksummed `DQAIDX2` segment image of the
+    /// Data-integrity tier: a checksummed `DQAIDX3` segment image of the
     /// index plus a replica copy, corruption fault injection against it,
     /// read-path spot checks, quarantine of checksum-failing
     /// sub-collections (questions skip them and close coverage-annotated),

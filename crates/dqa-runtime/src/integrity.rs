@@ -1,7 +1,7 @@
 //! Data-integrity runtime: the self-verifying segment store, quarantine
 //! bookkeeping and scrub-and-repair engine behind [`crate::Cluster`].
 //!
-//! The store holds the coordinator's persisted `DQAIDX2` image (the bytes a
+//! The store holds the coordinator's persisted `DQAIDX3` image (the bytes a
 //! real deployment would have on disk) plus the federation replica's copy of
 //! the same segment. Corruption faults damage those bytes in place; nothing
 //! in the hot path trusts them again until a checksum passes:
@@ -16,7 +16,7 @@
 //!   that failed a checksum.
 //! * **Repair** — the damaged shard region is spliced back from the
 //!   replica's copy when the replica's checksums hold, else rebuilt from
-//!   the in-memory index (the corpus-derived source of truth). `DQAIDX2`
+//!   the in-memory index (the corpus-derived source of truth). `DQAIDX3`
 //!   encoding is deterministic, so both sources produce byte-identical
 //!   regions and the splice is exact.
 //!
@@ -115,7 +115,7 @@ impl ScrubReport {
 
 /// The persisted segment image, its replica, and quarantine state.
 ///
-/// Both images are full `DQAIDX2` encodings of the same index. Because the
+/// Both images are full `DQAIDX3` encodings of the same index. Because the
 /// encoding is deterministic they are byte-identical when healthy, and the
 /// per-shard directory gives every sub-collection a fixed `(offset, len)`
 /// region in both — which is what makes region splicing a sound repair.

@@ -147,7 +147,7 @@ pub enum FaultEvent {
         until: f64,
     },
     /// A single bit flips inside the targeted byte store at `at` — the
-    /// fail-silent fault the checksummed `DQAIDX2` format and the journal
+    /// fail-silent fault the checksummed `DQAIDX3` format and the journal
     /// frame CRCs exist to catch. *Which* byte and bit are not stored in
     /// the event: [`CorruptionJudge`] derives them as a pure function of
     /// `(seed, target, buffer length)`, so replays corrupt the same bit

@@ -5,22 +5,34 @@
 //! separately indexed using a Boolean information retrieval system built on
 //! top of Zprise." Index construction is data-parallel over shards
 //! (scoped threads, one per core).
+//!
+//! A posting names a **text unit**, not a document: per shard, units are
+//! numbered densely in document-id order, a document's title first and then
+//! its paragraphs. PR's paragraph question ("which paragraphs of the matched
+//! documents hold enough keywords?") is answered from the lists alone, and
+//! a document matches a term when any of its units does.
 
 use crate::postings::PostingsList;
 use nlp::Analyzer;
 use qa_types::{DocId, Document, SubCollectionId};
-use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// An inverted index over one sub-collection.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SubIndex {
     /// Which sub-collection this index covers.
     pub id: SubCollectionId,
-    /// Term → compressed postings.
-    postings: HashMap<String, PostingsList>,
+    /// Term → compressed list of the text units holding it.
+    postings: TermTable,
     /// Documents indexed, sorted.
     doc_ids: Vec<DocId>,
+    /// The `d`-th document owns units `doc_start[d] .. doc_start[d + 1]`:
+    /// its title, then paragraph `k` at `doc_start[d] + 1 + k`.
+    doc_start: Vec<u32>,
+    /// Unit → position of its document in `doc_ids` (derived from
+    /// `doc_start`, never persisted).
+    unit_doc: Vec<u32>,
     /// Total indexed term occurrences (proxy for index build work).
     term_occurrences: u64,
 }
@@ -36,6 +48,22 @@ impl SubIndex {
         self.doc_ids.len()
     }
 
+    /// Number of text units (titles and paragraphs) across the documents.
+    pub fn unit_count(&self) -> usize {
+        self.unit_doc.len()
+    }
+
+    /// First unit of each document plus the unit count: `doc_count() + 1`
+    /// non-decreasing entries starting at 0.
+    pub fn doc_start(&self) -> &[u32] {
+        &self.doc_start
+    }
+
+    /// Position in [`SubIndex::doc_ids`] of the document owning each unit.
+    pub(crate) fn unit_doc(&self) -> &[u32] {
+        &self.unit_doc
+    }
+
     /// Number of distinct terms.
     pub fn term_count(&self) -> usize {
         self.postings.len()
@@ -46,14 +74,26 @@ impl SubIndex {
         self.term_occurrences
     }
 
-    /// The postings list for a term, if present.
+    /// The text units holding a term, if any does.
     pub fn postings(&self, term: &str) -> Option<&PostingsList> {
         self.postings.get(term)
     }
 
+    /// Positions in [`SubIndex::doc_ids`] of the documents holding a term,
+    /// increasing: the term's units walked through unit → document, a
+    /// document's run of units counted once.
+    pub(crate) fn docs_with<'a>(&'a self, term: &str) -> impl Iterator<Item = usize> + 'a {
+        let mut last = u32::MAX;
+        let units = self.postings(term).into_iter().flatten();
+        units.filter_map(move |unit| {
+            let doc = self.unit_doc[unit as usize];
+            (doc != std::mem::replace(&mut last, doc)).then_some(doc as usize)
+        })
+    }
+
     /// Document frequency of a term.
     pub fn doc_freq(&self, term: &str) -> usize {
-        self.postings.get(term).map_or(0, PostingsList::len)
+        self.docs_with(term).count()
     }
 
     /// Compressed size of all postings (bytes), for I/O cost accounting.
@@ -69,31 +109,72 @@ impl SubIndex {
         self.postings.iter().map(|(t, p)| (t.as_str(), p))
     }
 
-    /// Rebuild from raw parts (persistence).
+    /// Assemble from parts (the builder, persistence). Every list entry
+    /// must be below the unit count `doc_start` ends on.
     pub(crate) fn from_parts(
         id: SubCollectionId,
-        postings: HashMap<String, PostingsList>,
+        postings: TermTable,
         doc_ids: Vec<DocId>,
+        doc_start: Vec<u32>,
         term_occurrences: u64,
     ) -> SubIndex {
+        debug_assert_eq!(doc_start.len(), doc_ids.len() + 1);
+        let units_of = |d: usize| (doc_start[d + 1] - doc_start[d]) as usize;
+        let unit_doc = (0..doc_ids.len())
+            .flat_map(|d| std::iter::repeat_n(d as u32, units_of(d)))
+            .collect();
         SubIndex {
             id,
             postings,
             doc_ids,
+            doc_start,
+            unit_doc,
             term_occurrences,
         }
     }
 }
 
-/// Builder accumulating term → sorted doc ids for one shard.
-#[derive(Debug, Default)]
+/// FNV-1a: the term table is probed once per term occurrence while a shard
+/// is built, and SipHash was most of a probe.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Term → the text units holding it.
+pub(crate) type TermTable = HashMap<String, PostingsList, BuildHasherDefault<Fnv1a>>;
+
+/// Builder for one shard: the index's own term table, filled in place.
+/// Units are handed out in increasing order, so every list is appended to
+/// and is born sorted.
+#[derive(Debug)]
 pub struct IndexBuilder {
     id: SubCollectionId,
-    // BTreeMap keeps doc insertion per term ordered when documents are fed
-    // in id order; we still sort+dedup at finish to be safe.
-    terms: BTreeMap<String, Vec<DocId>>,
+    postings: TermTable,
+    /// Documents and their first units, in feed order.
     doc_ids: Vec<DocId>,
+    doc_start: Vec<u32>,
+    /// Whether feed order has been document-id order so far, so that unit
+    /// order already is what [`IndexBuilder::finish`] promises.
+    fed_in_id_order: bool,
     term_occurrences: u64,
+    analyzer: Analyzer,
 }
 
 impl IndexBuilder {
@@ -101,64 +182,106 @@ impl IndexBuilder {
     pub fn new(id: SubCollectionId) -> Self {
         Self {
             id,
-            ..Default::default()
+            postings: TermTable::default(),
+            doc_ids: Vec::new(),
+            doc_start: vec![0],
+            fed_in_id_order: true,
+            term_occurrences: 0,
+            analyzer: Analyzer::default(),
         }
     }
 
-    /// Index one document (title + all paragraphs).
+    /// Reopen a finished shard so that more documents can be fed to it.
+    fn reopen(shard: SubIndex) -> Self {
+        Self {
+            postings: shard.postings,
+            doc_ids: shard.doc_ids,
+            doc_start: shard.doc_start,
+            term_occurrences: shard.term_occurrences,
+            ..Self::new(shard.id)
+        }
+    }
+
+    /// Index one document: its title is one text unit, each paragraph the
+    /// next. A document id may be fed once ([`IndexBuilder::finish`]
+    /// panics otherwise).
     pub fn add_document(&mut self, doc: &Document) {
+        self.fed_in_id_order &= self.doc_ids.last().is_none_or(|last| *last < doc.id);
         self.doc_ids.push(doc.id);
-        let mut analyzer = Analyzer::default();
-        for text in std::iter::once(&doc.title).chain(&doc.paragraphs) {
-            let mut terms = analyzer.terms(text);
+        let first = *self.doc_start.last().expect("starts at [0]");
+        let end = u32::try_from(first as usize + 1 + doc.paragraphs.len())
+            .expect("a shard holds fewer than 2^32 text units");
+        let texts = std::iter::once(&doc.title).chain(&doc.paragraphs);
+        for (unit, text) in (first..end).zip(texts) {
+            let mut terms = self.analyzer.terms(text);
             while let Some(term) = terms.next_term() {
                 self.term_occurrences += 1;
-                match self.terms.get_mut(term) {
-                    Some(ids) if ids.last() == Some(&doc.id) => {}
-                    Some(ids) => ids.push(doc.id),
+                match self.postings.get_mut(term) {
+                    Some(list) => list.push(unit),
                     // A `String` only the first time the shard sees the term.
                     None => {
-                        self.terms.insert(term.to_string(), vec![doc.id]);
+                        let list = PostingsList::from_sorted(&[unit]);
+                        self.postings.insert(term.to_string(), list);
                     }
                 }
             }
         }
+        self.doc_start.push(end);
     }
 
-    /// Finish into an immutable [`SubIndex`].
+    /// Finish into an immutable [`SubIndex`] whose units are numbered in
+    /// document-id order whatever the feed order was.
+    ///
+    /// # Panics
+    /// When a document id was fed twice.
     pub fn finish(mut self) -> SubIndex {
-        self.doc_ids.sort_unstable();
-        self.doc_ids.dedup();
-        let postings = self
-            .terms
-            .into_iter()
-            .map(|(term, mut ids)| {
-                ids.sort_unstable();
-                ids.dedup();
-                (term, PostingsList::from_sorted(&ids))
-            })
-            .collect();
-        SubIndex {
-            id: self.id,
-            postings,
-            doc_ids: self.doc_ids,
-            term_occurrences: self.term_occurrences,
+        if !self.fed_in_id_order {
+            self.renumber();
         }
+        SubIndex::from_parts(
+            self.id,
+            self.postings,
+            self.doc_ids,
+            self.doc_start,
+            self.term_occurrences,
+        )
     }
 
-    /// Merge another builder for the same shard into this one.
-    pub fn merge(&mut self, other: IndexBuilder) {
-        debug_assert_eq!(self.id, other.id);
-        self.doc_ids.extend(other.doc_ids);
-        self.term_occurrences += other.term_occurrences;
-        for (term, ids) in other.terms {
-            self.terms.entry(term).or_default().extend(ids);
+    /// Move documents, and their units with them, from feed order into
+    /// document-id order. Units of one document stay together and in
+    /// order, so lists only need re-sorting, never deduplicating.
+    fn renumber(&mut self) {
+        let mut order: Vec<usize> = (0..self.doc_ids.len()).collect();
+        order.sort_unstable_by_key(|&d| self.doc_ids[d]);
+        let mut renumbered = vec![0u32; self.doc_start[order.len()] as usize];
+        let mut doc_ids = Vec::with_capacity(order.len());
+        let mut doc_start = vec![0u32];
+        let mut next = 0;
+        for d in order {
+            assert!(
+                doc_ids.last() != Some(&self.doc_ids[d]),
+                "document {} was indexed twice",
+                self.doc_ids[d].raw()
+            );
+            for old in self.doc_start[d]..self.doc_start[d + 1] {
+                renumbered[old as usize] = next;
+                next += 1;
+            }
+            doc_ids.push(self.doc_ids[d]);
+            doc_start.push(next);
         }
+        for list in self.postings.values_mut() {
+            let mut units: Vec<u32> = list.iter().map(|u| renumbered[u as usize]).collect();
+            units.sort_unstable();
+            *list = PostingsList::from_sorted(&units);
+        }
+        self.doc_ids = doc_ids;
+        self.doc_start = doc_start;
     }
 }
 
 /// All shards of the collection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardedIndex {
     shards: Vec<SubIndex>,
 }
@@ -229,41 +352,27 @@ impl ShardedIndex {
 
     /// Incrementally index additional documents (the flexibility goal of
     /// §3: the system must absorb growth without a full rebuild). Each
-    /// affected shard is rebuilt by merging its existing postings with a
-    /// builder over the new documents.
+    /// affected shard is reopened and fed the new documents; finishing it
+    /// moves the old units up past the units of every new document with a
+    /// smaller id, so the result is what a full rebuild gives.
+    ///
+    /// # Panics
+    /// When a document's id is already indexed in its shard.
     pub fn add_documents(&mut self, documents: &[Document]) {
-        use std::collections::HashSet;
-        let affected: HashSet<SubCollectionId> =
-            documents.iter().map(|d| d.sub_collection).collect();
-        for shard in &mut self.shards {
-            if !affected.contains(&shard.id) {
-                continue;
+        let grow = |shard: SubIndex| {
+            let id = shard.id;
+            let mut fresh = (documents.iter().filter(|d| d.sub_collection == id)).peekable();
+            if fresh.peek().is_none() {
+                return shard;
             }
-            let mut builder = IndexBuilder::new(shard.id);
-            for d in documents.iter().filter(|d| d.sub_collection == shard.id) {
-                builder.add_document(d);
-            }
-            let fresh = builder.finish();
-            // Merge: union postings term by term.
-            let mut postings = std::mem::take(&mut shard.postings);
-            for (term, new_list) in fresh.postings {
-                let merged = match postings.remove(&term) {
-                    Some(old) => {
-                        let ids = crate::postings::union(old.iter(), new_list.iter());
-                        PostingsList::from_sorted(&ids)
-                    }
-                    None => new_list,
-                };
-                postings.insert(term, merged);
-            }
-            shard.postings = postings;
-            let mut doc_ids = std::mem::take(&mut shard.doc_ids);
-            doc_ids.extend(fresh.doc_ids);
-            doc_ids.sort_unstable();
-            doc_ids.dedup();
-            shard.doc_ids = doc_ids;
-            shard.term_occurrences += fresh.term_occurrences;
-        }
+            let mut builder = IndexBuilder::reopen(shard);
+            fresh.for_each(|d| builder.add_document(d));
+            builder.finish()
+        };
+        self.shards = std::mem::take(&mut self.shards)
+            .into_iter()
+            .map(grow)
+            .collect();
     }
 }
 
@@ -304,8 +413,53 @@ mod tests {
         let docs = vec![doc(5, 0, "dog dog dog"), doc(2, 0, "dog")];
         let idx = ShardedIndex::build(&docs, 1);
         let s = idx.shard(SubCollectionId::new(0)).unwrap();
-        let ids = s.postings("dog").unwrap().to_vec();
-        assert_eq!(ids, vec![DocId::new(2), DocId::new(5)]);
+        // Units follow document ids, not feed order: doc 2 owns 0 (title)
+        // and 1, doc 5 owns 2 and 3.
+        assert_eq!(s.doc_ids(), [DocId::new(2), DocId::new(5)]);
+        assert_eq!(s.doc_start(), [0, 2, 4]);
+        assert_eq!(s.postings("dog").unwrap().to_vec(), [1, 3]);
+        assert_eq!(s.docs_with("dog").collect::<Vec<_>>(), [0, 1]);
+    }
+
+    #[test]
+    fn a_posting_names_a_text_unit_title_first() {
+        let mut b = IndexBuilder::new(SubCollectionId::new(0));
+        b.add_document(&Document {
+            title: "Cat".into(),
+            paragraphs: vec!["dog".into(), String::new(), "cat dog cat".into()],
+            ..doc(7, 0, "")
+        });
+        b.add_document(&doc(9, 0, "dog"));
+        let s = b.finish();
+        assert_eq!(s.doc_start(), [0, 4, 6]);
+        assert_eq!(s.unit_count(), 6);
+        assert_eq!(s.unit_doc(), [0, 0, 0, 0, 1, 1]);
+        assert_eq!(s.postings("cat").unwrap().to_vec(), [0, 3]);
+        assert_eq!(s.postings("dog").unwrap().to_vec(), [1, 3, 5]);
+        // Two units of one document are one document.
+        assert_eq!((s.doc_freq("cat"), s.doc_freq("dog")), (1, 2));
+        assert_eq!(s.term_occurrences(), 6);
+    }
+
+    #[test]
+    fn feed_order_does_not_show_in_the_index() {
+        let c = Corpus::generate(CorpusConfig::small(47)).unwrap();
+        let shards = c.config.sub_collections;
+        let in_order = ShardedIndex::build(&c.documents, shards);
+        let mut shuffled = c.documents.clone();
+        shuffled.reverse();
+        shuffled.swap(0, 3);
+        assert_eq!(ShardedIndex::build(&shuffled, shards), in_order);
+    }
+
+    #[test]
+    #[should_panic(expected = "document 2 was indexed twice")]
+    fn a_document_id_is_indexed_once() {
+        let mut b = IndexBuilder::new(SubCollectionId::new(0));
+        for d in [doc(5, 0, "dog"), doc(2, 0, "dog"), doc(2, 0, "cat")] {
+            b.add_document(&d);
+        }
+        b.finish();
     }
 
     #[test]
@@ -319,19 +473,6 @@ mod tests {
         assert_eq!(s0.doc_freq("beta"), 0);
         assert_eq!(s1.doc_freq("beta"), 1);
         assert_eq!(idx.doc_count(), 2);
-    }
-
-    #[test]
-    fn merge_builders() {
-        let mut a = IndexBuilder::new(SubCollectionId::new(0));
-        a.add_document(&doc(0, 0, "common alpha"));
-        let mut b = IndexBuilder::new(SubCollectionId::new(0));
-        b.add_document(&doc(1, 0, "common beta"));
-        a.merge(b);
-        let s = a.finish();
-        assert_eq!(s.doc_count(), 2);
-        assert_eq!(s.doc_freq("common"), 2);
-        assert_eq!(s.doc_freq("alpha"), 1);
     }
 
     #[test]
@@ -353,19 +494,14 @@ mod tests {
         let mut incremental = ShardedIndex::build(&c.documents[..split], c.config.sub_collections);
         incremental.add_documents(&c.documents[split..]);
         let full = ShardedIndex::build(&c.documents, c.config.sub_collections);
-        assert_eq!(incremental.doc_count(), full.doc_count());
-        for (a, b) in incremental.shards().zip(full.shards()) {
-            assert_eq!(a.doc_count(), b.doc_count());
-            assert_eq!(a.term_count(), b.term_count());
-            // Spot-check postings byte-equality through a few terms.
-            for (term, postings) in b.terms_iter().take(50) {
-                assert_eq!(
-                    a.postings(term).map(|p| p.to_vec()),
-                    Some(postings.to_vec()),
-                    "postings differ for {term}"
-                );
-            }
-        }
+        assert_eq!(
+            crate::encode_index_v2(&incremental),
+            crate::encode_index_v2(&full)
+        );
+        // Old units move up past new documents with smaller ids, too.
+        let mut backwards = ShardedIndex::build(&c.documents[split..], c.config.sub_collections);
+        backwards.add_documents(&c.documents[..split]);
+        assert_eq!(backwards, full);
     }
 
     #[test]

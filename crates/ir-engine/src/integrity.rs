@@ -1,9 +1,9 @@
-//! Self-verifying index segments: the versioned `DQAIDX2` format.
+//! Self-verifying index segments: the versioned `DQAIDX3` format.
 //!
 //! The paper's nodes keep pre-built sub-collection indexes on local disk;
 //! this codec is the equivalent, so examples can build once and reload.
 //! Without checksums a single flipped bit in a persisted index silently
-//! changes answers, so `DQAIDX2` — the only segment format — wraps the
+//! changes answers, so `DQAIDX3` — the only segment format — wraps the
 //! postings payload in two CRC layers and corruption is *detected*,
 //! attributed and recoverable:
 //!
@@ -16,20 +16,35 @@
 //!   can spot-check a bounded sample of blocks without re-hashing whole
 //!   shards, and a detected fault is attributed to a block.
 //!
-//! Layout (all integers little-endian):
+//! Layout (fixed-width integers little-endian; `bytes` is a `u32` length
+//! and that many bytes; `list` is the gap + varint codec of
+//! [`crate::postings`]; `var` is one of its LEB128 varints):
 //!
 //! ```text
-//! magic "DQAIDX2\0"
+//! magic "DQAIDX3\0"
 //! u32   n_shards
 //! n_shards × { u32 sub_id, u32 body_len, u32 body_crc }
 //! u32   dir_crc          — CRC-32 of every byte above
 //! n_shards shard bodies, back to back, each exactly body_len bytes:
 //!   u64 term_occurrences
-//!   u32 doc_count · bytes doc_posting
+//!   u32 doc_count
+//!   bytes doc_ids        — list of doc_count document ids, increasing
+//!   bytes doc_units      — list of doc_count running totals of text units:
+//!                          its gaps are the units (title + paragraphs) of
+//!                          each document, its last entry the unit count
 //!   u32 n_blocks
 //!   n_blocks × { u32 block_len, u32 block_crc, block body }
-//!     block body: u32 n_terms · n_terms × { bytes term, u32 len, bytes enc }
+//!     block body: u32 n_terms · n_terms ×
+//!       { var term_len, term, var n_units, var enc_len, enc }
+//!       enc — list of the n_units text units holding the term, each
+//!             below the shard's unit count
 //! ```
+//!
+//! Terms are sorted across a shard's blocks, [`TERM_BLOCK`] to a block.
+//! A posting names a text unit, so there is no document-level list to
+//! store: a document holds a term when one of its units does. An image
+//! written under the retired `DQAIDX1` or `DQAIDX2` magic fails the magic
+//! check; there is one reader.
 //!
 //! Three readers cover the three consumers: [`decode_index_v2`] verifies
 //! everything and fails on the first damaged byte (strict load);
@@ -38,18 +53,21 @@
 //! detect→degrade→repair path); [`decode_index_auto`] is the strict load
 //! with the workspace's `QaError`. [`verify_index_v2`] and
 //! [`verify_sampled`] check without decoding (full scrub / paced
-//! spot-check). The CRC-32 is the IEEE polynomial with a compile-time
-//! table — no new dependencies.
+//! spot-check). The CRC-32 is [`qa_types::crc32`], the one the journal's
+//! frames use.
 
-use crate::index::{ShardedIndex, SubIndex};
+use crate::index::{ShardedIndex, SubIndex, TermTable};
 use crate::persist::{put_bytes, put_u32, put_u64, Reader};
-use crate::postings::PostingsList;
+use crate::postings::{write_varint, PostingsList};
+pub use qa_types::crc32;
 use qa_types::rng::mix;
 use qa_types::{DocId, QaError, SubCollectionId};
-use std::collections::HashMap;
 
-/// Magic header of the checksummed v2 format.
-pub const MAGIC_V2: &[u8; 8] = b"DQAIDX2\0";
+/// Magic header of the checksummed format. The digit moves with the body
+/// layout, so an image from an older binary is refused here and never
+/// misread: `DQAIDX2` held document-granular lists behind fixed-width term
+/// headers.
+pub const MAGIC_V2: &[u8; 8] = b"DQAIDX3\0";
 /// Terms per CRC-protected block. Small enough that a sampled check
 /// touches little data, large enough that block headers stay cheap.
 pub const TERM_BLOCK: usize = 64;
@@ -122,47 +140,10 @@ pub struct VerifiedIndex {
 }
 
 // ---------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected 0xEDB88320) with a compile-time table —
-// the same check the journal frames use, kept dependency-free here so
-// ir-engine and journal stay independent crates.
-// ---------------------------------------------------------------------
-
-const CRC_TABLE: [u32; 256] = build_crc_table();
-
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xedb8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-/// CRC-32 of `bytes` (check value: `crc32(b"123456789") == 0xCBF4_3926`).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xffff_ffffu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xff) as usize];
-    }
-    !crc
-}
-
-// ---------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------
 
-/// Serialize a sharded index in the checksummed `DQAIDX2` format.
+/// Serialize a sharded index in the checksummed `DQAIDX3` format.
 /// Deterministic: the same index always yields the same bytes.
 pub fn encode_index_v2(index: &ShardedIndex) -> Vec<u8> {
     let bodies: Vec<Vec<u8>> = index.shards().map(encode_shard_body).collect();
@@ -185,20 +166,27 @@ pub fn encode_index_v2(index: &ShardedIndex) -> Vec<u8> {
 fn encode_shard_body(shard: &SubIndex) -> Vec<u8> {
     let mut body = Vec::new();
     put_u64(&mut body, shard.term_occurrences());
-    let doc_posting = PostingsList::from_sorted(shard.doc_ids());
-    put_u32(&mut body, doc_posting.len() as u32);
-    put_bytes(&mut body, doc_posting.encoded());
+    put_u32(&mut body, shard.doc_count() as u32);
+    let doc_ids: Vec<u32> = shard.doc_ids().iter().map(|d| d.raw()).collect();
+    put_bytes(&mut body, PostingsList::from_sorted(&doc_ids).encoded());
+    put_bytes(
+        &mut body,
+        PostingsList::from_sorted(&shard.doc_start()[1..]).encoded(),
+    );
     let mut terms: Vec<(&str, &PostingsList)> = shard.terms_iter().collect();
     terms.sort_by_key(|(t, _)| *t);
     let blocks: Vec<&[(&str, &PostingsList)]> = terms.chunks(TERM_BLOCK).collect();
     put_u32(&mut body, blocks.len() as u32);
+    let mut blk = Vec::new();
     for block in blocks {
-        let mut blk = Vec::new();
+        blk.clear();
         put_u32(&mut blk, block.len() as u32);
         for (term, postings) in block {
-            put_bytes(&mut blk, term.as_bytes());
-            put_u32(&mut blk, postings.len() as u32);
-            put_bytes(&mut blk, postings.encoded());
+            write_varint(&mut blk, term.len() as u32);
+            blk.extend_from_slice(term.as_bytes());
+            write_varint(&mut blk, postings.len() as u32);
+            write_varint(&mut blk, postings.compressed_bytes() as u32);
+            blk.extend_from_slice(postings.encoded());
         }
         put_u32(&mut body, blk.len() as u32);
         put_u32(&mut body, crc32(&blk));
@@ -273,7 +261,7 @@ fn shard_bytes<'a>(data: &'a [u8], e: &DirEntry) -> Result<&'a [u8], IntegrityEr
 // Decoding
 // ---------------------------------------------------------------------
 
-/// Strict verified decode of a `DQAIDX2` segment: every directory, shard
+/// Strict verified decode of a `DQAIDX3` segment: every directory, shard
 /// and block checksum is validated; the first failure is an error naming
 /// the damaged sub-collection (and block where applicable).
 pub fn decode_index_v2(data: &[u8]) -> Result<ShardedIndex, IntegrityError> {
@@ -322,7 +310,7 @@ pub fn decode_index_quarantining(data: &[u8]) -> Result<VerifiedIndex, Integrity
 
 /// The verifying reader for untrusted segment bytes: [`decode_index_v2`]
 /// with the error folded into [`QaError::Codec`]. Any other magic —
-/// including the retired checksum-less `DQAIDX1` — is rejected.
+/// including the retired `DQAIDX1` and `DQAIDX2` — is rejected.
 pub fn decode_index_auto(data: &[u8]) -> Result<ShardedIndex, QaError> {
     decode_index_v2(data).map_err(QaError::from)
 }
@@ -337,22 +325,21 @@ fn decode_shard_body(sub: u32, body: &[u8]) -> Result<SubIndex, IntegrityError> 
     };
     let mut r = Reader { data: body, pos: 0 };
     let term_occurrences = r.u64().map_err(qerr)?;
-    let doc_len = r.u32().map_err(qerr)?;
-    let doc_bytes = r.bytes().map_err(qerr)?;
-    if doc_len as usize > doc_bytes.len() {
-        return Err(fmt("absurd doc id count".into()));
-    }
-    let doc_posting = PostingsList::from_raw(doc_bytes.to_vec(), doc_len);
-    let doc_ids: Vec<DocId> = doc_posting.to_vec();
-    if doc_ids.len() != doc_len as usize {
-        return Err(fmt("doc id list truncated".into()));
-    }
+    let doc_count = r.u32().map_err(qerr)?;
+    // Each list is walked entry by entry before anything is sized by it.
+    let doc_ids = PostingsList::from_encoded(r.bytes().map_err(qerr)?, doc_count, 1 << 32)
+        .map_err(|e| fmt(format!("doc id list: {e}")))?;
+    let doc_units = PostingsList::from_encoded(r.bytes().map_err(qerr)?, doc_count, 1 << 32)
+        .map_err(|e| fmt(format!("units-per-document list: {e}")))?;
+    let doc_ids: Vec<DocId> = doc_ids.iter().map(DocId::new).collect();
+    let doc_start: Vec<u32> = std::iter::once(0).chain(&doc_units).collect();
+    let unit_count = doc_start[doc_start.len() - 1];
     let n_blocks = r.u32().map_err(qerr)? as usize;
     // A block spends at least 8 bytes on its length and CRC words.
     if n_blocks > r.remaining() / 8 {
         return Err(fmt("absurd block count".into()));
     }
-    let mut postings = HashMap::new();
+    let mut postings = TermTable::default();
     for block_idx in 0..n_blocks {
         let block_len = r.u32().map_err(qerr)? as usize;
         let block_crc = r.u32().map_err(qerr)?;
@@ -363,7 +350,7 @@ fn decode_shard_body(sub: u32, body: &[u8]) -> Result<SubIndex, IntegrityError> 
                 block: block_idx as u32,
             });
         }
-        decode_term_block(sub, blk, &mut postings).map_err(qerr)?;
+        decode_term_block(blk, unit_count, &mut postings).map_err(qerr)?;
     }
     if r.remaining() != 0 {
         return Err(fmt("trailing bytes in shard body".into()));
@@ -372,35 +359,28 @@ fn decode_shard_body(sub: u32, body: &[u8]) -> Result<SubIndex, IntegrityError> 
         SubCollectionId::new(sub),
         postings,
         doc_ids,
+        doc_start,
         term_occurrences,
     ))
 }
 
-fn decode_term_block(
-    _sub: u32,
-    blk: &[u8],
-    postings: &mut HashMap<String, PostingsList>,
-) -> Result<(), QaError> {
+fn decode_term_block(blk: &[u8], unit_count: u32, postings: &mut TermTable) -> Result<(), QaError> {
     let mut r = Reader { data: blk, pos: 0 };
     let n_terms = r.u32()? as usize;
-    if n_terms > TERM_BLOCK || n_terms > r.remaining() / 12 + 1 {
+    // A term spends at least its three one-byte header varints.
+    if n_terms > TERM_BLOCK || n_terms > r.remaining() / 3 {
         return Err(QaError::Codec("absurd term count in block".into()));
     }
     for _ in 0..n_terms {
-        let term_bytes = r.bytes()?;
-        let term = std::str::from_utf8(term_bytes)
+        let term_len = r.varint()? as usize;
+        let term = std::str::from_utf8(r.take(term_len)?)
             .map_err(|_| QaError::Codec("term not utf-8".into()))?
             .to_string();
-        let len = r.u32()?;
-        let enc = r.bytes()?.to_vec();
-        if len as usize > enc.len() {
-            return Err(QaError::Codec(format!("absurd postings count for {term}")));
-        }
-        let pl = PostingsList::from_raw(enc, len);
-        if pl.iter().count() != len as usize {
-            return Err(QaError::Codec(format!("postings for {term} truncated")));
-        }
-        postings.insert(term, pl);
+        let n_units = r.varint()?;
+        let enc_len = r.varint()? as usize;
+        let list = PostingsList::from_encoded(r.take(enc_len)?, n_units, u64::from(unit_count))
+            .map_err(|e| QaError::Codec(format!("postings for {term}: {e}")))?;
+        postings.insert(term, list);
     }
     if r.remaining() != 0 {
         return Err(QaError::Codec("trailing bytes in term block".into()));
@@ -458,7 +438,7 @@ pub fn verify_shard_sampled(
     verify_blocks(e.sub, body, Some((seed, max_blocks)))
 }
 
-/// Fully verify a `DQAIDX2` segment without building the index: the
+/// Fully verify a `DQAIDX3` segment without building the index: the
 /// directory, every shard CRC and every block CRC. This is the
 /// scrubber's deep pass; it allocates nothing proportional to the index.
 pub fn verify_index_v2(data: &[u8]) -> Result<(), IntegrityError> {
@@ -500,10 +480,11 @@ fn verify_blocks(
     let qfmt = |_: QaError| fmt("truncated shard body");
     let mut r = Reader { data: body, pos: 0 };
     r.u64().map_err(qfmt)?; // term occurrences
-    let doc_len = r.u32().map_err(qfmt)?;
-    let doc_bytes = r.bytes().map_err(qfmt)?;
-    if doc_len as usize > doc_bytes.len() {
-        return Err(fmt("absurd doc id count"));
+    let doc_count = r.u32().map_err(qfmt)? as usize;
+    // A document spends at least a byte in each of its two lists.
+    let (doc_ids, doc_units) = (r.bytes().map_err(qfmt)?, r.bytes().map_err(qfmt)?);
+    if doc_count > doc_ids.len().min(doc_units.len()) {
+        return Err(fmt("absurd document count"));
     }
     let n_blocks = r.u32().map_err(qfmt)? as usize;
     if n_blocks > r.remaining() / 8 {
@@ -552,12 +533,6 @@ mod tests {
     }
 
     #[test]
-    fn crc32_check_value() {
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
     fn v2_round_trip() {
         let idx = index();
         let bytes = encode_index_v2(&idx);
@@ -578,13 +553,17 @@ mod tests {
     #[test]
     fn auto_reader_is_the_strict_reader_and_rejects_the_retired_v1_magic() {
         let idx = index();
-        let v2 = encode_index_v2(&idx);
-        assert_eq!(decode_index_auto(&v2).unwrap(), idx);
-        let mut v1 = v2.clone();
-        v1[..8].copy_from_slice(b"DQAIDX1\0");
-        for bytes in [&v1[..], &v1[..8], b"DQAIDX1\0\0\0\0\0", b""] {
-            let err = decode_index_auto(bytes).unwrap_err();
-            assert!(matches!(err, QaError::Codec(_)), "{err:?}");
+        let v3 = encode_index_v2(&idx);
+        assert_eq!(decode_index_auto(&v3).unwrap(), idx);
+        for retired in [b"DQAIDX1\0", b"DQAIDX2\0"] {
+            let mut old = v3.clone();
+            old[..8].copy_from_slice(retired);
+            for bytes in [&old[..], &old[..8], &old[..12], b""] {
+                let err = decode_index_auto(bytes).unwrap_err();
+                assert!(matches!(err, QaError::Codec(_)), "{err:?}");
+            }
+            let err = decode_index_v2(&old).unwrap_err();
+            assert_eq!(err, IntegrityError::Format("bad magic".into()));
         }
     }
 
@@ -611,42 +590,93 @@ mod tests {
                 "{what}: {err:?}"
             );
         };
-        // term occurrences · doc count · doc bytes · block count
-        let mut body = Vec::new();
-        put_u64(&mut body, 0);
-        put_u32(&mut body, u32::MAX); // giant doc count, zero payload bytes
-        put_bytes(&mut body, b"");
-        put_u32(&mut body, 0);
-        rejected(&body, "absurd doc id count");
-
-        let mut body = Vec::new();
-        put_u64(&mut body, 0);
-        put_u32(&mut body, 0);
-        put_bytes(&mut body, b"");
-        put_u32(&mut body, u32::MAX); // block count no input could hold
-        rejected(&body, "absurd block count");
-
-        let in_one_block = |blk: &[u8]| {
+        let list = |entries: &[u32]| PostingsList::from_sorted(entries).encoded().to_vec();
+        // term occurrences · doc count · doc ids · units per document,
+        // then whatever `rest` appends (block count, blocks)
+        let shard = |doc_count: u32, doc_ids: &[u8], doc_units: &[u8], rest: &[u8]| {
             let mut body = Vec::new();
             put_u64(&mut body, 0);
-            put_u32(&mut body, 0);
-            put_bytes(&mut body, b"");
-            put_u32(&mut body, 1);
-            put_u32(&mut body, blk.len() as u32);
-            put_u32(&mut body, crc32(blk));
-            body.extend_from_slice(blk);
+            put_u32(&mut body, doc_count);
+            put_bytes(&mut body, doc_ids);
+            put_bytes(&mut body, doc_units);
+            body.extend_from_slice(rest);
             body
         };
-        let mut blk = Vec::new();
-        put_u32(&mut blk, u32::MAX); // term count
-        rejected(&in_one_block(&blk), "absurd term count");
+        let no_blocks = 0u32.to_le_bytes();
+        // The rows below differ from this one, which loads.
+        let two_docs = shard(2, &list(&[4, 9]), &list(&[3, 5]), &no_blocks);
+        assert_eq!(
+            decode_index_v2(&segment_around(&two_docs))
+                .unwrap()
+                .shards()
+                .next()
+                .unwrap()
+                .doc_start(),
+            [0, 3, 5]
+        );
 
-        let mut blk = Vec::new();
-        put_u32(&mut blk, 1);
-        put_bytes(&mut blk, b"dog");
-        put_u32(&mut blk, u32::MAX); // postings count, zero encoded bytes
-        put_bytes(&mut blk, b"");
-        rejected(&in_one_block(&blk), "absurd postings count");
+        // giant doc count, zero payload bytes
+        rejected(
+            &shard(u32::MAX, b"", b"", &no_blocks),
+            "doc id list: absurd entry count",
+        );
+        // units-per-document: one entry short of, and one past, the doc count
+        rejected(
+            &shard(2, &list(&[4, 9]), &list(&[3]), &no_blocks),
+            "units-per-document list: absurd entry count",
+        );
+        rejected(
+            &shard(2, &list(&[4, 9]), &list(&[3, 5, 6]), &no_blocks),
+            "units-per-document list: trailing bytes",
+        );
+        // a unit total past `u32::MAX`
+        let mut overflowing = Vec::new();
+        write_varint(&mut overflowing, u32::MAX);
+        write_varint(&mut overflowing, 1);
+        rejected(
+            &shard(2, &list(&[4, 9]), &overflowing, &no_blocks),
+            "units-per-document list: entry out of range",
+        );
+        // block count no input could hold
+        rejected(
+            &shard(0, b"", b"", &u32::MAX.to_le_bytes()),
+            "absurd block count",
+        );
+
+        let in_one_block = |blk: &[u8]| {
+            let mut rest = 1u32.to_le_bytes().to_vec();
+            put_u32(&mut rest, blk.len() as u32);
+            put_u32(&mut rest, crc32(blk));
+            rest.extend_from_slice(blk);
+            shard(2, &list(&[4, 9]), &list(&[3, 5]), &rest)
+        };
+        // n_terms · { var term_len, term, var n_units, var enc_len, enc }
+        let one_term = |n_units: u32, enc: &[u8]| {
+            let mut blk = 1u32.to_le_bytes().to_vec();
+            blk.extend_from_slice(b"\x03dog");
+            write_varint(&mut blk, n_units);
+            write_varint(&mut blk, enc.len() as u32);
+            blk.extend_from_slice(enc);
+            in_one_block(&blk)
+        };
+        decode_index_v2(&segment_around(&one_term(2, &list(&[1, 4])))).unwrap();
+        // a unit the shard does not have (it has 0..5)
+        rejected(&one_term(2, &list(&[1, 5])), "dog: entry out of range");
+        // postings count, zero encoded bytes
+        rejected(&one_term(u32::MAX, b""), "dog: absurd entry count");
+        // A term costs three header bytes at least: 64 terms claimed, room
+        // for 63 (and a count past the block size is absurd whatever the room).
+        let claim = |n_terms: u32, room: usize| {
+            let mut blk = n_terms.to_le_bytes().to_vec();
+            blk.resize(4 + room, 0);
+            in_one_block(&blk)
+        };
+        rejected(&claim(u32::MAX, 0), "absurd term count");
+        rejected(&claim(TERM_BLOCK as u32 + 1, 1 << 12), "absurd term count");
+        rejected(
+            &claim(TERM_BLOCK as u32, 3 * TERM_BLOCK - 1),
+            "absurd term count",
+        );
     }
 
     #[test]

@@ -9,16 +9,21 @@
 //!
 //! * [`terms`] — text → index terms, streamed through the one `nlp`
 //!   analyser (word spans, lower-case, drop stopwords, stem);
-//! * [`postings`] — delta+varint compressed postings lists;
-//! * [`index`] — per-sub-collection inverted indexes ([`SubIndex`]) grouped
-//!   into a [`ShardedIndex`] (the paper splits TREC-9 into 8 shards);
-//! * [`query`] — Boolean AST (AND/OR/term) evaluation plus quorum matching;
+//! * [`postings`] — delta+varint compressed postings lists; a posting
+//!   names a *text unit* (a document's title, then each paragraph);
+//! * [`index`] — per-sub-collection inverted indexes ([`SubIndex`]: term →
+//!   units, numbered in document-id order, plus each document's first
+//!   unit) grouped into a [`ShardedIndex`] (the paper splits TREC-9 into 8
+//!   shards), and the hashed [`IndexBuilder`];
+//! * [`query`] — Boolean AST (AND/OR/term) evaluation plus quorum matching,
+//!   the document-level view of the unit lists;
 //! * [`retrieval`] — the PR module proper: Boolean search with Falcon-style
-//!   query relaxation, then paragraph extraction, with I/O accounting so the
-//!   simulator can charge disk time;
+//!   query relaxation, then paragraph selection, both counted over the
+//!   lists (text is read only for the paragraphs returned), with I/O
+//!   accounting so the simulator can charge disk time;
 //! * [`store`] — a document store resolving ids to text;
 //! * [`integrity`] — binary serialization of indexes, the checksummed
-//!   `DQAIDX2` segment format: per-shard and per-term-block CRCs and
+//!   `DQAIDX3` segment format: per-shard and per-term-block CRCs and
 //!   strict/quarantining/sampled verification;
 //! * [`estimate`] — PR query-cost estimation for cost-aware scheduling
 //!   (the future-work direction the paper's §1.4 sketches).
@@ -42,5 +47,5 @@ pub use integrity::{
 };
 pub use postings::PostingsList;
 pub use query::BooleanQuery;
-pub use retrieval::{ParagraphFilter, ParagraphRetriever, RetrievalConfig, RetrievalResult};
+pub use retrieval::{ParagraphRetriever, RetrievalConfig, RetrievalResult};
 pub use store::DocumentStore;

@@ -1,7 +1,8 @@
 //! Byte-level primitives of the index segment codec ([`crate::integrity`]):
 //! length-prefixed little-endian writers and a bounds-checked reader — no
-//! `unsafe`, no external codec crate.
+//! `unsafe`, no external codec crate. Varints are the postings codec's.
 
+use crate::postings::read_varint;
 use qa_types::QaError;
 
 pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -45,6 +46,13 @@ impl<'a> Reader<'a> {
     pub(crate) fn bytes(&mut self) -> Result<&'a [u8], QaError> {
         let n = self.u32()? as usize;
         self.take(n)
+    }
+
+    pub(crate) fn varint(&mut self) -> Result<u32, QaError> {
+        let (v, read) = read_varint(&self.data[self.pos..])
+            .ok_or_else(|| QaError::Codec("unexpected end of input".into()))?;
+        self.pos += read;
+        Ok(v)
     }
 
     pub(crate) fn remaining(&self) -> usize {

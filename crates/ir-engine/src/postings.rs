@@ -1,42 +1,81 @@
 //! Delta + varint compressed postings lists.
 //!
-//! A postings list stores the sorted document ids containing a term. Ids are
-//! gap-encoded (each id minus its predecessor) and the gaps written as LEB128
+//! A postings list stores, sorted, the *text units* containing a term — a
+//! document's title, then each of its paragraphs, numbered densely per
+//! shard in document-id order (see [`crate::index`]). Numbers are
+//! gap-encoded (each minus its predecessor) and the gaps written as LEB128
 //! varints, the standard IR compression scheme. Decoding is streaming, so
-//! Boolean evaluation never materializes more than it needs.
+//! evaluation never materializes more than it needs. The same codec holds
+//! a segment's document-id and units-per-document lists.
 
-use qa_types::DocId;
-use serde::{Deserialize, Serialize};
-
-/// A compressed, immutable postings list.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// A compressed list of strictly increasing `u32`s.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PostingsList {
     encoded: Vec<u8>,
     len: u32,
+    /// The last entry (0 while empty), which the next gap is taken from.
+    last: u32,
 }
 
 impl PostingsList {
-    /// Build from sorted, deduplicated doc ids.
+    /// Build from sorted numbers (a repeat is dropped).
+    pub fn from_sorted(ids: &[u32]) -> Self {
+        let mut list = PostingsList {
+            encoded: Vec::with_capacity(ids.len()),
+            ..Self::default()
+        };
+        ids.iter().for_each(|&id| list.push(id));
+        list
+    }
+
+    /// Append `id`; a repeat of the last entry is dropped (a term seen
+    /// again in the same text unit).
     ///
     /// # Panics
-    /// Debug-asserts that input is strictly increasing.
-    pub fn from_sorted(ids: &[DocId]) -> Self {
-        let mut encoded = Vec::with_capacity(ids.len());
-        let mut prev = 0u32;
-        for (i, id) in ids.iter().enumerate() {
-            let raw = id.raw();
-            debug_assert!(i == 0 || raw > prev, "ids must be strictly increasing");
-            let gap = if i == 0 { raw } else { raw - prev };
-            write_varint(&mut encoded, gap);
-            prev = raw;
-        }
-        PostingsList {
-            encoded,
-            len: ids.len() as u32,
+    /// When `id` is below the last entry.
+    pub fn push(&mut self, id: u32) {
+        if self.len == 0 || id != self.last {
+            let gap = id.checked_sub(self.last);
+            write_varint(&mut self.encoded, gap.expect("entries must not decrease"));
+            self.last = id;
+            self.len += 1;
         }
     }
 
-    /// Number of documents in the list.
+    /// Rebuild from untrusted bytes (persistence): exactly `len` varints
+    /// filling `encoded`, strictly increasing and all below `limit`, so
+    /// that iteration can neither overflow nor yield a number a dense
+    /// table of `limit` entries does not have.
+    pub(crate) fn from_encoded(encoded: &[u8], len: u32, limit: u64) -> Result<Self, &'static str> {
+        if len as usize > encoded.len() {
+            return Err("absurd entry count");
+        }
+        let mut pos = 0;
+        let mut prev: Option<u64> = None;
+        for _ in 0..len {
+            let (gap, read) = read_varint(&encoded[pos..]).ok_or("list truncated")?;
+            pos += read;
+            let id = match prev {
+                None => u64::from(gap),
+                Some(p) if gap > 0 => p + u64::from(gap),
+                Some(_) => return Err("list not increasing"),
+            };
+            if id >= limit {
+                return Err("entry out of range");
+            }
+            prev = Some(id);
+        }
+        if pos != encoded.len() {
+            return Err("trailing bytes after list");
+        }
+        Ok(PostingsList {
+            encoded: encoded.to_vec(),
+            len,
+            last: prev.unwrap_or(0) as u32,
+        })
+    }
+
+    /// Number of entries in the list.
     pub fn len(&self) -> usize {
         self.len as usize
     }
@@ -51,19 +90,17 @@ impl PostingsList {
         self.encoded.len()
     }
 
-    /// Iterate the doc ids in increasing order.
+    /// Iterate the entries in increasing order.
     pub fn iter(&self) -> PostingsIter<'_> {
         PostingsIter {
             data: &self.encoded,
-            pos: 0,
             prev: 0,
-            first: true,
             remaining: self.len,
         }
     }
 
     /// Decode to a vector (tests and small lists).
-    pub fn to_vec(&self) -> Vec<DocId> {
+    pub fn to_vec(&self) -> Vec<u32> {
         self.iter().collect()
     }
 
@@ -71,16 +108,10 @@ impl PostingsList {
     pub(crate) fn encoded(&self) -> &[u8] {
         &self.encoded
     }
-
-    /// Rebuild from raw parts (persistence). The caller must pass bytes
-    /// produced by [`PostingsList::from_sorted`].
-    pub(crate) fn from_raw(encoded: Vec<u8>, len: u32) -> Self {
-        PostingsList { encoded, len }
-    }
 }
 
 impl<'a> IntoIterator for &'a PostingsList {
-    type Item = DocId;
+    type Item = u32;
     type IntoIter = PostingsIter<'a>;
     fn into_iter(self) -> PostingsIter<'a> {
         self.iter()
@@ -91,30 +122,23 @@ impl<'a> IntoIterator for &'a PostingsList {
 #[derive(Debug, Clone)]
 pub struct PostingsIter<'a> {
     data: &'a [u8],
-    pos: usize,
     prev: u32,
-    first: bool,
     remaining: u32,
 }
 
 impl Iterator for PostingsIter<'_> {
-    type Item = DocId;
+    type Item = u32;
 
-    fn next(&mut self) -> Option<DocId> {
+    fn next(&mut self) -> Option<u32> {
         if self.remaining == 0 {
             return None;
         }
-        let (gap, read) = read_varint(&self.data[self.pos..])?;
-        self.pos += read;
+        let (gap, read) = read_varint(self.data)?;
+        self.data = &self.data[read..];
         self.remaining -= 1;
-        let id = if self.first {
-            self.first = false;
-            gap
-        } else {
-            self.prev + gap
-        };
-        self.prev = id;
-        Some(DocId::new(id))
+        // The first gap is the first entry itself (`prev` starts at 0).
+        self.prev += gap;
+        Some(self.prev)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -124,8 +148,9 @@ impl Iterator for PostingsIter<'_> {
 
 impl ExactSizeIterator for PostingsIter<'_> {}
 
-/// LEB128 varint encode.
-fn write_varint(out: &mut Vec<u8>, mut v: u32) {
+/// LEB128 varint encode — the one varint of the crate: list gaps here, the
+/// per-term header words of a segment in [`crate::integrity`].
+pub(crate) fn write_varint(out: &mut Vec<u8>, mut v: u32) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -138,7 +163,7 @@ fn write_varint(out: &mut Vec<u8>, mut v: u32) {
 }
 
 /// LEB128 varint decode; returns (value, bytes consumed).
-fn read_varint(data: &[u8]) -> Option<(u32, usize)> {
+pub(crate) fn read_varint(data: &[u8]) -> Option<(u32, usize)> {
     let mut v = 0u32;
     let mut shift = 0u32;
     for (i, &b) in data.iter().enumerate() {
@@ -155,7 +180,7 @@ fn read_varint(data: &[u8]) -> Option<(u32, usize)> {
 }
 
 /// Intersect two sorted id streams (Boolean AND).
-pub fn intersect(a: impl Iterator<Item = DocId>, b: impl Iterator<Item = DocId>) -> Vec<DocId> {
+pub fn intersect<T: Ord + Copy>(a: impl Iterator<Item = T>, b: impl Iterator<Item = T>) -> Vec<T> {
     let mut out = Vec::new();
     let mut a = a.peekable();
     let mut b = b.peekable();
@@ -178,7 +203,7 @@ pub fn intersect(a: impl Iterator<Item = DocId>, b: impl Iterator<Item = DocId>)
 }
 
 /// Union two sorted id streams (Boolean OR).
-pub fn union(a: impl Iterator<Item = DocId>, b: impl Iterator<Item = DocId>) -> Vec<DocId> {
+pub fn union<T: Ord + Copy>(a: impl Iterator<Item = T>, b: impl Iterator<Item = T>) -> Vec<T> {
     let mut out = Vec::new();
     let mut a = a.peekable();
     let mut b = b.peekable();
@@ -217,13 +242,9 @@ pub fn union(a: impl Iterator<Item = DocId>, b: impl Iterator<Item = DocId>) -> 
 mod tests {
     use super::*;
 
-    fn ids(v: &[u32]) -> Vec<DocId> {
-        v.iter().map(|&i| DocId::new(i)).collect()
-    }
-
     #[test]
     fn round_trip() {
-        let input = ids(&[0, 1, 5, 127, 128, 300, 1_000_000]);
+        let input = [0, 1, 5, 127, 128, 300, 1_000_000];
         let p = PostingsList::from_sorted(&input);
         assert_eq!(p.to_vec(), input);
         assert_eq!(p.len(), 7);
@@ -234,13 +255,13 @@ mod tests {
     fn empty_list() {
         let p = PostingsList::from_sorted(&[]);
         assert!(p.is_empty());
-        assert_eq!(p.to_vec(), Vec::<DocId>::new());
+        assert_eq!(p.to_vec(), Vec::<u32>::new());
         assert_eq!(p.compressed_bytes(), 0);
     }
 
     #[test]
     fn compression_beats_raw_u32_for_dense_lists() {
-        let input: Vec<DocId> = (0..1000u32).map(DocId::new).collect();
+        let input: Vec<u32> = (0..1000).collect();
         let p = PostingsList::from_sorted(&input);
         assert!(
             p.compressed_bytes() < 1000 * 4 / 2,
@@ -275,24 +296,48 @@ mod tests {
     }
 
     #[test]
+    fn untrusted_bytes_are_validated_entry_by_entry() {
+        let good = PostingsList::from_sorted(&[0, 1, 5, 300]);
+        let load = |enc: &[u8], len, limit| PostingsList::from_encoded(enc, len, limit);
+        assert_eq!(load(good.encoded(), 4, 301), Ok(good.clone()));
+        assert_eq!(load(good.encoded(), 4, 300), Err("entry out of range"));
+        assert_eq!(
+            load(good.encoded(), 3, 301),
+            Err("trailing bytes after list")
+        );
+        assert_eq!(load(good.encoded(), 5, 301), Err("list truncated"));
+        assert_eq!(load(&[], u32::MAX, 301), Err("absurd entry count"));
+        assert_eq!(load(&[3, 0], 2, 301), Err("list not increasing"));
+        // Gaps that sum past `u32::MAX` would wrap the streaming decoder.
+        let mut wrap = Vec::new();
+        write_varint(&mut wrap, u32::MAX);
+        write_varint(&mut wrap, 1);
+        assert_eq!(load(&wrap, 2, 1 << 32), Err("entry out of range"));
+        assert_eq!(
+            load(&wrap[..5], 1, 1 << 32).map(|p| p.to_vec()),
+            Ok(vec![u32::MAX])
+        );
+    }
+
+    #[test]
     fn intersect_and_union() {
-        let a = PostingsList::from_sorted(&ids(&[1, 3, 5, 7]));
-        let b = PostingsList::from_sorted(&ids(&[3, 4, 5, 8]));
-        assert_eq!(intersect(a.iter(), b.iter()), ids(&[3, 5]));
-        assert_eq!(union(a.iter(), b.iter()), ids(&[1, 3, 4, 5, 7, 8]));
+        let a = PostingsList::from_sorted(&[1, 3, 5, 7]);
+        let b = PostingsList::from_sorted(&[3, 4, 5, 8]);
+        assert_eq!(intersect(a.iter(), b.iter()), [3, 5]);
+        assert_eq!(union(a.iter(), b.iter()), [1, 3, 4, 5, 7, 8]);
     }
 
     #[test]
     fn intersect_with_empty_is_empty() {
-        let a = PostingsList::from_sorted(&ids(&[1, 2]));
+        let a = PostingsList::from_sorted(&[1, 2]);
         let e = PostingsList::from_sorted(&[]);
         assert!(intersect(a.iter(), e.iter()).is_empty());
-        assert_eq!(union(a.iter(), e.iter()), ids(&[1, 2]));
+        assert_eq!(union(a.iter(), e.iter()), [1, 2]);
     }
 
     #[test]
     fn size_hint_is_exact() {
-        let p = PostingsList::from_sorted(&ids(&[2, 4, 6]));
+        let p = PostingsList::from_sorted(&[2, 4, 6]);
         let mut it = p.iter();
         assert_eq!(it.size_hint(), (3, Some(3)));
         it.next();

@@ -1,7 +1,7 @@
 //! Boolean query AST and evaluation.
 
 use crate::index::SubIndex;
-use crate::postings::{intersect, union, PostingsList};
+use crate::postings::{intersect, union};
 use crate::terms::QueryTerms;
 use qa_types::DocId;
 use serde::{Deserialize, Serialize};
@@ -62,7 +62,7 @@ impl BooleanQuery {
     /// code treats as an unanswerable question.
     pub fn eval(&self, index: &SubIndex) -> Vec<DocId> {
         match self {
-            BooleanQuery::Term(t) => index.postings(t).map(|p| p.to_vec()).unwrap_or_default(),
+            BooleanQuery::Term(t) => index.docs_with(t).map(|d| index.doc_ids()[d]).collect(),
             BooleanQuery::And(subs) => {
                 let mut lists: Vec<Vec<DocId>> = subs.iter().map(|s| s.eval(index)).collect();
                 // Evaluate cheapest-first: intersecting small lists early
@@ -117,13 +117,17 @@ impl BooleanQuery {
 /// A quorum at any `k` is a threshold over these counts, so a query is
 /// counted once however many rounds its relaxation takes.
 pub fn match_counts(index: &SubIndex, query: &QueryTerms<'_>) -> Vec<(DocId, usize)> {
-    let lists = query.sorted.iter().filter_map(|t| index.postings(t));
-    let mut ids: Vec<DocId> = lists.flat_map(PostingsList::iter).collect();
-    // Each list holds a document once, so a run of equal ids is one
-    // document and its length the number of terms that matched it.
-    ids.sort_unstable();
-    ids.chunk_by(|a, b| a == b)
-        .map(|run| (run[0], run.len()))
+    // One dense counter per document of the shard: no sort, and each
+    // list is decoded once.
+    let mut counts = vec![0usize; index.doc_count()];
+    for term in &query.sorted {
+        for doc in index.docs_with(term) {
+            counts[doc] += 1;
+        }
+    }
+    (index.doc_ids().iter().zip(counts))
+        .filter(|(_, count)| *count > 0)
+        .map(|(id, count)| (*id, count))
         .collect()
 }
 

@@ -1,10 +1,10 @@
-//! Property tests for the checksummed `DQAIDX2` segment codec:
+//! Property tests for the checksummed `DQAIDX3` segment codec:
 //!
 //! 1. **Round trip** — encode → strict decode reproduces every shard for
 //!    arbitrary generated document sets.
 //! 2. **One format** — the auto reader is the strict reader, and the
-//!    same bytes under the retired `DQAIDX1` magic are rejected.
-//! 3. **No silent corruption** — flipping any single byte of a `DQAIDX2`
+//!    same bytes under a retired magic (`DQAIDX1`, `DQAIDX2`) are rejected.
+//! 3. **No silent corruption** — flipping any single byte of a `DQAIDX3`
 //!    segment makes the strict reader error *or* (vacuously) decode the
 //!    identical index; it never returns silently different postings. The
 //!    quarantining reader likewise either flags damage or returns the
@@ -76,8 +76,10 @@ proptest! {
     fn auto_reader_accepts_only_v2(idx in index_strategy()) {
         let mut bytes = encode_index_v2(&idx);
         prop_assert!(shards_equal(&idx, &decode_index_auto(&bytes).unwrap()));
-        bytes[..8].copy_from_slice(b"DQAIDX1\0");
-        prop_assert!(decode_index_auto(&bytes).is_err());
+        for retired in [b"DQAIDX1\0", b"DQAIDX2\0"] {
+            bytes[..8].copy_from_slice(retired);
+            prop_assert!(decode_index_auto(&bytes).is_err());
+        }
     }
 
     #[test]

@@ -12,38 +12,10 @@ pub const HEADER_LEN: usize = 8;
 /// record (journal payloads are small JSON documents).
 pub const MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
 
-/// CRC-32 lookup table for the IEEE 802.3 polynomial (reflected form
-/// `0xEDB88320`), generated at compile time so the crate stays
-/// dependency-free.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 (IEEE) of `bytes` — the same polynomial zlib/Ethernet use, so
-/// journals can be checked with standard external tooling.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
-}
+/// CRC-32 (IEEE) of a payload — the workspace's one implementation, the
+/// same polynomial zlib/Ethernet use, so journals can be checked with
+/// standard external tooling.
+pub use qa_types::crc32;
 
 /// Encode one frame (header + payload) into a fresh buffer.
 pub fn encode(payload: &[u8]) -> Vec<u8> {

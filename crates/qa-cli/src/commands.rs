@@ -184,12 +184,12 @@ fn index(argv: &[String]) -> Result<(), String> {
     let corpus = load_corpus(a.require("corpus")?)?;
     let out = a.require("out")?;
     let idx = ShardedIndex::build(&corpus.documents, corpus.config.sub_collections);
-    // DQAIDX2: per-shard and per-term-block CRCs, so every later load can
-    // verify what it reads. (`load_index` still accepts v1 files.)
+    // DQAIDX3: per-shard and per-term-block CRCs, so every later load can
+    // verify what it reads.
     let bytes = encode_index_v2(&idx);
     std::fs::write(out, &bytes).map_err(|e| format!("write {out}: {e}"))?;
     println!(
-        "wrote {out}: {} shards, {} documents, {} bytes (DQAIDX2, checksummed)",
+        "wrote {out}: {} shards, {} documents, {} bytes (DQAIDX3, checksummed)",
         idx.shard_count(),
         idx.doc_count(),
         bytes.len()
@@ -198,9 +198,11 @@ fn index(argv: &[String]) -> Result<(), String> {
 }
 
 /// Load the sharded index `--index` points at, or rebuild it from the
-/// corpus when the flag is absent. Untrusted bytes go through the
-/// version-dispatching verifying reader: a checksummed `DQAIDX2` file is
-/// CRC-verified shard by shard, and a legacy `DQAIDX1` file still loads.
+/// corpus when the flag is absent. Untrusted bytes go through the one
+/// verifying reader: a `DQAIDX3` file is CRC-verified shard by shard, and
+/// a file under any other magic (the retired `DQAIDX1`, `DQAIDX2`) is
+/// refused. Nothing ties the index to `corpus`: retrieval asks the store
+/// for each paragraph it names and skips what the store does not have.
 fn load_index(a: &Args, corpus: &Corpus) -> Result<ShardedIndex, String> {
     match a.get("index") {
         Some(path) => {
@@ -1996,7 +1998,7 @@ mod tests {
             &corpus_path,
         ])
         .unwrap();
-        // `dqa index` now writes DQAIDX2; the verifying loader reads it.
+        // `dqa index` writes DQAIDX3; the verifying loader reads it.
         run(&["index", "--corpus", &corpus_path, "--out", &index_path]).unwrap();
         run(&[
             "scrub",

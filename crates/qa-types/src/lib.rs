@@ -10,12 +10,13 @@
 //!
 //! Everything here is plain data: no I/O, no concurrency. Higher crates
 //! (`ir-engine`, `qa-pipeline`, `cluster-sim`, …) build behaviour on top.
-//! The two pieces of arithmetic every crate must agree on bit for bit live
-//! here too: the seeded generator ([`rng`]) and the nearest-rank
-//! percentile ([`stats`]).
+//! The pieces of arithmetic every crate must agree on bit for bit live
+//! here too: the seeded generator ([`rng`]), the nearest-rank percentile
+//! ([`stats`]) and the CRC-32 of every checksummed file ([`crc`]).
 
 pub mod answer;
 pub mod calibration;
+pub mod crc;
 pub mod document;
 pub mod error;
 pub mod federation;
@@ -30,6 +31,7 @@ pub mod stats;
 
 pub use answer::{Answer, AnswerWindow, Coverage, RankedAnswers};
 pub use calibration::{ModuleProfile, Trec8Profile, Trec9Profile};
+pub use crc::crc32;
 pub use document::{Document, Paragraph, SubCollectionMeta};
 pub use error::QaError;
 pub use federation::{FederationPolicy, ShardReport, ShardStatus};

@@ -22,9 +22,8 @@ proptest! {
     fn postings_round_trip(mut ids in proptest::collection::vec(0u32..1_000_000, 0..300)) {
         ids.sort_unstable();
         ids.dedup();
-        let docs: Vec<DocId> = ids.iter().copied().map(DocId::new).collect();
-        let p = PostingsList::from_sorted(&docs);
-        prop_assert_eq!(p.to_vec(), docs);
+        let p = PostingsList::from_sorted(&ids);
+        prop_assert_eq!(p.to_vec(), ids);
     }
 
     #[test]
@@ -34,17 +33,15 @@ proptest! {
     ) {
         a.sort_unstable(); a.dedup();
         b.sort_unstable(); b.dedup();
-        let pa = PostingsList::from_sorted(&a.iter().copied().map(DocId::new).collect::<Vec<_>>());
-        let pb = PostingsList::from_sorted(&b.iter().copied().map(DocId::new).collect::<Vec<_>>());
+        let pa = PostingsList::from_sorted(&a);
+        let pb = PostingsList::from_sorted(&b);
         use std::collections::BTreeSet;
         let sa: BTreeSet<u32> = a.iter().copied().collect();
         let sb: BTreeSet<u32> = b.iter().copied().collect();
         let want_and: Vec<u32> = sa.intersection(&sb).copied().collect();
         let want_or: Vec<u32> = sa.union(&sb).copied().collect();
-        let got_and: Vec<u32> = intersect(pa.iter(), pb.iter()).iter().map(|d| d.raw()).collect();
-        let got_or: Vec<u32> = union(pa.iter(), pb.iter()).iter().map(|d| d.raw()).collect();
-        prop_assert_eq!(got_and, want_and);
-        prop_assert_eq!(got_or, want_or);
+        prop_assert_eq!(intersect(pa.iter(), pb.iter()), want_and);
+        prop_assert_eq!(union(pa.iter(), pb.iter()), want_or);
     }
 
     // ---- text normalization -------------------------------------------
