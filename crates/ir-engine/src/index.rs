@@ -119,9 +119,8 @@ impl SubIndex {
         term_occurrences: u64,
     ) -> SubIndex {
         debug_assert_eq!(doc_start.len(), doc_ids.len() + 1);
-        let units_of = |d: usize| (doc_start[d + 1] - doc_start[d]) as usize;
-        let unit_doc = (0..doc_ids.len())
-            .flat_map(|d| std::iter::repeat_n(d as u32, units_of(d)))
+        let unit_doc = (doc_start.windows(2).zip(0u32..))
+            .flat_map(|(w, doc)| std::iter::repeat_n(doc, (w[1] - w[0]) as usize))
             .collect();
         SubIndex {
             id,
@@ -136,7 +135,6 @@ impl SubIndex {
 
 /// FNV-1a: the term table is probed once per term occurrence while a shard
 /// is built, and SipHash was most of a probe.
-#[derive(Debug, Clone, Copy)]
 pub(crate) struct Fnv1a(u64);
 
 impl Default for Fnv1a {
@@ -288,10 +286,12 @@ pub struct ShardedIndex {
 
 impl ShardedIndex {
     /// Build the index for a document set already labeled with
-    /// sub-collection ids. Shards build in parallel: one scoped thread per
-    /// available core, shards dealt round-robin, results in shard order.
+    /// sub-collection ids. Shards build in parallel: one lane per available
+    /// core, shards dealt round-robin, results in shard order. The caller
+    /// is the first lane, so a lone core spawns nothing and that lane's
+    /// shards live in the allocator arena their owner will free them from.
     pub fn build(documents: &[Document], sub_collections: usize) -> ShardedIndex {
-        let build_shard = &|c: usize| {
+        let build_shard = |c: usize| {
             let id = SubCollectionId::new(c as u32);
             let mut b = IndexBuilder::new(id);
             for d in documents.iter().filter(|d| d.sub_collection == id) {
@@ -302,21 +302,18 @@ impl ShardedIndex {
         let lanes = std::thread::available_parallelism()
             .map_or(1, usize::from)
             .min(sub_collections.max(1));
-        let mut built: Vec<std::vec::IntoIter<SubIndex>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..lanes)
-                .map(|lane| {
-                    scope.spawn(move || {
-                        (lane..sub_collections)
-                            .step_by(lanes)
-                            .map(build_shard)
-                            .collect::<Vec<SubIndex>>()
-                    })
-                })
+        let run_lane = &|lane: usize| -> std::vec::IntoIter<SubIndex> {
+            let shards = (lane..sub_collections).step_by(lanes).map(build_shard);
+            shards.collect::<Vec<_>>().into_iter()
+        };
+        let mut built: Vec<_> = std::thread::scope(|scope| {
+            let spawned: Vec<_> = (1..lanes)
+                .map(|lane| scope.spawn(move || run_lane(lane)))
                 .collect();
-            handles
+            let joined = spawned
                 .into_iter()
-                .map(|h| h.join().expect("an index build lane panicked").into_iter())
-                .collect()
+                .map(|h| h.join().expect("an index build lane panicked"));
+            std::iter::once(run_lane(0)).chain(joined).collect()
         });
         let shards = (0..sub_collections)
             .map(|c| built[c % lanes].next().expect("lane built its share"))
