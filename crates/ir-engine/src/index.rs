@@ -134,7 +134,9 @@ impl SubIndex {
 }
 
 /// FNV-1a: the term table is probed once per term occurrence while a shard
-/// is built, and SipHash was most of a probe.
+/// is built, and SipHash was most of a probe. Its keys are document terms,
+/// so a corpus crafted to collide slows its own build and load; nothing a
+/// question supplies is ever inserted.
 pub(crate) struct Fnv1a(u64);
 
 impl Default for Fnv1a {

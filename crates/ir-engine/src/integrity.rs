@@ -533,6 +533,12 @@ mod tests {
     }
 
     #[test]
+    fn crc32_check_value() {
+        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
     fn v2_round_trip() {
         let idx = index();
         let bytes = encode_index_v2(&idx);
