@@ -207,6 +207,98 @@ mod tests {
         }
     }
 
+    /// The bytes a frame stores, one `Framed` per variant that has a writer,
+    /// captured at the commit before the serde derives were pruned: a
+    /// dropped derive attribute, a reordered field or a renamed variant
+    /// turns this red. `ChunkDone` is not pinned — nothing ever wrote one,
+    /// and the variant is deleted by the change these pins guard.
+    #[test]
+    fn stored_frame_text_is_pinned() {
+        let q = QuestionId::new(7);
+        let pinned = [
+            (
+                JournalRecord::Admitted {
+                    question: Question::new(q, "where is the coordinator"),
+                },
+                r#"{"term":3,"record":{"Admitted":{"question":{"id":7,"text":"where is the coordinator"}}}}"#,
+            ),
+            (
+                JournalRecord::Scheduled {
+                    question: q,
+                    point: SchedulingPoint::Pr,
+                    nodes: vec![0, 3],
+                },
+                r#"{"term":3,"record":{"Scheduled":{"question":7,"point":"Pr","nodes":[0,3]}}}"#,
+            ),
+            (
+                JournalRecord::ChunkGranted {
+                    question: q,
+                    phase: JournalPhase::Pr,
+                    chunk: 5,
+                    node: 1,
+                },
+                r#"{"term":3,"record":{"ChunkGranted":{"question":7,"phase":"Pr","chunk":5,"node":1}}}"#,
+            ),
+            (
+                JournalRecord::PartialResult {
+                    question: q,
+                    phase: JournalPhase::Ap,
+                    chunk: 2,
+                    payload: b"[1]".to_vec(),
+                },
+                r#"{"term":3,"record":{"PartialResult":{"question":7,"phase":"Ap","chunk":2,"payload":[91,49,93]}}}"#,
+            ),
+            (
+                JournalRecord::RetrySpent {
+                    question: q,
+                    phase: JournalPhase::Ap,
+                    spent: 4,
+                },
+                r#"{"term":3,"record":{"RetrySpent":{"question":7,"phase":"Ap","spent":4}}}"#,
+            ),
+            (
+                JournalRecord::Answered {
+                    question: q,
+                    payload: b"{}".to_vec(),
+                    complete: false,
+                },
+                r#"{"term":3,"record":{"Answered":{"question":7,"payload":[123,125],"complete":false}}}"#,
+            ),
+            (
+                JournalRecord::Abandoned { question: q },
+                r#"{"term":3,"record":{"Abandoned":{"question":7}}}"#,
+            ),
+            (
+                JournalRecord::TermChange { term: 4 },
+                r#"{"term":3,"record":{"TermChange":{"term":4}}}"#,
+            ),
+            (
+                JournalRecord::RebalancePlanned {
+                    plan: 9,
+                    steps: vec![(2, 0, 1), (5, 0, 3)],
+                },
+                r#"{"term":3,"record":{"RebalancePlanned":{"plan":9,"steps":[[2,0,1],[5,0,3]]}}}"#,
+            ),
+            (
+                JournalRecord::RebalanceStepDone {
+                    plan: 9,
+                    sub: 2,
+                    to: 1,
+                },
+                r#"{"term":3,"record":{"RebalanceStepDone":{"plan":9,"sub":2,"to":1}}}"#,
+            ),
+            (
+                JournalRecord::RebalanceConverged { plan: 9 },
+                r#"{"term":3,"record":{"RebalanceConverged":{"plan":9}}}"#,
+            ),
+        ];
+        for (record, text) in pinned {
+            let framed = Framed { term: 3, record };
+            assert_eq!(serde_json::to_string(&framed).unwrap(), text);
+            assert_eq!(serde_json::from_str::<Framed>(text).unwrap(), framed);
+        }
+    }
+
     #[test]
     fn question_accessor() {
         assert_eq!(

@@ -189,3 +189,39 @@ fn retrieval_and_answers_are_pinned() {
     assert!(paragraphs > 100, "only {paragraphs} paragraphs retrieved");
     assert_eq!(h, 0x8848_22be_d3dd_617b, "retrieval digest {h:#018x}");
 }
+
+/// The bytes the journal stores for one question, pinned across commits:
+/// the `serde_json::to_vec` encoding of a PR partial (`Vec<ScoredParagraph>`)
+/// and of the final `RankedAnswers`, each folded to a digest. Captured
+/// before the serde derives were pruned to the wire types; a dropped
+/// attribute or a reordered field on `ScoredParagraph`, `Paragraph`,
+/// `ParagraphId`, `Answer` or `RankedAnswers` moves one of them.
+#[test]
+fn journaled_payload_bytes_are_pinned() {
+    use falcon_dqa::ir_engine::{DocumentStore, ParagraphRetriever, RetrievalConfig};
+    use falcon_dqa::qa_pipeline::score_paragraphs;
+    let c = Corpus::generate(CorpusConfig::small(405)).unwrap();
+    let retriever = ParagraphRetriever::new(
+        std::sync::Arc::new(ShardedIndex::build(&c.documents, c.config.sub_collections)),
+        std::sync::Arc::new(DocumentStore::new(c.documents.clone())),
+        RetrievalConfig::default(),
+    );
+    let qa = QaPipeline::new(
+        retriever.clone(),
+        NamedEntityRecognizer::standard(),
+        PipelineConfig::default(),
+    );
+    let question = &QuestionGenerator::new(&c, 3).generate(1)[0].question;
+    let keywords = qa.process_question(question).unwrap().keywords;
+    let partial = score_paragraphs(retriever.retrieve_all(&keywords).paragraphs, &keywords);
+    let answers = qa.answer(question).unwrap().answers;
+    assert!(partial.len() > 1 && !answers.is_empty());
+    let digest = |bytes: Vec<u8>| bytes.iter().fold(0, |h, b| fold(h, u64::from(*b)));
+    let partial = digest(serde_json::to_vec(&partial).unwrap());
+    let answers = digest(serde_json::to_vec(&answers).unwrap());
+    assert_eq!(
+        (partial, answers),
+        (0x35b1_2bba_70cc_3291, 0x4e08_7f4f_c97a_50db),
+        "partial {partial:#018x}, answers {answers:#018x}"
+    );
+}
