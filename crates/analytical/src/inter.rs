@@ -15,10 +15,9 @@
 //!   node, each on the wire with probability `p_net`.
 
 use qa_types::{ModuleProfile, SystemParams};
-use serde::{Deserialize, Serialize};
 
 /// The inter-question speedup model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InterQuestionModel {
     /// Model parameters (`B_net`, migration probabilities, …).
     pub params: SystemParams,

@@ -22,7 +22,6 @@
 //! dominating: `N_max = ⌊T_par / T_seq⌋` (Eq. 34).
 
 use qa_types::{ModuleProfile, SystemParams};
-use serde::{Deserialize, Serialize};
 
 /// The intra-question speedup model.
 ///
@@ -36,7 +35,7 @@ use serde::{Deserialize, Serialize};
 /// let (n_max, s) = model.practical_limit();
 /// assert!(n_max > 10 && s > 5.0, "partitioning pays well below the limit");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IntraQuestionModel {
     /// Model parameters (bandwidths, paragraph counts/sizes, …).
     pub params: SystemParams,

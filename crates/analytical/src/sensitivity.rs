@@ -9,10 +9,9 @@
 
 use crate::intra::IntraQuestionModel;
 use qa_types::{ModuleProfile, SystemParams};
-use serde::{Deserialize, Serialize};
 
 /// The perturbable parameters of the intra-question model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Parameter {
     /// `B_net` — network bandwidth.
     NetBandwidth,
@@ -58,7 +57,7 @@ impl Parameter {
 }
 
 /// Effect of one parameter perturbation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sensitivity {
     /// Which parameter was perturbed.
     pub parameter: Parameter,

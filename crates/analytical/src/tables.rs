@@ -4,10 +4,9 @@ use crate::inter::InterQuestionModel;
 use crate::intra::IntraQuestionModel;
 use qa_types::params::{GBPS, MBPS};
 use qa_types::{SystemParams, Trec9Profile};
-use serde::{Deserialize, Serialize};
 
 /// One point of a speedup curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpeedupPoint {
     /// Processor count.
     pub n: usize,
@@ -16,7 +15,7 @@ pub struct SpeedupPoint {
 }
 
 /// One cell of Table 4.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Table4Cell {
     /// Disk bandwidth (bytes/s).
     pub disk_bandwidth: f64,

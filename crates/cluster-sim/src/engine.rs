@@ -161,11 +161,6 @@ impl<T> Engine<T> {
         self.now
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.cpu_mult.len()
-    }
-
     /// Number of live tasks.
     pub fn active_tasks(&self) -> usize {
         self.tasks.len()
@@ -196,23 +191,6 @@ impl<T> Engine<T> {
             },
         );
         id
-    }
-
-    /// Count of active CPU stages on a node (instantaneous load signal).
-    pub fn active_cpu_stages(&self, node: NodeId) -> usize {
-        self.count_active(StageKind::Cpu(node))
-    }
-
-    /// Count of active disk stages on a node.
-    pub fn active_disk_stages(&self, node: NodeId) -> usize {
-        self.count_active(StageKind::Disk(node))
-    }
-
-    fn count_active(&self, kind: StageKind) -> usize {
-        self.tasks
-            .values()
-            .filter(|t| t.stages.front().map(|s| s.kind == kind).unwrap_or(false))
-            .count()
     }
 
     /// Advance virtual time until a task completes or `until` is reached.
@@ -542,19 +520,6 @@ mod tests {
         let done = run_all(&mut e);
         assert_eq!(done.len(), 1);
         assert!((done[0].0 - 5.0).abs() < 1e-9, "b at full rate");
-    }
-
-    #[test]
-    fn load_observation_counts_head_stages() {
-        let mut e = Engine::new(2, 1e6);
-        e.spawn(vec![Stage::cpu(n(0), 5.0)], "a");
-        e.spawn(vec![Stage::cpu(n(0), 5.0)], "b");
-        e.spawn(vec![Stage::disk(n(0), 5.0)], "c");
-        e.spawn(vec![Stage::cpu(n(1), 5.0)], "d");
-        assert_eq!(e.active_cpu_stages(n(0)), 2);
-        assert_eq!(e.active_disk_stages(n(0)), 1);
-        assert_eq!(e.active_cpu_stages(n(1)), 1);
-        assert_eq!(e.active_disk_stages(n(1)), 0);
     }
 
     #[test]

@@ -2,11 +2,10 @@
 
 use crate::workload::{BalancingStrategy, QaSimulation, SimConfig, SimReport};
 use scheduler::partition::PartitionStrategy;
-use serde::{Deserialize, Serialize};
 
 /// One row of the Tables 5–7 comparison: all three strategies at one
 /// cluster size.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StrategyComparison {
     /// Cluster size.
     pub nodes: usize,
@@ -33,7 +32,7 @@ pub fn load_balancing_experiment(nodes: usize, seed: u64) -> StrategyComparison 
 }
 
 /// One row of Table 8/9/10: the low-load intra-question run at one size.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IntraRow {
     /// Cluster size.
     pub nodes: usize,
@@ -60,7 +59,7 @@ pub fn intra_experiment(node_counts: &[usize], questions: usize, seed: u64) -> V
 }
 
 /// One point of the Fig. 10 chunk-size sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChunkPoint {
     /// RECV chunk size in paragraphs.
     pub chunk_size: usize,
@@ -103,7 +102,7 @@ pub fn chunk_sweep(
 }
 
 /// One row of Table 11: AP speedups of the three partitioning strategies.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitionRow {
     /// Cluster size.
     pub nodes: usize,
@@ -146,7 +145,7 @@ pub fn partition_comparison(
 }
 
 /// One point of the §4.2 concurrency experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConcurrencyPoint {
     /// Simultaneous questions on the single node.
     pub concurrent: usize,
@@ -188,7 +187,7 @@ pub fn concurrency_experiment(max_concurrent: usize, seed: u64) -> Vec<Concurren
 /// A single simulated run is as noisy as a single run on real hardware;
 /// the table binaries average a few replications, as one would rerun a
 /// benchmark.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StrategySummary {
     /// Cluster size.
     pub nodes: usize,
@@ -232,7 +231,7 @@ pub fn load_balancing_summary(nodes: usize, seeds: &[u64]) -> StrategySummary {
 
 /// Seed-averaged comparison of all five placement strategies (the paper's
 /// three plus the diffusion/gradient baselines of the related work).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BaselineSummary {
     /// Cluster size.
     pub nodes: usize,
@@ -272,7 +271,7 @@ pub fn baseline_comparison(nodes: usize, seeds: &[u64]) -> BaselineSummary {
 }
 
 /// One point of the offered-load ramp.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RampPoint {
     /// Mean inter-arrival gap in seconds (smaller = higher offered load).
     pub arrival_gap: f64,

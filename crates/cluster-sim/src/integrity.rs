@@ -18,11 +18,11 @@
 use faults::{CorruptTarget, FaultEvent, FaultSchedule};
 use qa_types::rng::{mix, unit_f64};
 use rebalance::MigrationThrottle;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A piecewise-constant window of modeled foreground load: the admission
 /// gate holds `in_flight` questions throughout `[from, until)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadWindow {
     /// Window start (virtual seconds).
     pub from: f64,
@@ -32,23 +32,26 @@ pub struct LoadWindow {
     pub in_flight: usize,
 }
 
+/// Question arrival period: one question every `QUESTION_EVERY` virtual
+/// seconds.
+const QUESTION_EVERY: f64 = 0.5;
+
+/// Term blocks per shard region in the modeled segment.
+const BLOCKS_PER_SHARD: usize = 32;
+
+/// Virtual seconds between scrub steps.
+const SCRUB_EVERY: f64 = 1.0;
+
 /// Configuration of one integrity simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IntegritySimConfig {
     /// Number of sub-collections (shard regions in the segment).
     pub shards: u32,
     /// Simulation horizon (virtual seconds).
     pub horizon_secs: f64,
-    /// Question arrival period (one question every `question_every` virtual
-    /// seconds; `0` disables question traffic).
-    pub question_every: f64,
-    /// Term blocks per shard region in the modeled segment.
-    pub blocks_per_shard: usize,
     /// Term blocks the read path spot-checks per shard (`0` disables the
-    /// read check; `>= blocks_per_shard` makes it exhaustive).
+    /// read check; `>= BLOCKS_PER_SHARD` makes it exhaustive).
     pub read_sample_blocks: usize,
-    /// Virtual seconds between scrub steps.
-    pub scrub_every: f64,
     /// Shard regions verified per scrub step.
     pub scrub_quantum: usize,
     /// Admission-headroom throttle pacing the scrubber (same shape as the
@@ -72,10 +75,7 @@ impl Default for IntegritySimConfig {
         IntegritySimConfig {
             shards: 8,
             horizon_secs: 120.0,
-            question_every: 0.5,
-            blocks_per_shard: 32,
             read_sample_blocks: 4,
-            scrub_every: 1.0,
             scrub_quantum: 2,
             throttle: MigrationThrottle::default(),
             capacity: 8,
@@ -89,7 +89,7 @@ impl Default for IntegritySimConfig {
 /// Aggregate outcome of one [`run_integrity_sim`] run. Every field is
 /// deterministic for a given config; the soak bench diffs two runs'
 /// serialized reports byte for byte.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct IntegritySimReport {
     /// Corruption events that damaged a segment region.
     pub injected: usize,
@@ -109,7 +109,7 @@ pub struct IntegritySimReport {
     /// Questions that read a corrupt, not-yet-quarantined region without
     /// the sampled check catching it — the silent-wrongness exposure the
     /// tier exists to drive to zero. Exhaustive read sampling
-    /// (`read_sample_blocks >= blocks_per_shard`) guarantees `0`.
+    /// (`read_sample_blocks >= BLOCKS_PER_SHARD`) guarantees `0`.
     pub silently_exposed: usize,
     /// Scrub steps that verified at least one region.
     pub scrub_steps: usize,
@@ -163,26 +163,21 @@ pub fn run_integrity_sim(cfg: &IntegritySimConfig) -> IntegritySimReport {
             }
             _ => continue,
         };
-        if let CorruptTarget::IndexSegment { sub } = target {
-            if at <= cfg.horizon_secs && sub < n {
-                events.push((at, EventClass::Corrupt, u64::from(sub)));
-            }
+        let CorruptTarget::IndexSegment { sub } = target;
+        if at <= cfg.horizon_secs && sub < n {
+            events.push((at, EventClass::Corrupt, u64::from(sub)));
         }
     }
-    if cfg.scrub_every > 0.0 {
-        let mut t = cfg.scrub_every;
-        while t <= cfg.horizon_secs {
-            events.push((t, EventClass::Scrub, 0));
-            t += cfg.scrub_every;
-        }
+    let mut t = SCRUB_EVERY;
+    while t <= cfg.horizon_secs {
+        events.push((t, EventClass::Scrub, 0));
+        t += SCRUB_EVERY;
     }
-    if cfg.question_every > 0.0 {
-        let mut t = cfg.question_every;
-        while t <= cfg.horizon_secs {
-            events.push((t, EventClass::Question, seq));
-            seq += 1;
-            t += cfg.question_every;
-        }
+    let mut t = QUESTION_EVERY;
+    while t <= cfg.horizon_secs {
+        events.push((t, EventClass::Question, seq));
+        seq += 1;
+        t += QUESTION_EVERY;
     }
     events.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
 
@@ -249,10 +244,10 @@ pub fn run_integrity_sim(cfg: &IntegritySimConfig) -> IntegritySimReport {
                         ShardState::Quarantined(_) => skipped += 1,
                         ShardState::Corrupt(since) => {
                             // Sampled read check: drawing `read_sample_blocks`
-                            // of `blocks_per_shard` blocks hits the (single)
+                            // of `BLOCKS_PER_SHARD` blocks hits the (single)
                             // damaged block with p = sample/blocks; the draw
                             // is a splitmix unit-interval per (question, shard).
-                            let blocks = cfg.blocks_per_shard.max(1);
+                            let blocks = BLOCKS_PER_SHARD;
                             let sample = cfg.read_sample_blocks;
                             let hit = if sample >= blocks {
                                 true

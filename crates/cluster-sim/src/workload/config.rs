@@ -6,11 +6,10 @@ use faults::FaultSchedule;
 use qa_types::{ModuleProfile, OverloadPolicy, ResourceVector, ResourceWeights};
 use rebalance::ElasticConfig;
 use scheduler::partition::PartitionStrategy;
-use serde::{Deserialize, Serialize};
 
 /// Which load-balancing model runs (§6.1's three contenders plus two
 /// classic baselines from the related work).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BalancingStrategy {
     /// Round-robin DNS placement, nothing else.
     Dns,
@@ -48,20 +47,12 @@ pub struct SimConfig {
     pub serial: bool,
     /// RNG seed (demands + arrival jitter).
     pub seed: u64,
-    /// Questions per node beyond which memory thrashing begins (paper: 4).
-    pub overload_threshold: u32,
     /// CPU slowdown per excess resident question.
     pub thrash_slope: f64,
     /// Bytes per paragraph on the wire.
     pub paragraph_bytes: f64,
     /// Bytes of one answer set returned by an AP partition.
     pub answer_bytes: f64,
-    /// Extra protocol bytes per RECV chunk (request + headers).
-    pub per_chunk_net_bytes: f64,
-    /// Fixed CPU cost per RECV chunk (local ranking of `N_a` answers).
-    pub per_chunk_cpu_secs: f64,
-    /// Fixed CPU cost per remote partition (connection + thread setup).
-    pub per_partition_cpu_secs: f64,
     /// Question-dispatcher hysteresis in load-function units.
     pub hysteresis: f64,
     /// Closed-loop multiprogramming cap: when set, at most this many
@@ -145,13 +136,9 @@ impl SimConfig {
             arrival_spacing: (0.0, 2.0),
             serial: false,
             seed,
-            overload_threshold: 4,
             thrash_slope: 0.1,
             paragraph_bytes: 2048.0,
             answer_bytes: 5.0 * 250.0,
-            per_chunk_net_bytes: 4096.0,
-            per_chunk_cpu_secs: 0.08,
-            per_partition_cpu_secs: 0.05,
             hysteresis: ResourceWeights::QA.load(ResourceVector::new(0.79, 0.21)),
             max_in_flight: None,
             min_ap_paragraphs: 0,

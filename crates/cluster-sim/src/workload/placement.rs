@@ -21,6 +21,9 @@ use qa_types::{
 use scheduler::diffusion::{GradientModel, SenderDiffusion};
 use scheduler::points::{allocate, place, Placement};
 
+/// Questions per node beyond which memory thrashing begins (paper: 4).
+const OVERLOAD_THRESHOLD: u32 = 4;
+
 impl QaSimulation {
     // ---- placement & load bookkeeping -------------------------------
 
@@ -126,7 +129,7 @@ impl QaSimulation {
 
     pub(super) fn update_thrash(&mut self, node: NodeId) {
         let count = self.resident[node.index()];
-        let excess = count.saturating_sub(self.cfg.overload_threshold) as f64;
+        let excess = count.saturating_sub(OVERLOAD_THRESHOLD) as f64;
         // Piecewise-linear slowdown: each excess resident question costs a
         // fixed fraction of the node's speed (page-stealing), floored at
         // 20 %. Linearity makes total cluster capacity invariant under

@@ -13,6 +13,15 @@ use scheduler::partition::{partition_isend, partition_recv, partition_send, Part
 use scheduler::recovery::ChunkQueue;
 use std::collections::BTreeMap;
 
+/// Extra protocol bytes per RECV chunk (request + headers).
+const PER_CHUNK_NET_BYTES: f64 = 4096.0;
+
+/// Fixed CPU cost per RECV chunk (local ranking of `N_a` answers).
+const PER_CHUNK_CPU_SECS: f64 = 0.08;
+
+/// Fixed CPU cost per remote partition (connection + thread setup).
+const PER_PARTITION_CPU_SECS: f64 = 0.05;
+
 /// Engine task tags.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(super) enum Tag {
@@ -317,8 +326,8 @@ impl QaSimulation {
         let profile_paragraphs = st.demand.ap_per_paragraph.len() as f64 * 1.7; // retrieved > accepted
         let bytes = remote_share * profile_paragraphs * self.cfg.paragraph_bytes;
         st.overhead.par_recv += bytes / self.cfg.net_bandwidth;
-        let merge_cpu = st.demand.po
-            + self.cfg.per_partition_cpu_secs * st.pr_nodes_used.len().saturating_sub(1) as f64;
+        let merge_cpu =
+            st.demand.po + PER_PARTITION_CPU_SECS * st.pr_nodes_used.len().saturating_sub(1) as f64;
         let mut stages = self.faulty_net_stages(home, bytes);
         stages.push(Stage::cpu(home, merge_cpu));
         self.engine.spawn(stages, Tag::PoMerge(q));
@@ -420,7 +429,7 @@ impl QaSimulation {
     }
 
     pub(super) fn spawn_ap_partition(&mut self, q: usize, node: NodeId, items: Vec<usize>) {
-        let stages = self.ap_stage_list(q, node, &items, self.cfg.per_partition_cpu_secs, 0.0);
+        let stages = self.ap_stage_list(q, node, &items, PER_PARTITION_CPU_SECS, 0.0);
         let c = Self::scaled(Self::ap_commit(), self.states[q].work_scale);
         self.add_commit(node, c);
         self.states[q].ap_outstanding += 1;
@@ -437,13 +446,7 @@ impl QaSimulation {
     }
 
     fn spawn_ap_chunk(&mut self, q: usize, node: NodeId, items: Vec<usize>) {
-        let stages = self.ap_stage_list(
-            q,
-            node,
-            &items,
-            self.cfg.per_chunk_cpu_secs,
-            self.cfg.per_chunk_net_bytes,
-        );
+        let stages = self.ap_stage_list(q, node, &items, PER_CHUNK_CPU_SECS, PER_CHUNK_NET_BYTES);
         self.states[q].ap_outstanding += 1;
         let paragraphs = items.len() as u32;
         self.engine.spawn(

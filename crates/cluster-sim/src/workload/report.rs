@@ -8,10 +8,10 @@ use dqa_obs::{
 };
 use qa_types::stats::percentile;
 use qa_types::{ModuleTimings, NodeId, OverloadCounts, QaModule, QuestionOutcome};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Counts of dispatcher "disagreements" (Table 7).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct MigrationCounts {
     /// Question dispatcher overrode the DNS placement.
     pub qa: usize,
@@ -22,7 +22,7 @@ pub struct MigrationCounts {
 }
 
 /// Analytic distribution-overhead breakdown per question (Table 9).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct OverheadBreakdown {
     /// Keyword sending to remote PR partitions.
     pub kw_send: f64,
@@ -69,7 +69,7 @@ impl OverheadBreakdown {
 }
 
 /// One virtual-time trace event (Fig. 7-style, from the simulator).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SimEvent {
     /// Virtual time (seconds).
     pub at: f64,
@@ -80,7 +80,7 @@ pub struct SimEvent {
 }
 
 /// Event kinds of the simulator trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum SimEventKind {
     /// Question placed: DNS target and (possibly migrated) home.
     Submitted {
@@ -126,7 +126,7 @@ pub enum SimEventKind {
 }
 
 /// Per-question outcome record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct QuestionRecord {
     /// Arrival (submission) time.
     pub arrival: f64,
@@ -155,7 +155,7 @@ impl QuestionRecord {
 }
 
 /// Aggregate simulation output.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SimReport {
     /// Per-question records, submission order.
     pub questions: Vec<QuestionRecord>,
@@ -166,9 +166,7 @@ pub struct SimReport {
     /// Virtual-time event trace (empty unless `record_trace` was set).
     pub trace: Vec<SimEvent>,
     /// Final snapshot of the run's metrics registry: the same catalogue
-    /// the thread runtime exports, recorded in virtual time. Deserializes
-    /// as empty from reports written before this field existed.
-    #[serde(default)]
+    /// the thread runtime exports, recorded in virtual time.
     pub metrics: Snapshot,
 }
 

@@ -2,10 +2,9 @@
 
 use crate::generator::Corpus;
 use nlp::tokenize::word_count;
-use serde::{Deserialize, Serialize};
 
 /// Aggregate statistics of a generated corpus.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorpusStats {
     /// Total documents.
     pub documents: usize,

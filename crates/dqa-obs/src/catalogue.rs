@@ -256,17 +256,6 @@ impl DqaMetrics {
         self.registry
             .counter(names::INTEGRITY_REPAIRS_TOTAL, &[("source", source)])
     }
-
-    /// The per-module histogram for a Fig. 3 module name (`"QP"`, `"PR"`,
-    /// `"PO"`, `"AP"`; `"PS"` maps to the fused PR histogram).
-    pub fn module_seconds(&self, module: &str) -> &Histogram {
-        match module {
-            "QP" => &self.qp_seconds,
-            "PO" => &self.po_seconds,
-            "AP" => &self.ap_seconds,
-            _ => &self.pr_seconds,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -358,15 +347,5 @@ mod tests {
         assert_eq!(snap.counter("dqa_integrity_degraded_total"), 1);
         // The exposition must validate (CI smoke requirement).
         crate::validate_prometheus(&snap.to_prometheus()).expect("valid");
-    }
-
-    #[test]
-    fn module_lookup_covers_fig3_names() {
-        let reg = MetricsRegistry::new();
-        let m = DqaMetrics::new(&reg);
-        m.module_seconds("PS").observe(1.0);
-        assert_eq!(m.pr_seconds.snapshot().count, 1, "PS fuses into PR");
-        m.module_seconds("QP").observe(1.0);
-        assert_eq!(m.qp_seconds.snapshot().count, 1);
     }
 }

@@ -260,11 +260,6 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Whether instruments from this registry record anything.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.enabled
-    }
-
     /// The counter `name{labels}` (created on first use).
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
         if !self.inner.enabled {
@@ -395,7 +390,6 @@ mod tests {
     #[test]
     fn disabled_registry_records_nothing() {
         let reg = MetricsRegistry::disabled();
-        assert!(!reg.is_enabled());
         let c = reg.counter("dqa_test_total", &[]);
         let g = reg.gauge("dqa_g", &[]);
         let h = reg.histogram("dqa_h", &[]);

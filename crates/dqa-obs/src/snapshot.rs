@@ -317,7 +317,7 @@ pub fn validate_prometheus(text: &str) -> Result<usize, String> {
 }
 
 /// One labelled interval on a timeline, in clock seconds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Span {
     /// What the interval covers (e.g. a module name).
     pub label: String,

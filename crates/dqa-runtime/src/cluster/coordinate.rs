@@ -4,6 +4,7 @@
 
 use super::phase::{ApPhase, PrPhase};
 use super::{Cluster, DistributedAnswer};
+use crate::board::QuarantinePolicy;
 use crate::clock::now_instant;
 use crate::trace::TraceKind;
 use dqa_obs::Histogram;
@@ -159,7 +160,7 @@ impl Cluster {
         // its worker threads keep draining what they already hold.
         for node in &out.tripped {
             self.board
-                .trip_breaker(*node, self.cfg.quarantine.quarantine_secs);
+                .trip_breaker(*node, QuarantinePolicy::default().quarantine_secs);
         }
         self.metrics.breaker_trips.add(out.tripped.len() as u64);
         if out.left_home {

@@ -10,6 +10,7 @@
 use super::Cluster;
 use crate::board::LoadBoard;
 use crate::clock::now_instant;
+use crate::node::HEARTBEAT_EVERY;
 use crate::sync::Mutex;
 use dqa_obs::{CausalSpan, CauseSet, DqaMetrics};
 use journal::{JournalRecord, RecoveredState};
@@ -112,7 +113,7 @@ impl Cluster {
         // check and PR routing all see the node they hand data to.
         let patience = now_instant() + self.cfg.staleness;
         while self.elastic.is_some() && !self.board.is_alive(node) && now_instant() < patience {
-            std::thread::sleep(self.cfg.heartbeat_every);
+            std::thread::sleep(HEARTBEAT_EVERY);
         }
         self.rebalance(|es, live, now, term| {
             es.detector.mark_joined(node, now);

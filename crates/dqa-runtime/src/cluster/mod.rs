@@ -21,7 +21,7 @@ mod integrity;
 mod journaling;
 mod phase;
 
-use crate::board::{LoadBoard, QuarantinePolicy};
+use crate::board::LoadBoard;
 use crate::chaos::ChaosDriver;
 use crate::failover::CoordinatorJournal;
 use crate::integrity::{IntegrityConfig, IntegrityRuntime};
@@ -51,6 +51,16 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// Load-monitor broadcast interval (§3.1). Dispatch decisions read the
+/// observing node's broadcast view when it is warm, falling back to the
+/// shared board before the first packets land.
+const MONITOR_INTERVAL: Duration = Duration::from_millis(5);
+
+/// Capacity of each node's bounded ingress queue. Past it, senders block
+/// up to the phase driver's send timeout and then re-queue the chunk
+/// (backpressure instead of unbounded growth).
+const NODE_QUEUE: usize = 256;
+
 /// Cluster construction parameters.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -60,17 +70,11 @@ pub struct ClusterConfig {
     pub pipeline: PipelineConfig,
     /// AP partitioning algorithm.
     pub ap_partition: PartitionStrategy,
-    /// Worker heartbeat / idle-poll interval.
-    pub heartbeat_every: Duration,
     /// Coordinator sub-task poll timeout before it checks worker liveness
     /// (the failure-detection latency).
     pub subtask_poll: Duration,
     /// Heartbeat staleness window after which peers consider a node dead.
     pub staleness: Duration,
-    /// Load-monitor broadcast interval (§3.1). Dispatch decisions read the
-    /// observing node's broadcast view when it is warm, falling back to the
-    /// shared board before the first packets land.
-    pub monitor_interval: Duration,
     /// Service threads per node. The paper's nodes run up to 4 questions'
     /// worth of sub-tasks concurrently (§4.2); two service threads let a
     /// node overlap a disk-bound PR chunk with a CPU-bound AP batch.
@@ -90,29 +94,17 @@ pub struct ClusterConfig {
     /// poll rounds, a straggler's oldest chunk is cloned onto an idle
     /// worker (first result wins). `None` (default) disables speculation.
     pub speculate_after: Option<u32>,
-    /// Flap circuit-breaker handed to the [`LoadBoard`].
-    pub quarantine: QuarantinePolicy,
     /// Admission control and load shedding (see [`OverloadPolicy`]). The
     /// default is fully permissive, preserving the pre-overload behavior.
     /// Its `deadline_secs` is the per-question deadline: past it,
     /// coordinators abandon outstanding chunks and return a degraded,
     /// coverage-annotated answer instead of blocking.
     pub overload: OverloadPolicy,
-    /// Capacity of each node's bounded ingress queue. Past it, senders
-    /// block up to [`ClusterConfig::send_timeout`] and then re-queue the
-    /// chunk (backpressure instead of unbounded growth).
-    pub node_queue: usize,
-    /// How long a coordinator waits for room in a node's ingress queue
-    /// before treating the send as failed and recovering the chunk.
-    pub send_timeout: Duration,
     /// Metrics registry the cluster records into. `None` (default) makes
     /// the cluster create its own enabled registry; pass a shared one to
     /// aggregate across clusters, or [`MetricsRegistry::disabled`] to
     /// turn every instrument into a no-op (the overhead baseline).
     pub metrics: Option<MetricsRegistry>,
-    /// Capacity of the bounded trace flight recorder. Oldest events are
-    /// evicted past it, counted in `dqa_trace_dropped_total`.
-    pub trace_capacity: usize,
     /// Identity seed for causal-span trace ids
     /// ([`dqa_obs::derive_trace_id`]). A federation broker and its shard
     /// clusters must share it so their span streams stitch into one
@@ -150,21 +142,15 @@ impl Default for ClusterConfig {
             nodes: 4,
             pipeline: PipelineConfig::default(),
             ap_partition: PartitionStrategy::Recv { chunk_size: 40 },
-            heartbeat_every: Duration::from_millis(5),
             subtask_poll: Duration::from_millis(20),
             staleness: Duration::from_millis(200),
-            monitor_interval: Duration::from_millis(5),
             workers_per_node: 2,
             faults: FaultSchedule::none(),
             fault_time_scale: 1.0,
             retry: RetryPolicy::default(),
             speculate_after: None,
-            quarantine: QuarantinePolicy::default(),
             overload: OverloadPolicy::default(),
-            node_queue: 256,
-            send_timeout: Duration::from_millis(100),
             metrics: None,
-            trace_capacity: DEFAULT_FLIGHT_RECORDER_CAPACITY,
             trace_seed: 0,
             journal: None,
             elastic: None,
@@ -226,11 +212,7 @@ impl Cluster {
         cfg: ClusterConfig,
     ) -> Cluster {
         assert!(cfg.nodes > 0, "at least one node");
-        let board = Arc::new(LoadBoard::with_policy(
-            cfg.nodes,
-            cfg.staleness.as_secs_f64(),
-            cfg.quarantine,
-        ));
+        let board = Arc::new(LoadBoard::new(cfg.nodes, cfg.staleness.as_secs_f64()));
         // Not `unwrap_or_default`: the derived default is the disabled registry.
         #[allow(clippy::unwrap_or_default)]
         let registry = cfg.metrics.clone().unwrap_or_else(MetricsRegistry::new);
@@ -243,13 +225,13 @@ impl Cluster {
         let span_clock: Arc<dyn Clock> = Arc::new(WallClock::new());
         let trace = TraceLog::with(
             Arc::clone(&span_clock),
-            cfg.trace_capacity,
+            DEFAULT_FLIGHT_RECORDER_CAPACITY,
             registry.counter(names::TRACE_DROPPED_TOTAL, &[]),
         );
         let tracer = Arc::new(TraceRecorder::new(
             span_clock,
             cfg.trace_seed,
-            cfg.trace_capacity,
+            DEFAULT_FLIGHT_RECORDER_CAPACITY,
             registry.counter(names::TRACE_DROPPED_TOTAL, &[]),
         ));
         let shards = retriever.index().shard_count();
@@ -261,7 +243,7 @@ impl Cluster {
         for i in 0..cfg.nodes {
             // Bounded ingress: a saturated node pushes back through send
             // timeouts instead of hoarding an ever-growing queue.
-            let (tx, rx) = bounded::<Envelope>(cfg.node_queue.max(1));
+            let (tx, rx) = bounded::<Envelope>(NODE_QUEUE);
             // Crossbeam channels are MPMC: every service thread of the node
             // consumes from the same queue, so sub-tasks overlap (a
             // disk-bound PR chunk next to a CPU-bound AP batch — the §4.2
@@ -274,7 +256,6 @@ impl Cluster {
                     ner: ner.clone(),
                     board: Arc::clone(&board),
                     trace: trace.clone(),
-                    heartbeat_every: cfg.heartbeat_every,
                 };
                 let rx = rx.clone();
                 // A node that cannot field all its service threads runs
@@ -307,7 +288,7 @@ impl Cluster {
         let monitor_judge = (cfg.faults.monitor_loss > 0.0).then(|| cfg.faults.monitor_judge());
         let monitors = BroadcastMonitors::start_instrumented(
             Arc::clone(&board),
-            cfg.monitor_interval,
+            MONITOR_INTERVAL,
             cfg.staleness.as_secs_f64(),
             monitor_judge,
             &metrics,

@@ -327,7 +327,7 @@ impl<P: Phase> PhaseRun<'_, P> {
                 task,
                 reply: self.reply_tx.clone(),
             };
-            let sent = link.send(envelope, cl.cfg.send_timeout);
+            let sent = link.send(envelope, SEND_TIMEOUT);
             if sent == Err(SendError::Timeout) {
                 cl.metrics.backpressure.inc();
                 cl.trace.record(question, node, TraceKind::Backpressure);
@@ -471,6 +471,10 @@ impl<P: Phase> PhaseRun<'_, P> {
         }
     }
 }
+
+/// How long a coordinator waits for room in a node's ingress queue before
+/// treating the send as failed and recovering the chunk.
+const SEND_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// Consecutive empty poll rounds before a lossy-link coordinator presumes
 /// its in-flight envelopes lost and retransmits them. Deliberately above

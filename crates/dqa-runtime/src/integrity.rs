@@ -46,11 +46,11 @@ pub struct IntegrityConfig {
     /// Term blocks spot-checked per shard on the question read path
     /// (`0` disables read-path sampling).
     pub read_sample_blocks: usize,
-    /// Seed for the sampled-verification block draw; XORed with the
-    /// question id on the read path so different questions probe
-    /// different blocks.
-    pub verify_seed: u64,
 }
+
+/// Seed for the sampled-verification block draw; XORed with the question
+/// id on the read path so different questions probe different blocks.
+const VERIFY_SEED: u64 = 0xd1a6_05e6_1717_0001;
 
 impl Default for IntegrityConfig {
     fn default() -> Self {
@@ -58,7 +58,6 @@ impl Default for IntegrityConfig {
             throttle: MigrationThrottle::default(),
             scrub_quantum: 2,
             read_sample_blocks: 4,
-            verify_seed: 0xd1a6_05e6_1717_0001,
         }
     }
 }
@@ -300,18 +299,15 @@ impl IntegrityRuntime {
     }
 
     /// Apply one scheduled corruption fault. Returns `true` when the event
-    /// targeted an index segment and damaged bytes (journal and message
-    /// targets are consumed by their own subsystems).
+    /// was a corruption and damaged bytes.
     pub fn inject(&mut self, event: &FaultEvent, judge: &CorruptionJudge) -> bool {
         let (target, torn) = match *event {
             FaultEvent::BitFlip { target, .. } => (target, false),
             FaultEvent::TornWrite { target, .. } => (target, true),
             _ => return false,
         };
-        match target {
-            CorruptTarget::IndexSegment { sub } => self.store.corrupt(judge, sub, torn).is_some(),
-            _ => false,
-        }
+        let CorruptTarget::IndexSegment { sub } = target;
+        self.store.corrupt(judge, sub, torn).is_some()
     }
 
     /// Read-path spot check: sample-verify each shard a question is about
@@ -323,7 +319,7 @@ impl IntegrityRuntime {
         if max == 0 {
             return Vec::new();
         }
-        let seed = self.cfg.verify_seed ^ question_seed;
+        let seed = VERIFY_SEED ^ question_seed;
         let mut fresh = Vec::new();
         for &sub in subs {
             if self.store.is_quarantined(sub) {
@@ -491,7 +487,7 @@ mod tests {
     }
 
     #[test]
-    fn inject_routes_only_index_targets() {
+    fn inject_routes_only_corruption_events() {
         let idx = index();
         let mut rt = IntegrityRuntime::new(IntegrityConfig::default(), idx);
         let j = judge();
@@ -501,13 +497,10 @@ mod tests {
         };
         assert!(rt.inject(&flip, &j));
         assert!(rt.store.verify(1).is_err());
-        let journal = FaultEvent::BitFlip {
-            target: CorruptTarget::JournalSegment { segment: 0 },
-            at: 0.5,
+        let stall = FaultEvent::RebalanceStall {
+            from: 0.5,
+            until: 1.0,
         };
-        assert!(
-            !rt.inject(&journal, &j),
-            "journal targets handled elsewhere"
-        );
+        assert!(!rt.inject(&stall, &j), "not a corruption");
     }
 }

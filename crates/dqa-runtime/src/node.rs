@@ -32,9 +32,10 @@ pub struct NodeContext {
     pub board: Arc<LoadBoard>,
     /// Shared trace log.
     pub trace: TraceLog,
-    /// Heartbeat / idle-poll interval.
-    pub heartbeat_every: Duration,
 }
+
+/// Worker heartbeat / idle-poll interval.
+pub(crate) const HEARTBEAT_EVERY: Duration = Duration::from_millis(5);
 
 /// Run the worker loop until the channel closes or the node is killed.
 pub fn run_node(ctx: NodeContext, rx: Receiver<Envelope>) {
@@ -53,7 +54,7 @@ pub fn run_node(ctx: NodeContext, rx: Receiver<Envelope>) {
                     Err(TryRecvError::Disconnected) => return,
                 }
             }
-            std::thread::sleep(ctx.heartbeat_every);
+            std::thread::sleep(HEARTBEAT_EVERY);
             continue;
         }
         ctx.board.heartbeat(ctx.id);
@@ -61,7 +62,7 @@ pub fn run_node(ctx: NodeContext, rx: Receiver<Envelope>) {
             // Failure injection: stop serving; drop queued envelopes.
             return;
         }
-        match rx.recv_timeout(ctx.heartbeat_every) {
+        match rx.recv_timeout(HEARTBEAT_EVERY) {
             Ok(envelope) => {
                 if ctx.board.is_suspended(ctx.id) {
                     // Suspended between poll and receive: the envelope dies

@@ -12,13 +12,12 @@ use dqa_obs::{
     WallClock,
 };
 use qa_types::{NodeId, QaModule, QuestionId, SubCollectionId};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 pub use dqa_obs::DEFAULT_FLIGHT_RECORDER_CAPACITY;
 
 /// What happened.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TraceKind {
     /// Question accepted by its coordinator on `home`.
     QuestionStart,
@@ -57,7 +56,7 @@ pub enum TraceKind {
 }
 
 /// One trace record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Seconds since cluster start.
     pub at: f64,

@@ -25,11 +25,10 @@
 
 use qa_types::rng::{mix, unit_f64};
 use qa_types::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// One scheduled fault. Times are seconds: virtual seconds in the DES,
 /// scaled wall-clock offsets in the thread runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultEvent {
     /// The node crashes at `at`; with `rejoin = Some(t)` it comes back at
     /// `t` with empty state (transient failure), otherwise it is gone for
@@ -147,8 +146,8 @@ pub enum FaultEvent {
         until: f64,
     },
     /// A single bit flips inside the targeted byte store at `at` — the
-    /// fail-silent fault the checksummed `DQAIDX3` format and the journal
-    /// frame CRCs exist to catch. *Which* byte and bit are not stored in
+    /// fail-silent fault the checksummed `DQAIDX3` format exists to
+    /// catch. *Which* byte and bit are not stored in
     /// the event: [`CorruptionJudge`] derives them as a pure function of
     /// `(seed, target, buffer length)`, so replays corrupt the same bit
     /// regardless of thread interleaving.
@@ -160,9 +159,8 @@ pub enum FaultEvent {
     },
     /// The targeted byte store is cut short at `at`, as if the writer
     /// lost power mid-write: every byte past a judge-chosen tear point is
-    /// dropped. Against a journal segment this is the classic torn tail;
-    /// against an index segment it must surface as a length/CRC error,
-    /// never a silently smaller index.
+    /// dropped. Against an index segment it must surface as a length/CRC
+    /// error, never a silently smaller index.
     TornWrite {
         /// The byte store that is torn.
         target: CorruptTarget,
@@ -174,42 +172,28 @@ pub enum FaultEvent {
 /// Which byte store a [`FaultEvent::BitFlip`] / [`FaultEvent::TornWrite`]
 /// lands in. Each target maps to a stable `u64` flow key so the
 /// [`CorruptionJudge`]'s decisions are pure per-target functions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CorruptTarget {
     /// The persisted index segment of one sub-collection.
     IndexSegment {
         /// Sub-collection whose segment is damaged.
         sub: u32,
     },
-    /// One segment file of the coordinator's question journal.
-    JournalSegment {
-        /// Zero-based journal segment index.
-        segment: u64,
-    },
-    /// An in-flight message on the given logical flow (e.g. the
-    /// destination node id): the payload is corrupted on the wire.
-    Message {
-        /// Logical flow the corrupted message travels on.
-        flow: u64,
-    },
 }
 
 impl CorruptTarget {
     /// Stable flow key for the splitmix64 decision hash. The high bits
-    /// separate the three target spaces so an index segment and a journal
-    /// segment with the same numeric id corrupt independently.
+    /// name the target space, so every seeded decision stays where it was
+    /// when a second kind of byte store joins the index segments.
     pub fn flow_key(&self) -> u64 {
-        match *self {
-            CorruptTarget::IndexSegment { sub } => 0x1000_0000_0000_0000 | u64::from(sub),
-            CorruptTarget::JournalSegment { segment } => 0x2000_0000_0000_0000 | segment,
-            CorruptTarget::Message { flow } => 0x3000_0000_0000_0000 | flow,
-        }
+        let CorruptTarget::IndexSegment { sub } = *self;
+        0x1000_0000_0000_0000 | u64::from(sub)
     }
 }
 
 /// Per-message link-fault probabilities. Applied independently to every
 /// message on the coordinator↔worker links.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkFaults {
     /// Probability a message is lost.
     pub loss: f64,
@@ -251,7 +235,7 @@ impl Default for LinkFaults {
 }
 
 /// The declarative fault schedule both backends consume.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultSchedule {
     /// Seed for every per-message/per-packet decision.
     pub seed: u64,
@@ -436,35 +420,6 @@ impl FaultSchedule {
         self
     }
 
-    /// Flip one judge-chosen bit inside journal segment `segment` at
-    /// `at` — a *mid-segment* frame corruption, not a torn tail.
-    pub fn bit_flip_journal(mut self, segment: u64, at: f64) -> Self {
-        self.events.push(FaultEvent::BitFlip {
-            target: CorruptTarget::JournalSegment { segment },
-            at,
-        });
-        self
-    }
-
-    /// Tear journal segment `segment` at `at` (a torn tail when it is the
-    /// final segment, a corrupt segment otherwise).
-    pub fn torn_write_journal(mut self, segment: u64, at: f64) -> Self {
-        self.events.push(FaultEvent::TornWrite {
-            target: CorruptTarget::JournalSegment { segment },
-            at,
-        });
-        self
-    }
-
-    /// Corrupt one in-flight message on `flow` at `at`.
-    pub fn bit_flip_message(mut self, flow: u64, at: f64) -> Self {
-        self.events.push(FaultEvent::BitFlip {
-            target: CorruptTarget::Message { flow },
-            at,
-        });
-        self
-    }
-
     /// The corruption judge for this schedule: derives byte offsets, bit
     /// positions and tear points for [`FaultEvent::BitFlip`] /
     /// [`FaultEvent::TornWrite`] events as pure functions of the seed.
@@ -621,17 +576,6 @@ impl CorruptionJudge {
         }
         (mix(self.seed, target.flow_key(), 3) % len as u64) as usize
     }
-
-    /// Truncate `buf` at the judge-chosen tear point. Returns the new
-    /// length, or `None` for an empty buffer.
-    pub fn tear(&self, target: CorruptTarget, buf: &mut Vec<u8>) -> Option<usize> {
-        if buf.is_empty() {
-            return None;
-        }
-        let point = self.tear_point(target, buf.len());
-        buf.truncate(point);
-        Some(point)
-    }
 }
 
 /// Stateless single-probability loss decider (monitor packets).
@@ -651,7 +595,7 @@ impl LossJudge {
 /// Bounded retry policy with exponential backoff, shared by both backends
 /// (the runtime converts seconds to `Duration`, the DES uses virtual
 /// seconds directly).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Maximum recovery rounds per phase before the coordinator degrades.
     pub budget: u32,
@@ -740,10 +684,6 @@ mod tests {
                 until: 60.0
             }
         );
-        // Schedules with coordinator faults still serialize round-trip.
-        let json = serde_json::to_string(&s).unwrap();
-        let back: FaultSchedule = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, s);
     }
 
     #[test]
@@ -779,9 +719,6 @@ mod tests {
                 rejoin: Some(40.0)
             }
         );
-        let json = serde_json::to_string(&s).unwrap();
-        let back: FaultSchedule = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, s);
     }
 
     #[test]
@@ -813,20 +750,14 @@ mod tests {
                 until: 9.0
             }
         );
-        let json = serde_json::to_string(&s).unwrap();
-        let back: FaultSchedule = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, s);
     }
 
     #[test]
     fn corruption_builders() {
         let s = FaultSchedule::seeded(23)
             .bit_flip_index(2, 4.0)
-            .torn_write_index(0, 8.0)
-            .bit_flip_journal(1, 12.0)
-            .torn_write_journal(0, 14.0)
-            .bit_flip_message(3, 16.0);
-        assert_eq!(s.events.len(), 5);
+            .torn_write_index(0, 8.0);
+        assert_eq!(s.events.len(), 2);
         assert!(!s.is_clean());
         assert_eq!(
             s.events[0],
@@ -836,15 +767,12 @@ mod tests {
             }
         );
         assert_eq!(
-            s.events[3],
+            s.events[1],
             FaultEvent::TornWrite {
-                target: CorruptTarget::JournalSegment { segment: 0 },
-                at: 14.0
+                target: CorruptTarget::IndexSegment { sub: 0 },
+                at: 8.0
             }
         );
-        let json = serde_json::to_string(&s).unwrap();
-        let back: FaultSchedule = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, s);
     }
 
     #[test]
@@ -852,7 +780,7 @@ mod tests {
         let s = FaultSchedule::seeded(31).bit_flip_index(0, 1.0);
         let j = s.corruption_judge();
         let idx = CorruptTarget::IndexSegment { sub: 5 };
-        let jrn = CorruptTarget::JournalSegment { segment: 5 };
+        let other = CorruptTarget::IndexSegment { sub: 6 };
         // Same target + length → same damage, across judge instances.
         let mut a = vec![0u8; 257];
         let mut b = vec![0u8; 257];
@@ -862,31 +790,23 @@ mod tests {
         assert_eq!(off_a, off_b);
         assert_eq!(a.iter().filter(|&&x| x != 0).count(), 1, "exactly one bit");
         assert_eq!(a[off_a].count_ones(), 1);
-        // Index segment 5 and journal segment 5 are independent targets.
+        // Two segments are independent targets.
         assert!(
-            j.byte_offset(idx, 100_003) != j.byte_offset(jrn, 100_003) || j.bit(idx) != j.bit(jrn),
-            "target spaces must not collide"
+            j.byte_offset(idx, 100_003) != j.byte_offset(other, 100_003)
+                || j.bit(idx) != j.bit(other),
+            "targets must not collide"
         );
     }
 
     #[test]
     fn torn_write_always_loses_at_least_one_byte() {
         let j = FaultSchedule::seeded(47).corruption_judge();
+        let target = CorruptTarget::IndexSegment { sub: 1 };
         for len in [1usize, 2, 9, 1024] {
-            let mut buf = vec![0xabu8; len];
-            let point = j
-                .tear(CorruptTarget::IndexSegment { sub: 1 }, &mut buf)
-                .unwrap();
+            let point = j.tear_point(target, len);
             assert!(point < len, "tear at {point} of {len} dropped nothing");
-            assert_eq!(buf.len(), point);
         }
-        let mut empty: Vec<u8> = Vec::new();
-        assert!(j
-            .tear(CorruptTarget::IndexSegment { sub: 1 }, &mut empty)
-            .is_none());
-        assert!(j
-            .flip(CorruptTarget::Message { flow: 0 }, &mut [])
-            .is_none());
+        assert!(j.flip(target, &mut []).is_none());
     }
 
     #[test]
@@ -953,16 +873,5 @@ mod tests {
         assert!((p.backoff_secs(3) - 0.05).abs() < 1e-12, "capped");
         assert!((p.backoff_secs(30) - 0.05).abs() < 1e-12, "no overflow");
         assert_eq!(RetryPolicy::with_budget(3).budget, 3);
-    }
-
-    #[test]
-    fn schedule_round_trips_through_serde() {
-        let s = FaultSchedule::seeded(9)
-            .crash_rejoin(n(1), 2.0, 4.0)
-            .straggler(n(0), 1.0, 3.0, 0.5)
-            .message_loss(0.1);
-        let json = serde_json::to_string(&s).unwrap();
-        let back: FaultSchedule = serde_json::from_str(&json).unwrap();
-        assert_eq!(s, back);
     }
 }

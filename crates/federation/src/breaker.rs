@@ -1,8 +1,7 @@
 //! Per-shard circuit breaker.
 //!
-//! A shard that keeps timing out (or whose own load gauges report
-//! saturation — the `dqa_node_load` feed) stops receiving primary traffic
-//! for a cooldown window: the broker routes to the replica when there is
+//! A shard that keeps timing out stops receiving primary traffic for a
+//! cooldown window: the broker routes to the replica when there is
 //! one and otherwise lets the shard sit the question out, degrading the
 //! merged answer's coverage instead of burning the whole question deadline
 //! against a dead member. Time is plain `f64` seconds relative to an
@@ -18,7 +17,7 @@ struct State {
     trips: u64,
 }
 
-/// Consecutive-failure + load-feed circuit breaker for one shard.
+/// Consecutive-failure circuit breaker for one shard.
 #[derive(Debug)]
 pub struct ShardBreaker {
     threshold: u32,
@@ -58,17 +57,6 @@ impl ShardBreaker {
         }
     }
 
-    /// Open immediately (the load-gauge feed), extending any open window.
-    pub fn force_open(&self, now: f64) {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let until = now + self.cooldown_secs;
-        st.open_until = Some(match st.open_until {
-            Some(u) if u > until => u,
-            _ => until,
-        });
-        st.trips += 1;
-    }
-
     /// Whether the breaker is open at `now` seconds.
     pub fn is_open(&self, now: f64) -> bool {
         let st = self.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -104,17 +92,5 @@ mod tests {
         b.record_success();
         assert!(!b.record_failure(0.1), "streak restarted");
         assert!(b.record_failure(0.2));
-    }
-
-    #[test]
-    fn force_open_extends_but_never_shortens() {
-        let b = ShardBreaker::new(10, 2.0);
-        b.force_open(0.0); // open until 2.0
-        b.force_open(0.5); // until 2.5
-        assert!(b.is_open(2.2));
-        b.force_open(0.1); // would be 2.1 — keeps 2.5
-        assert!(b.is_open(2.4));
-        assert!(!b.is_open(2.6));
-        assert_eq!(b.trips(), 3);
     }
 }

@@ -13,10 +13,9 @@
 //!    one budgeted hedged retry against its replica; whichever reply
 //!    lands first wins, the loser is discarded (first-result-wins dedup,
 //!    like the coordinator's chunk speculation).
-//! 3. **Breaker** — consecutive shard failures, or a saturated
-//!    `dqa_node_load` gauge in the shard's own registry, open a per-shard
-//!    circuit breaker: primary traffic routes to the replica (or the
-//!    shard sits questions out) for a cooldown.
+//! 3. **Breaker** — consecutive shard failures open a per-shard circuit
+//!    breaker: primary traffic routes to the replica (or the shard sits
+//!    questions out) for a cooldown.
 //! 4. **Merge** — whatever responded is merged deterministically
 //!    ([`RankedAnswers::merge`]) into a Coverage-annotated federation
 //!    answer. A responding quorum short of `policy.quorum` is *counted*,
@@ -59,6 +58,19 @@ use std::time::Duration;
 /// the shutdown flag.
 const WORKER_POLL: Duration = Duration::from_millis(25);
 
+/// Bound of each shard target's request queue.
+const QUEUE_PER_SHARD: usize = 16;
+
+/// Consecutive shard failures (timeouts or hard errors) that open the
+/// shard's circuit breaker.
+const BREAKER_FAILURES: u32 = 3;
+
+/// How long an open breaker bypasses the primary, seconds.
+const BREAKER_COOLDOWN_SECS: f64 = 1.0;
+
+/// Answers kept in the merged global ranking.
+const KEEP_ANSWERS: usize = 5;
+
 /// Broker configuration.
 #[derive(Debug)]
 pub struct FederationConfig {
@@ -75,8 +87,7 @@ pub struct FederationConfig {
     pub overload: OverloadPolicy,
     /// Registry for the broker's own federation metrics (`dqa_shard_*`,
     /// hedge/merge/quorum counters). Each shard cluster records into its
-    /// own private registry — that separation is what lets the breaker
-    /// read a single shard's load gauges.
+    /// own private registry.
     pub metrics: Option<MetricsRegistry>,
     /// Fault schedule; only the federation-tier events are consumed here.
     pub faults: FaultSchedule,
@@ -87,8 +98,6 @@ pub struct FederationConfig {
     /// each get their own pool) — the shard's concurrent-question lane
     /// count as seen from the broker.
     pub workers_per_shard: usize,
-    /// Bound of each shard target's request queue.
-    pub queue_per_shard: usize,
     /// Identity seed for causal-span trace ids. The broker's own spans
     /// (scatter, per-shard gather, hedges, merge) use it directly; each
     /// shard cluster gets a deterministically derived sub-seed so its
@@ -114,7 +123,6 @@ impl FederationConfig {
             faults: FaultSchedule::none(),
             fault_time_scale: 1.0,
             workers_per_shard: 2,
-            queue_per_shard: 16,
             trace_seed: 0,
             elastic: None,
         }
@@ -204,12 +212,11 @@ impl ShardHandle {
     fn start(
         cluster: Arc<Cluster>,
         workers: usize,
-        queue: usize,
         shutdown: Arc<AtomicBool>,
         shard: u32,
         role: &str,
     ) -> ShardHandle {
-        let (tx, rx) = bounded::<ShardRequest>(queue.max(1));
+        let (tx, rx) = bounded::<ShardRequest>(QUEUE_PER_SHARD);
         let mut pool = Vec::with_capacity(workers.max(1));
         for w in 0..workers.max(1) {
             let cluster = Arc::clone(&cluster);
@@ -348,7 +355,6 @@ impl FederationBroker {
             let primary = ShardHandle::start(
                 start_cluster(0),
                 cfg.workers_per_shard,
-                cfg.queue_per_shard,
                 Arc::clone(&shutdown),
                 i as u32,
                 "p",
@@ -357,7 +363,6 @@ impl FederationBroker {
                 ShardHandle::start(
                     start_cluster(1),
                     cfg.workers_per_shard,
-                    cfg.queue_per_shard,
                     Arc::clone(&shutdown),
                     i as u32,
                     "r",
@@ -367,10 +372,7 @@ impl FederationBroker {
                 id: i as u32,
                 primary,
                 replica,
-                breaker: ShardBreaker::new(
-                    cfg.policy.breaker_failures,
-                    cfg.policy.breaker_cooldown_secs,
-                ),
+                breaker: ShardBreaker::new(BREAKER_FAILURES, BREAKER_COOLDOWN_SECS),
                 estimator: LatencyEstimator::new(),
             });
         }
@@ -414,12 +416,6 @@ impl FederationBroker {
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// A shard's primary-cluster registry (its node-level gauges and
-    /// question counters), for reports and tests.
-    pub fn shard_registry(&self, shard: usize) -> Option<&MetricsRegistry> {
-        self.shards.get(shard).map(|s| s.primary.cluster.metrics())
     }
 
     /// Wall seconds since the broker started.
@@ -637,9 +633,6 @@ impl FederationBroker {
         if self.windows.shard_down(sh.id, self.virtual_now()) {
             return fail(ShardStatus::Down, report, None);
         }
-        // Load-gauge breaker feed: the shard's own registry is the source,
-        // so one saturated shard never shadows another.
-        self.feed_breaker_from_load(sh);
         let now = self.elapsed_secs();
         let breaker_open = sh.breaker.is_open(now);
         self.metrics
@@ -781,23 +774,6 @@ impl FederationBroker {
         }
     }
 
-    fn feed_breaker_from_load(&self, sh: &Shard) {
-        let Some(limit) = self.cfg.policy.breaker_load else {
-            return;
-        };
-        let snap = sh.primary.cluster.metrics().snapshot();
-        let worst = snap
-            .gauges
-            .iter()
-            .filter(|(k, _)| k.starts_with(names::NODE_LOAD))
-            .map(|(_, v)| *v)
-            .fold(f64::NEG_INFINITY, f64::max);
-        if worst.is_finite() && worst > limit {
-            sh.breaker.force_open(self.elapsed_secs());
-            self.metrics.breaker_trips.inc();
-        }
-    }
-
     fn merge(&self, outcomes: Vec<GatherOutcome>, latency_secs: f64) -> FederatedAdmission {
         let total = outcomes.len() as u32;
         let mut reports = Vec::with_capacity(outcomes.len());
@@ -838,7 +814,7 @@ impl FederationBroker {
         for c in inner {
             coverage = coverage.and(c);
         }
-        let answers = RankedAnswers::merge(parts, self.cfg.policy.keep_answers);
+        let answers = RankedAnswers::merge(parts, KEEP_ANSWERS);
         let answer = FederatedAnswer {
             answers,
             coverage,

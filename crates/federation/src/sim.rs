@@ -49,7 +49,7 @@ use qa_types::{
     Coverage, FederationPolicy, OverloadCounts, OverloadPolicy, QuestionOutcome, ShardReport,
     ShardStatus,
 };
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Configuration of one federation DES run.
 #[derive(Debug, Clone)]
@@ -62,13 +62,11 @@ pub struct FedSimConfig {
     pub strategy: BalancingStrategy,
     /// Questions offered to the broker.
     pub questions: usize,
-    /// Deterministic gap between broker arrivals, virtual seconds.
-    pub arrival_spacing_secs: f64,
     /// Master seed; shard and replica simulations are salted from it.
     pub seed: u64,
     /// Scatter-gather policy (quorum, hedge trigger/budget, deadlines).
-    /// Every duration in it — `hedge_after_secs`, `default_deadline_secs`,
-    /// `breaker_cooldown_secs` — is read as **virtual** seconds here.
+    /// Both durations in it — `hedge_after_secs`, `default_deadline_secs`
+    /// — are read as **virtual** seconds here.
     pub policy: FederationPolicy,
     /// Admission policy inside each shard simulation.
     pub overload: OverloadPolicy,
@@ -78,6 +76,9 @@ pub struct FedSimConfig {
     /// Whether shards have hedge-target replicas.
     pub replicated: bool,
 }
+
+/// Deterministic gap between broker arrivals, virtual seconds.
+const ARRIVAL_SPACING_SECS: f64 = 2.0;
 
 /// How many times over a shard node may take to serve its share of the
 /// offered questions before the broker stops waiting: the shard model's
@@ -114,7 +115,6 @@ impl FedSimConfig {
             nodes_per_shard,
             strategy,
             questions,
-            arrival_spacing_secs: 2.0,
             seed,
             policy,
             overload: OverloadPolicy::default(),
@@ -125,7 +125,7 @@ impl FedSimConfig {
 }
 
 /// One broker-level question in the model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FedQuestionRecord {
     /// Virtual arrival at the broker (after any broker-crash hold).
     pub arrival: f64,
@@ -152,7 +152,7 @@ impl FedQuestionRecord {
 
 /// Aggregate model output. `PartialEq` + [`FedSimReport::digest`] give
 /// double-run bit-identity checks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FedSimReport {
     /// Per-question records in arrival order.
     pub questions: Vec<FedQuestionRecord>,
@@ -258,7 +258,7 @@ pub fn run_fed_sim(cfg: &FedSimConfig) -> FedSimReport {
     };
 
     for q in 0..cfg.questions {
-        let mut arrival = q as f64 * cfg.arrival_spacing_secs.max(0.0);
+        let mut arrival = q as f64 * ARRIVAL_SPACING_SECS;
         if let Some(rejoin) = windows.broker_down(arrival) {
             if rejoin.is_finite() {
                 // Transient broker crash: arrivals in the window are held
@@ -408,7 +408,7 @@ pub fn run_fed_sim(cfg: &FedSimConfig) -> FedSimReport {
 /// occupancy, and every refused client retries exactly `retry_after_secs`
 /// later. The model admits every client in bounded attempts — the
 /// no-starvation property the runtime twin asserts with real threads.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GateSimReport {
     /// Clients eventually admitted (always all of them).
     pub admitted: usize,

@@ -64,11 +64,6 @@ impl SubIndex {
         &self.unit_doc
     }
 
-    /// Number of distinct terms.
-    pub fn term_count(&self) -> usize {
-        self.postings.len()
-    }
-
     /// Total term occurrences indexed.
     pub fn term_occurrences(&self) -> u64 {
         self.term_occurrences
@@ -480,7 +475,6 @@ mod tests {
         let idx = ShardedIndex::build(&c.documents, c.config.sub_collections);
         assert_eq!(idx.doc_count(), c.documents.len());
         for s in idx.shards() {
-            assert!(s.term_count() > 0);
             assert!(s.term_occurrences() > 0);
             assert!(s.compressed_bytes() > 0);
         }

@@ -24,11 +24,8 @@
 //! * [`store`] — a document store resolving ids to text;
 //! * [`integrity`] — binary serialization of indexes, the checksummed
 //!   `DQAIDX3` segment format: per-shard and per-term-block CRCs and
-//!   strict/quarantining/sampled verification;
-//! * [`estimate`] — PR query-cost estimation for cost-aware scheduling
-//!   (the future-work direction the paper's §1.4 sketches).
+//!   strict/quarantining/sampled verification.
 
-pub mod estimate;
 pub mod index;
 pub mod integrity;
 mod persist;
@@ -38,7 +35,6 @@ pub mod retrieval;
 pub mod store;
 pub mod terms;
 
-pub use estimate::CostModel;
 pub use index::{IndexBuilder, ShardedIndex, SubIndex};
 pub use integrity::{
     decode_index_auto, decode_index_quarantining, decode_index_v2, encode_index_v2, shard_regions,

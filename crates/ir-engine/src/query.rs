@@ -4,7 +4,6 @@ use crate::index::SubIndex;
 use crate::postings::{intersect, union};
 use crate::terms::QueryTerms;
 use qa_types::DocId;
-use serde::{Deserialize, Serialize};
 
 /// A Boolean query over index terms.
 ///
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// let query = BooleanQuery::all_of(["taj", "mahal"]);
 /// assert_eq!(query.eval(&index), vec![DocId::new(0)]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BooleanQuery {
     /// Documents containing the term.
     Term(String),
@@ -38,16 +37,6 @@ impl BooleanQuery {
     /// AND of a term list (the common Falcon query shape).
     pub fn all_of<I: IntoIterator<Item = S>, S: Into<String>>(terms: I) -> BooleanQuery {
         BooleanQuery::And(
-            terms
-                .into_iter()
-                .map(|t| BooleanQuery::Term(t.into()))
-                .collect(),
-        )
-    }
-
-    /// OR of a term list.
-    pub fn any_of<I: IntoIterator<Item = S>, S: Into<String>>(terms: I) -> BooleanQuery {
-        BooleanQuery::Or(
             terms
                 .into_iter()
                 .map(|t| BooleanQuery::Term(t.into()))
@@ -202,7 +191,10 @@ mod tests {
     #[test]
     fn or_eval() {
         let idx = index();
-        let q = BooleanQuery::any_of(["gamma", "epsilon"]);
+        let q = BooleanQuery::Or(vec![
+            BooleanQuery::Term("gamma".into()),
+            BooleanQuery::Term("epsilon".into()),
+        ]);
         assert_eq!(q.eval(&idx), ids(&[0, 3]));
     }
 

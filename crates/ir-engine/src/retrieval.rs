@@ -16,11 +16,10 @@ use crate::index::{ShardedIndex, SubIndex};
 use crate::store::DocumentStore;
 use crate::terms::QueryTerms;
 use qa_types::{Keyword, Paragraph, ParagraphId, QaError, SubCollectionId};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Tuning knobs of the PR module.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetrievalConfig {
     /// Relax the Boolean query (lower the quorum) until at least this many
     /// documents match in the shard.

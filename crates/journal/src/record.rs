@@ -73,16 +73,6 @@ pub enum JournalRecord {
         /// Opaque `serde_json` bytes of the phase result.
         payload: Vec<u8>,
     },
-    /// A chunk completed without a journaled payload (payload journaling
-    /// disabled); replay must recompute it.
-    ChunkDone {
-        /// Which question.
-        question: QuestionId,
-        /// Which fan-out phase.
-        phase: JournalPhase,
-        /// Chunk id within the phase.
-        chunk: u32,
-    },
     /// Cumulative retry budget spent in `phase` (monotone, so replaying
     /// an old record under a newer one is a no-op).
     RetrySpent {
@@ -151,7 +141,6 @@ impl JournalRecord {
             JournalRecord::Scheduled { question, .. }
             | JournalRecord::ChunkGranted { question, .. }
             | JournalRecord::PartialResult { question, .. }
-            | JournalRecord::ChunkDone { question, .. }
             | JournalRecord::RetrySpent { question, .. }
             | JournalRecord::Answered { question, .. }
             | JournalRecord::Abandoned { question } => Some(*question),
@@ -210,8 +199,8 @@ mod tests {
     /// The bytes a frame stores, one `Framed` per variant that has a writer,
     /// captured at the commit before the serde derives were pruned: a
     /// dropped derive attribute, a reordered field or a renamed variant
-    /// turns this red. `ChunkDone` is not pinned — nothing ever wrote one,
-    /// and the variant is deleted by the change these pins guard.
+    /// turns this red. (`ChunkDone`, a variant nothing ever wrote, was
+    /// deleted by the change these pins guard and was never pinned.)
     #[test]
     fn stored_frame_text_is_pinned() {
         let q = QuestionId::new(7);

@@ -29,8 +29,6 @@ pub struct ReplayStats {
 pub struct QuestionRecovery {
     question: Option<Question>,
     scheduled: BTreeMap<SchedulingPoint, Vec<u32>>,
-    granted: BTreeMap<(JournalPhase, u32), u32>,
-    done: BTreeMap<JournalPhase, BTreeSet<u32>>,
     partials: BTreeMap<(JournalPhase, u32), Vec<u8>>,
     retry_spent: BTreeMap<JournalPhase, u32>,
     answer: Option<(Vec<u8>, bool)>,
@@ -52,24 +50,6 @@ impl QuestionRecovery {
     pub fn home(&self) -> Option<u32> {
         self.nodes_at(SchedulingPoint::Qa)
             .and_then(|n| n.first().copied())
-    }
-
-    /// Worker the chunk was last granted to.
-    pub fn granted_node(&self, phase: JournalPhase, chunk: u32) -> Option<u32> {
-        self.granted.get(&(phase, chunk)).copied()
-    }
-
-    /// Whether `chunk` of `phase` has a journaled completion.
-    pub fn is_done(&self, phase: JournalPhase, chunk: u32) -> bool {
-        self.done.get(&phase).is_some_and(|s| s.contains(&chunk))
-    }
-
-    /// Completed chunk ids for `phase` in ascending order.
-    pub fn chunks_done(&self, phase: JournalPhase) -> Vec<u32> {
-        self.done
-            .get(&phase)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
     }
 
     /// Journaled partial results for `phase`, ascending by chunk id.
@@ -110,11 +90,6 @@ impl RebalanceRecovery {
     /// The planned `(sub, from, to)` transfers, in plan order.
     pub fn steps(&self) -> &[(u32, u32, u32)] {
         &self.steps
-    }
-
-    /// Whether the step migrating `sub` has a journaled completion.
-    pub fn is_step_done(&self, sub: u32) -> bool {
-        self.done.contains(&sub)
     }
 
     /// Planned steps without a journaled completion, in plan order —
@@ -176,36 +151,18 @@ impl RecoveredState {
                     .scheduled
                     .insert(*point, nodes.clone());
             }
-            JournalRecord::ChunkGranted {
-                question,
-                phase,
-                chunk,
-                node,
-            } => {
-                entry(&mut self.questions, *question)
-                    .granted
-                    .insert((*phase, *chunk), *node);
-            }
+            // A grant is the log's audit trail of who held a chunk; resume
+            // re-grants from the journaled partials alone.
+            JournalRecord::ChunkGranted { .. } => {}
             JournalRecord::PartialResult {
                 question,
                 phase,
                 chunk,
                 payload,
             } => {
-                let rec = entry(&mut self.questions, *question);
-                rec.done.entry(*phase).or_default().insert(*chunk);
-                rec.partials.insert((*phase, *chunk), payload.clone());
-            }
-            JournalRecord::ChunkDone {
-                question,
-                phase,
-                chunk,
-            } => {
                 entry(&mut self.questions, *question)
-                    .done
-                    .entry(*phase)
-                    .or_default()
-                    .insert(*chunk);
+                    .partials
+                    .insert((*phase, *chunk), payload.clone());
             }
             JournalRecord::RetrySpent {
                 question,
@@ -360,7 +317,7 @@ mod tests {
         assert_eq!(state.answered().count(), 1);
         let rec = state.get(q.id).unwrap();
         assert_eq!(rec.home(), Some(2));
-        assert!(rec.is_done(JournalPhase::Pr, 0));
+        assert_eq!(rec.partials(JournalPhase::Pr).count(), 1);
         assert!(!rec.resumable());
     }
 
@@ -448,7 +405,6 @@ mod tests {
         // Crash between the two steps: the successor sees one pending.
         let (id, rec) = state.unfinished_rebalances().next().unwrap();
         assert_eq!(id, 1);
-        assert!(rec.is_step_done(2));
         assert_eq!(rec.pending_steps(), vec![(6, 1, 3)]);
         assert_eq!(state.rebalanced_owners().collect::<Vec<_>>(), vec![(2, 0)]);
         // Finishing and converging retires the plan.

@@ -78,13 +78,6 @@ fn record_strategy() -> impl Strategy<Value = JournalRecord> {
                 chunk,
                 payload,
             }),
-        (q.clone(), any::<bool>(), 0u32..4).prop_map(|(id, ap, chunk)| {
-            JournalRecord::ChunkDone {
-                question: QuestionId::new(id),
-                phase: phase(ap),
-                chunk,
-            }
-        }),
         (q.clone(), any::<bool>(), 0u32..5).prop_map(|(id, ap, spent)| {
             JournalRecord::RetrySpent {
                 question: QuestionId::new(id),

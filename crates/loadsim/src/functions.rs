@@ -11,7 +11,6 @@
 //! (Eqs. 7–8).
 
 use qa_types::{QaModule, ResourceVector, ResourceWeights};
-use serde::{Deserialize, Serialize};
 
 /// The whole-task load function (Eq. 4).
 pub fn qa_load(v: ResourceVector) -> f64 {
@@ -38,7 +37,7 @@ pub fn underloaded(module_load: f64, single_task_load: f64) -> bool {
 ///
 /// Makes the weights swappable so the ablation bench can compare Table-3
 /// weights against uniform weights.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadFunctions {
     /// Whole-task weights (question dispatcher).
     pub qa: ResourceWeights,

@@ -1,10 +1,9 @@
-//! Load packets and per-node resource state.
+//! The broadcast load packet.
 
 use qa_types::{NodeId, ResourceVector};
-use serde::{Deserialize, Serialize};
 
 /// One load-monitor broadcast: the paper's `S_load`-byte packet.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadPacket {
     /// Sender.
     pub node: NodeId,
@@ -17,97 +16,4 @@ pub struct LoadPacket {
     pub questions: u32,
     /// Sender-local timestamp (seconds).
     pub sent_at: f64,
-}
-
-impl LoadPacket {
-    /// Serialized size used for network accounting (the analytical model's
-    /// `S_load`).
-    pub const WIRE_BYTES: usize = 40;
-}
-
-/// Mutable resource state of one node, from which packets are sampled.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct NodeState {
-    /// This node's identity.
-    pub node: NodeId,
-    /// Current CPU load (busy fraction plus run-queue excess).
-    pub cpu: f64,
-    /// Current disk load.
-    pub disk: f64,
-    /// Memory in use (bytes).
-    pub memory_used: u64,
-    /// Memory capacity (bytes).
-    pub memory_total: u64,
-    /// Questions currently hosted.
-    pub questions: u32,
-}
-
-impl NodeState {
-    /// A fresh, idle node.
-    pub fn idle(node: NodeId, memory_total: u64) -> Self {
-        Self {
-            node,
-            cpu: 0.0,
-            disk: 0.0,
-            memory_used: 0,
-            memory_total,
-            questions: 0,
-        }
-    }
-
-    /// Snapshot into a broadcastable packet.
-    pub fn packet(&self, now: f64) -> LoadPacket {
-        LoadPacket {
-            node: self.node,
-            load: ResourceVector::new(self.cpu, self.disk),
-            memory_used: self.memory_used,
-            questions: self.questions,
-            sent_at: now,
-        }
-    }
-
-    /// Fraction of memory in use.
-    pub fn memory_pressure(&self) -> f64 {
-        if self.memory_total == 0 {
-            return 1.0;
-        }
-        self.memory_used as f64 / self.memory_total as f64
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn idle_node_has_zero_load() {
-        let n = NodeState::idle(NodeId::new(1), 256 << 20);
-        assert_eq!(n.cpu, 0.0);
-        assert_eq!(n.memory_pressure(), 0.0);
-        assert_eq!(n.questions, 0);
-    }
-
-    #[test]
-    fn packet_snapshot_carries_state() {
-        let mut n = NodeState::idle(NodeId::new(2), 100);
-        n.cpu = 0.5;
-        n.disk = 0.25;
-        n.memory_used = 50;
-        n.questions = 3;
-        let p = n.packet(12.5);
-        assert_eq!(p.node, NodeId::new(2));
-        assert_eq!(p.load.cpu, 0.5);
-        assert_eq!(p.load.disk, 0.25);
-        assert_eq!(p.questions, 3);
-        assert_eq!(p.sent_at, 12.5);
-    }
-
-    #[test]
-    fn memory_pressure_edges() {
-        let mut n = NodeState::idle(NodeId::new(3), 0);
-        assert_eq!(n.memory_pressure(), 1.0, "zero-capacity node is full");
-        n.memory_total = 100;
-        n.memory_used = 100;
-        assert_eq!(n.memory_pressure(), 1.0);
-    }
 }

@@ -31,11 +31,6 @@ impl WeightEstimator {
         e.1 += disk_secs.max(0.0);
     }
 
-    /// Number of modules with observations.
-    pub fn observed_modules(&self) -> usize {
-        self.totals.len()
-    }
-
     /// Weights for one module, `None` if unobserved or all-zero.
     pub fn weights(&self, module: QaModule) -> Option<ResourceWeights> {
         let &(cpu, disk) = self.totals.get(&module)?;
@@ -100,7 +95,6 @@ mod tests {
         let w = WeightEstimator::new();
         assert!(w.weights(QaModule::Pr).is_none());
         assert!(w.task_weights().is_none());
-        assert_eq!(w.observed_modules(), 0);
     }
 
     #[test]

@@ -149,20 +149,11 @@ impl NamedEntityRecognizer {
             end,
         }
     }
-
-    /// Convenience: mentions of one specific type.
-    pub fn recognize_type(&self, text: &str, ty: AnswerType) -> Vec<EntityMention> {
-        self.recognize(text)
-            .into_iter()
-            .filter(|m| m.entity_type == ty)
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gazetteer::name_stem;
 
     fn ner() -> NamedEntityRecognizer {
         NamedEntityRecognizer::standard()
@@ -243,13 +234,6 @@ mod tests {
             assert!(w[0].end <= w[1].start, "overlap: {w:?}");
         }
         assert_eq!(ms.len(), 3);
-    }
-
-    #[test]
-    fn recognize_type_filters() {
-        let text = format!("{} moved in 1950.", name_stem(0));
-        let dates = ner().recognize_type(&text, AnswerType::Date);
-        assert!(dates.iter().all(|m| m.entity_type == AnswerType::Date));
     }
 
     /// The recognizer before the first-word probe: a phrase built and

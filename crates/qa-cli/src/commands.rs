@@ -19,8 +19,12 @@ use ir_engine::{
 use nlp::NamedEntityRecognizer;
 use qa_pipeline::{PipelineConfig, QaPipeline};
 use qa_types::params::MBPS;
-use qa_types::{NodeId, OverloadPolicy, Question, QuestionId, SystemParams, Trec9Profile};
+use qa_types::{
+    NodeId, OverloadPolicy, ParagraphId, Question, QuestionId, RankedAnswers, ShardReport,
+    ShardStatus, SystemParams, Trec9Profile,
+};
 use rebalance::ElasticConfig;
+use serde::Serialize;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -371,12 +375,11 @@ fn ask(argv: &[String]) -> Result<(), CmdError> {
             Err(e) => return Err(e),
         };
         if a.switch("json") {
-            let record = serde_json::json!({
-                "question": q.text,
-                "answers": answers.answers,
-                "truth": truth,
-            });
-            println!("{record}");
+            print_json(&AskRecord {
+                answers: answer_records(&answers),
+                question: &q.text,
+                truth,
+            })?;
         } else {
             println!("{}  {}", q.id, q.text);
             match answers.best() {
@@ -392,6 +395,82 @@ fn ask(argv: &[String]) -> Result<(), CmdError> {
         write_trace(path, &all_spans)?;
     }
     write_metrics(&a, &registry.snapshot())?;
+    Ok(())
+}
+
+// The machine-readable records below print through `serde_json::to_string`,
+// which writes fields in declaration order. They used to be
+// `serde_json::json!` maps, which sort their keys at every level, so each
+// record — the nested ones included — declares its fields alphabetically
+// and the bytes on stdout are unchanged.
+
+/// One `ask --json` line.
+#[derive(Serialize)]
+struct AskRecord<'a> {
+    answers: Vec<AnswerRecord<'a>>,
+    question: &'a str,
+    truth: &'a Option<String>,
+}
+
+/// One `ask --shards N --json` line.
+#[derive(Serialize)]
+struct FederatedAskRecord<'a> {
+    answers: Vec<AnswerRecord<'a>>,
+    coverage: f64,
+    quorum_met: bool,
+    question: &'a str,
+    shards: Vec<ShardRecord>,
+    truth: &'a Option<String>,
+}
+
+/// A [`qa_types::Answer`] with its keys in sorted order.
+#[derive(Serialize)]
+struct AnswerRecord<'a> {
+    candidate: &'a str,
+    paragraph: ParagraphId,
+    score: f64,
+    text: &'a str,
+}
+
+fn answer_records(answers: &RankedAnswers) -> Vec<AnswerRecord<'_>> {
+    answers
+        .answers
+        .iter()
+        .map(|a| AnswerRecord {
+            candidate: &a.candidate,
+            paragraph: a.paragraph,
+            score: a.score,
+            text: &a.text,
+        })
+        .collect()
+}
+
+/// A [`ShardReport`] with its keys in sorted order.
+#[derive(Serialize)]
+struct ShardRecord {
+    hedge_won: bool,
+    hedged: bool,
+    latency_secs: f64,
+    shard: u32,
+    status: ShardStatus,
+}
+
+impl From<&ShardReport> for ShardRecord {
+    fn from(s: &ShardReport) -> Self {
+        ShardRecord {
+            hedge_won: s.hedge_won,
+            hedged: s.hedged,
+            latency_secs: s.latency_secs,
+            shard: s.shard,
+            status: s.status,
+        }
+    }
+}
+
+/// Print `record` as one line of compact JSON on stdout.
+fn print_json<T: Serialize>(record: &T) -> Result<(), String> {
+    let line = serde_json::to_string(record).map_err(|e| format!("serialize: {e}"))?;
+    println!("{line}");
     Ok(())
 }
 
@@ -456,15 +535,14 @@ fn ask_federated(
                 let responders = ans.shards.iter().filter(|s| s.status.responded()).count();
                 let hedged = ans.shards.iter().filter(|s| s.hedged).count();
                 if a.switch("json") {
-                    let record = serde_json::json!({
-                        "question": q.text,
-                        "answers": ans.answers.answers,
-                        "coverage": ans.coverage.fraction(),
-                        "quorum_met": ans.quorum_met,
-                        "shards": ans.shards,
-                        "truth": truth,
-                    });
-                    println!("{record}");
+                    print_json(&FederatedAskRecord {
+                        answers: answer_records(&ans.answers),
+                        coverage: ans.coverage.fraction(),
+                        quorum_met: ans.quorum_met,
+                        question: &q.text,
+                        shards: ans.shards.iter().map(ShardRecord::from).collect(),
+                        truth,
+                    })?;
                 } else {
                     println!("{}  {}", q.id, q.text);
                     match ans.answers.best() {
@@ -611,11 +689,11 @@ fn simulate(argv: &[String]) -> Result<(), String> {
             // one JSON object on stdout.
             "json" => {
                 let spans = report.causal_spans(q, seed);
-                let items: Vec<serde_json::Value> = spans.iter().map(span_json).collect();
-                println!(
-                    "{}",
-                    serde_json::json!({ "question": q, "seed": seed, "spans": items })
-                );
+                print_json(&WaterfallRecord {
+                    question: q,
+                    seed,
+                    spans: spans.iter().map(SpanRecord::from).collect(),
+                })?;
             }
             other => return Err(format!("--format must be text|json, got {other:?}")),
         }
@@ -626,18 +704,41 @@ fn simulate(argv: &[String]) -> Result<(), String> {
 
 /// One causal span as a JSON object — the `simulate --waterfall
 /// --format json` shape (ids in zero-padded hex, times in seconds).
-fn span_json(s: &CausalSpan) -> serde_json::Value {
-    serde_json::json!({
-        "trace": format!("{:016x}", s.trace),
-        "id": format!("{:016x}", s.id),
-        "parent": s.parent.map(|p| format!("{p:016x}")),
-        "name": s.name,
-        "node": s.node,
-        "start": s.start,
-        "end": s.end,
-        "queue_wait": s.queue_wait,
-        "causes": s.causes.labels(),
-    })
+#[derive(Serialize)]
+struct SpanRecord<'a> {
+    causes: Vec<&'static str>,
+    end: f64,
+    id: String,
+    name: &'a str,
+    node: Option<u32>,
+    parent: Option<String>,
+    queue_wait: f64,
+    start: f64,
+    trace: String,
+}
+
+impl<'a> From<&'a CausalSpan> for SpanRecord<'a> {
+    fn from(s: &'a CausalSpan) -> Self {
+        SpanRecord {
+            causes: s.causes.labels(),
+            end: s.end,
+            id: format!("{:016x}", s.id),
+            name: &s.name,
+            node: s.node,
+            parent: s.parent.map(|p| format!("{p:016x}")),
+            queue_wait: s.queue_wait,
+            start: s.start,
+            trace: format!("{:016x}", s.trace),
+        }
+    }
+}
+
+/// The `simulate --waterfall Q --format json` document.
+#[derive(Serialize)]
+struct WaterfallRecord<'a> {
+    question: usize,
+    seed: u64,
+    spans: Vec<SpanRecord<'a>>,
 }
 
 /// Causal tracing over the virtual-time simulator: run a seeded DES,

@@ -22,7 +22,6 @@ use nlp::ner::NamedEntityRecognizer;
 use nlp::tokenize::{tokenize, Token};
 use nlp::Analyzer;
 use qa_types::{Answer, AnswerType, AnswerWindow, Paragraph, ProcessedQuestion, RankedAnswers};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One unit of AP work: a paragraph plus its PS rank.
@@ -30,7 +29,7 @@ use std::collections::HashMap;
 /// AP items arrive sorted by decreasing rank from PO — the property the
 /// ISEND partitioning algorithm relies on ("the input data is an array
 /// sorted in descending order of the sub-task granularities").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ApItem {
     /// The accepted paragraph.
     pub paragraph: Paragraph,
@@ -39,6 +38,9 @@ pub struct ApItem {
     /// partitioned AP disagree with sequential AP.
     pub rank: f64,
 }
+
+/// Answer-window radius in tokens around the candidate.
+const WINDOW_TOKENS: usize = 10;
 
 /// Heuristic weights; they sum to 1.
 const W: [f64; 7] = [0.24, 0.10, 0.18, 0.10, 0.12, 0.16, 0.10];
@@ -153,8 +155,8 @@ fn candidates_in_paragraph(
             .unwrap_or(c_first)
             .max(c_first);
 
-        let win_lo = c_first.saturating_sub(cfg.window_tokens);
-        let win_hi = (c_last + cfg.window_tokens).min(tokens.len() - 1);
+        let win_lo = c_first.saturating_sub(WINDOW_TOKENS);
+        let win_hi = (c_last + WINDOW_TOKENS).min(tokens.len() - 1);
 
         let score = score_window(
             &kw_pos,

@@ -2,10 +2,9 @@
 
 use ir_engine::RetrievalConfig;
 use qa_types::answer::{LONG_ANSWER_BYTES, SHORT_ANSWER_BYTES};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the sequential pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineConfig {
     /// Paragraph-retrieval knobs.
     pub retrieval: RetrievalConfig,
@@ -19,8 +18,6 @@ pub struct PipelineConfig {
     pub answers_requested: usize,
     /// Answer window size in bytes (50 for TREC short, 250 for long).
     pub answer_bytes: usize,
-    /// Answer-window radius in tokens around the candidate.
-    pub window_tokens: usize,
 }
 
 impl PipelineConfig {
@@ -49,7 +46,6 @@ impl Default for PipelineConfig {
             max_accepted: 512,
             answers_requested: 5,
             answer_bytes: LONG_ANSWER_BYTES,
-            window_tokens: 10,
         }
     }
 }
@@ -70,6 +66,5 @@ mod tests {
         assert!(c.po_threshold > 0.0 && c.po_threshold < 1.0);
         assert!(c.max_accepted > 0);
         assert!(c.answers_requested > 0);
-        assert!(c.window_tokens > 0);
     }
 }

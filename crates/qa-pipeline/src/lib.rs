@@ -23,14 +23,12 @@
 
 pub mod answer;
 pub mod config;
-pub mod feedback;
 pub mod ordering;
 pub mod pipeline;
 pub mod scoring;
 
 pub use answer::{extract_answers, extract_windows, ApItem};
 pub use config::PipelineConfig;
-pub use feedback::FeedbackOutput;
 pub use ordering::order_paragraphs;
 pub use pipeline::{PipelineOutput, QaPipeline};
 pub use scoring::{score_paragraph, score_paragraphs, ScoredParagraph};

@@ -65,8 +65,7 @@ impl QaPipeline {
         &self.ner
     }
 
-    /// Run QP alone (used by the feedback loop to relax keywords between
-    /// attempts without re-running retrieval).
+    /// Run QP alone.
     pub fn process_question(&self, question: &Question) -> Result<ProcessedQuestion, QaError> {
         self.qp.process(question)
     }
@@ -78,23 +77,7 @@ impl QaPipeline {
         let processed = self.qp.process(question)?;
         let mut timings = ModuleTimings::default();
         timings.add_duration(QaModule::Qp, t.elapsed());
-        self.answer_with_timings(processed, timings)
-    }
 
-    /// Run the post-QP pipeline (PR → PS → PO → AP) on an already-processed
-    /// question — the entry point for relaxed feedback attempts.
-    pub fn answer_processed(
-        &self,
-        processed: &ProcessedQuestion,
-    ) -> Result<PipelineOutput, QaError> {
-        self.answer_with_timings(processed.clone(), ModuleTimings::default())
-    }
-
-    fn answer_with_timings(
-        &self,
-        processed: ProcessedQuestion,
-        mut timings: ModuleTimings,
-    ) -> Result<PipelineOutput, QaError> {
         // PR over all sub-collections.
         let t = Instant::now();
         let retrieval: RetrievalResult = self.retriever.retrieve_all(&processed.keywords);

@@ -15,7 +15,7 @@ pub const SHORT_ANSWER_BYTES: usize = 50;
 pub const LONG_ANSWER_BYTES: usize = 250;
 
 /// A candidate answer window before final ranking.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnswerWindow {
     /// Paragraph the window was cut from.
     pub paragraph: ParagraphId,
@@ -154,7 +154,7 @@ impl RankedAnswers {
 /// it has; `Coverage` makes that loss explicit instead of silently shipping
 /// a partial ranking. `completed == total` marks a non-degraded phase whose
 /// answers must be byte-identical to a fault-free run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Coverage {
     /// Work units (shards or chunks) that finished.
     pub completed: u32,

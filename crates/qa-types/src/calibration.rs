@@ -11,12 +11,11 @@
 //!   questions used in the intra-question experiments, 94 s for the average
 //!   question).
 
-use crate::modules::{ModuleTimings, QaModule};
+use crate::modules::ModuleTimings;
 use crate::resources::ResourceWeights;
-use serde::{Deserialize, Serialize};
 
 /// Measured per-module service demands plus resource mix for one platform.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModuleProfile {
     /// Mean sequential execution times per module (seconds).
     pub times: ModuleTimings,
@@ -52,11 +51,6 @@ impl ModuleProfile {
         self.times.total()
     }
 
-    /// Time of the parallelizable part `T_par = T_PR + T_PS + T_AP` (Eq. 32).
-    pub fn parallelizable(&self) -> f64 {
-        self.times.pr + self.times.ps + self.times.ap
-    }
-
     /// Time of the inherently sequential part `T_QP + T_PO` (part of Eq. 33).
     pub fn sequential_fixed(&self) -> f64 {
         self.times.qp + self.times.po
@@ -70,22 +64,6 @@ impl ModuleProfile {
     /// Mean AP demand per accepted paragraph (seconds).
     pub fn ap_per_paragraph(&self) -> f64 {
         self.times.ap / self.paragraphs_accepted as f64
-    }
-
-    /// Mean PS demand per retrieved paragraph (seconds).
-    pub fn ps_per_paragraph(&self) -> f64 {
-        self.times.ps / self.paragraphs_retrieved as f64
-    }
-
-    /// Resource weights for a module's load function (Eqs. 1–3):
-    /// PR and AP have dedicated rows in Table 3; the other modules use the
-    /// whole-task weights.
-    pub fn weights_for(&self, m: QaModule) -> ResourceWeights {
-        match m {
-            QaModule::Pr => self.pr_weights,
-            QaModule::Ap => self.ap_weights,
-            _ => self.qa_weights,
-        }
     }
 }
 
@@ -214,7 +192,9 @@ mod tests {
             Trec9Profile::average(),
             Trec9Profile::complex(),
         ] {
-            assert!(p.parallelizable() / p.sequential_total() > 0.90);
+            // T_par = T_PR + T_PS + T_AP (Eq. 32).
+            let parallelizable = p.times.pr + p.times.ps + p.times.ap;
+            assert!(parallelizable / p.sequential_total() > 0.90);
         }
     }
 
@@ -223,15 +203,6 @@ mod tests {
         let p = Trec9Profile::complex();
         assert!((p.pr_per_collection() * p.sub_collections as f64 - p.times.pr).abs() < 1e-9);
         assert!((p.ap_per_paragraph() * p.paragraphs_accepted as f64 - p.times.ap).abs() < 1e-9);
-        assert!((p.ps_per_paragraph() * p.paragraphs_retrieved as f64 - p.times.ps).abs() < 1e-9);
-    }
-
-    #[test]
-    fn weights_for_dispatchers() {
-        let p = Trec9Profile::complex();
-        assert_eq!(p.weights_for(QaModule::Pr), ResourceWeights::PR);
-        assert_eq!(p.weights_for(QaModule::Ap), ResourceWeights::AP);
-        assert_eq!(p.weights_for(QaModule::Qp), ResourceWeights::QA);
     }
 
     #[test]

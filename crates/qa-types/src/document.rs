@@ -59,7 +59,7 @@ impl Document {
 
 /// Summary statistics for one sub-collection, used by the load balancer and
 /// by the corpus generator's reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SubCollectionMeta {
     /// Which sub-collection this describes.
     pub id: SubCollectionId,

@@ -9,7 +9,7 @@
 //! (virtual in the DES, scaled wall-clock in the runtime), defaults are
 //! permissive, and the types are serde round-trippable.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Scatter-gather policy for one federation broker.
 ///
@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// (like the coordinator's chunk speculation) and deduplicated per shard:
 /// whichever of primary/replica answers first wins, the loser's reply is
 /// discarded.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FederationPolicy {
     /// Shards that must respond before the merged answer counts as
     /// quorum-complete. Below quorum the broker *still* answers from what
@@ -32,28 +32,18 @@ pub struct FederationPolicy {
     /// Hedged requests allowed per question across all shards. `0`
     /// disables hedging.
     pub hedge_budget: usize,
-    /// Consecutive shard failures (timeouts or hard errors) that open the
-    /// shard's circuit breaker.
-    pub breaker_failures: u32,
-    /// How long an open breaker bypasses the primary, seconds.
-    pub breaker_cooldown_secs: f64,
-    /// Shard-level load breaker: when the shard's worst `dqa_node_load`
-    /// gauge exceeds this value the breaker opens without waiting for
-    /// failures. `None` disables the load feed.
-    pub breaker_load: Option<f64>,
-    /// Fraction of the question deadline each shard request may spend
-    /// before the broker stops waiting for it.
-    pub shard_deadline_frac: f64,
     /// Per-shard deadline, seconds, when the overload policy carries no
     /// question deadline of its own.
     pub default_deadline_secs: f64,
-    /// Answers kept in the merged global ranking.
-    pub keep_answers: usize,
 }
+
+/// Fraction of the question deadline each shard request may spend before
+/// the broker stops waiting for it.
+const SHARD_DEADLINE_FRAC: f64 = 0.9;
 
 impl FederationPolicy {
     /// The policy used when nothing is configured: majority quorum over
-    /// `shards`, a generous hedge floor and a 3-failure breaker.
+    /// `shards` and a generous hedge floor.
     pub fn for_shards(shards: usize) -> FederationPolicy {
         FederationPolicy {
             quorum: shards / 2 + 1,
@@ -79,17 +69,11 @@ impl FederationPolicy {
         self
     }
 
-    /// Enable the shard-level load breaker at the given gauge value.
-    pub fn with_breaker_load(mut self, load: f64) -> FederationPolicy {
-        self.breaker_load = Some(load);
-        self
-    }
-
     /// The per-shard deadline in seconds given the question deadline the
     /// overload policy carries (if any).
     pub fn shard_deadline(&self, question_deadline_secs: Option<f64>) -> f64 {
         let base = question_deadline_secs.unwrap_or(self.default_deadline_secs);
-        (base * self.shard_deadline_frac).max(1e-3)
+        (base * SHARD_DEADLINE_FRAC).max(1e-3)
     }
 }
 
@@ -99,12 +83,7 @@ impl Default for FederationPolicy {
             quorum: 1,
             hedge_after_secs: 0.25,
             hedge_budget: 2,
-            breaker_failures: 3,
-            breaker_cooldown_secs: 1.0,
-            breaker_load: None,
-            shard_deadline_frac: 0.9,
             default_deadline_secs: 30.0,
-            keep_answers: 5,
         }
     }
 }
@@ -112,7 +91,7 @@ impl Default for FederationPolicy {
 /// How one shard left one scatter-gathered question. Exactly one status
 /// per shard per question — the conservation ledger the federation soak
 /// sums.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum ShardStatus {
     /// The shard answered with full coverage.
     Answered,
@@ -167,7 +146,7 @@ impl ShardStatus {
 }
 
 /// Per-shard accounting for one question, carried on the merged answer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ShardReport {
     /// Which shard.
     pub shard: u32,
@@ -192,7 +171,6 @@ mod tests {
         assert_eq!(FederationPolicy::for_shards(4).quorum, 3);
         let p = FederationPolicy::default();
         assert!(p.hedge_budget > 0);
-        assert!(p.breaker_load.is_none());
     }
 
     #[test]
@@ -238,15 +216,5 @@ mod tests {
                 assert_ne!(a.label(), b.label());
             }
         }
-    }
-
-    #[test]
-    fn policy_round_trips_through_serde() {
-        let p = FederationPolicy::for_shards(4)
-            .with_hedge_after(0.5)
-            .with_breaker_load(6.0);
-        let json = serde_json::to_string(&p).unwrap();
-        let back: FederationPolicy = serde_json::from_str(&json).unwrap();
-        assert_eq!(p, back);
     }
 }

@@ -5,13 +5,13 @@
 //! classifies PR, PS and AP as *iterative* (partitionable) with collection or
 //! paragraph granularity, while QP and PO are inherently sequential.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::ops::{Add, AddAssign};
 use std::time::Duration;
 
 /// One of the five modules of the sequential Q/A architecture.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum QaModule {
     /// Question Processing: answer-type detection + keyword extraction.
     Qp,
@@ -23,42 +23,6 @@ pub enum QaModule {
     Po,
     /// Answer Processing: candidate detection, answer windows, ranking.
     Ap,
-}
-
-/// The granularity at which an iterative module can be partitioned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Granularity {
-    /// Not iterative — cannot be partitioned (QP, PO).
-    None,
-    /// Iterates over document sub-collections (PR).
-    Collection,
-    /// Iterates over paragraphs (PS, AP).
-    Paragraph,
-}
-
-impl QaModule {
-    /// All modules in pipeline order.
-    pub const PIPELINE: [QaModule; 5] = [
-        QaModule::Qp,
-        QaModule::Pr,
-        QaModule::Ps,
-        QaModule::Po,
-        QaModule::Ap,
-    ];
-
-    /// Whether the module is an iterative task (Table 2, last column).
-    pub const fn is_iterative(self) -> bool {
-        matches!(self, QaModule::Pr | QaModule::Ps | QaModule::Ap)
-    }
-
-    /// Partitioning granularity of the module (Table 2).
-    pub const fn granularity(self) -> Granularity {
-        match self {
-            QaModule::Pr => Granularity::Collection,
-            QaModule::Ps | QaModule::Ap => Granularity::Paragraph,
-            QaModule::Qp | QaModule::Po => Granularity::None,
-        }
-    }
 }
 
 impl fmt::Display for QaModule {
@@ -79,7 +43,7 @@ impl fmt::Display for QaModule {
 /// This is the record behind Tables 2 and 8 of the paper. Stored as `f64`
 /// seconds so the same type serves both real measurements (`qa-pipeline`)
 /// and simulated virtual time (`cluster-sim`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct ModuleTimings {
     /// Question processing seconds.
     pub qp: f64,
@@ -199,19 +163,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pipeline_order_and_iterativity_match_table2() {
-        assert_eq!(QaModule::PIPELINE.len(), 5);
-        assert!(QaModule::Pr.is_iterative());
-        assert!(QaModule::Ps.is_iterative());
-        assert!(QaModule::Ap.is_iterative());
-        assert!(!QaModule::Qp.is_iterative());
-        assert!(!QaModule::Po.is_iterative());
-        assert_eq!(QaModule::Pr.granularity(), Granularity::Collection);
-        assert_eq!(QaModule::Ap.granularity(), Granularity::Paragraph);
-        assert_eq!(QaModule::Po.granularity(), Granularity::None);
-    }
-
-    #[test]
     fn total_includes_overhead() {
         let t = ModuleTimings {
             qp: 1.0,
@@ -246,7 +197,13 @@ mod tests {
     #[test]
     fn get_set_add_round_trip() {
         let mut t = ModuleTimings::default();
-        for m in QaModule::PIPELINE {
+        for m in [
+            QaModule::Qp,
+            QaModule::Pr,
+            QaModule::Ps,
+            QaModule::Po,
+            QaModule::Ap,
+        ] {
             t.set(m, 2.0);
             t.accumulate(m, 1.0);
             assert_eq!(t.get(m), 3.0);

@@ -14,14 +14,14 @@
 //! simulator reads them as virtual time, the runtime converts to wall-clock
 //! `Duration`s (scaled by its `fault_time_scale` analogue where relevant).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Admission-control and load-shedding knobs for one cluster front-end.
 ///
 /// The default policy is fully permissive — unlimited in-flight questions,
 /// no deadline, no breaker — so existing single-question call sites behave
 /// exactly as before the overload layer existed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverloadPolicy {
     /// How many questions may wait for an in-flight slot before new
     /// arrivals are rejected outright. `0` means reject as soon as the
@@ -158,7 +158,7 @@ pub enum Offer {
 /// How one offered question left the system. Every question terminates in
 /// exactly one of these states; the overload soak asserts the three counts
 /// sum back to the offered load (zero silent drops).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum QuestionOutcome {
     /// Admitted and answered with full coverage.
     Answered,
@@ -170,7 +170,7 @@ pub enum QuestionOutcome {
 }
 
 /// Outcome tally for one offered-load level.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OverloadCounts {
     /// Full-coverage completions.
     pub answered: usize,
@@ -299,13 +299,5 @@ mod tests {
         assert_eq!(c.offered(), 10);
         assert!((c.shed_rate() - 0.4).abs() < 1e-12);
         assert!((c.goodput() - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn policy_round_trips_through_serde() {
-        let p = OverloadPolicy::server(4).with_deadline(1.5);
-        let json = serde_json::to_string(&p).unwrap();
-        let back: OverloadPolicy = serde_json::from_str(&json).unwrap();
-        assert_eq!(p, back);
     }
 }

@@ -9,15 +9,13 @@
 //! intra-question limits of roughly 11–93 processors (Table 4). Every value
 //! is documented with its symbol from the paper's notation list.
 
-use serde::{Deserialize, Serialize};
-
 /// Bandwidth and size constants are expressed in bytes and bytes/second.
 pub const MBPS: f64 = 1_000_000.0 / 8.0;
 /// One gigabit per second in bytes/second.
 pub const GBPS: f64 = 1_000.0 * MBPS;
 
 /// Parameters of the analytical performance model (Section 5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemParams {
     /// `N_k` — average number of keywords extracted from a question.
     pub keywords_per_question: f64,

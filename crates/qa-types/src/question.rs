@@ -72,7 +72,7 @@ impl fmt::Display for AnswerType {
 }
 
 /// A retrieval keyword extracted from the question by the QP module.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Keyword {
     /// Normalized (lower-cased, stemmed) surface form.
     pub term: String,
@@ -117,7 +117,7 @@ impl Question {
 }
 
 /// Output of the Question Processing module: answer type plus keywords.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProcessedQuestion {
     /// The originating question.
     pub question: Question,

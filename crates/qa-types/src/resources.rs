@@ -5,14 +5,13 @@
 //! weights equal the fraction of module execution time spent on each
 //! resource (Table 3).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A schedulable hardware resource.
 ///
 /// "CPU" follows the paper's footnote: the combination of the processing
 /// unit and dynamic memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Resource {
     /// Processor + dynamic memory.
     Cpu,
@@ -31,7 +30,7 @@ impl fmt::Display for Resource {
 
 /// A per-resource measurement: utilization (0.0 = idle, 1.0 = saturated) or
 /// queue length, depending on context.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ResourceVector {
     /// CPU load.
     pub cpu: f64,
@@ -58,7 +57,7 @@ impl ResourceVector {
 ///
 /// Invariant: both weights are non-negative; they typically sum to 1 because
 /// they are measured as fractions of execution time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResourceWeights {
     /// Weight of the CPU load component.
     pub cpu: f64,

@@ -20,7 +20,6 @@
 //! re-arms it as freshly alive.
 
 use qa_types::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// EWMA weight for new inter-heartbeat gap observations.
 const GAP_ALPHA: f64 = 0.2;
@@ -28,7 +27,7 @@ const GAP_ALPHA: f64 = 0.2;
 /// Detector thresholds. Defaults suit heartbeat intervals of ~5 ms (the
 /// runtime) and are expressed as ratios, so the same config drives the DES
 /// where heartbeats are virtual-time monitor broadcasts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectorConfig {
     /// Hard lease: a node is never declared `Dead` sooner than this many
     /// seconds after its last heartbeat, whatever the ratio says.
@@ -56,7 +55,7 @@ impl Default for DetectorConfig {
 }
 
 /// Three-way liveness verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeHealth {
     /// Heartbeating on schedule.
     Alive,

@@ -43,12 +43,10 @@ pub use plan::{
 pub use rebalancer::{Minted, Rebalancer, Settled, Stepped};
 pub use throttle::{MigrationThrottle, MAX_DEFERRALS};
 
-use serde::{Deserialize, Serialize};
-
 /// Declarative configuration of the elastic tier, carried by both
 /// backends' cluster configs (the same both-backends pattern as
 /// `OverloadPolicy` and `FaultSchedule`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ElasticConfig {
     /// Extra standby nodes started suspended: they hold no sub-collections
     /// and serve nothing until an operator `join` (or a `NodeJoin` fault
@@ -73,22 +71,5 @@ impl ElasticConfig {
             standby_nodes,
             ..ElasticConfig::default()
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn elastic_config_round_trips_through_serde() {
-        let cfg = ElasticConfig {
-            standby_nodes: 2,
-            skew_threshold: Some(1.5),
-            ..ElasticConfig::default()
-        };
-        let json = serde_json::to_string(&cfg).unwrap();
-        let back: ElasticConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, cfg);
     }
 }

@@ -14,13 +14,12 @@
 //! again after healing.
 
 use qa_types::{NodeId, SubCollectionId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use crate::plan::MigrationStep;
 
 /// Why [`OwnershipMap::verify_complete`] failed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConvergenceError {
     /// A sub-collection's owner is not in the live set.
     DeadOwner {
@@ -52,7 +51,7 @@ impl std::error::Error for ConvergenceError {}
 /// Which live node owns each sub-collection, plus a monotone epoch that
 /// bumps on every applied migration step (the staleness fence for cached
 /// routing decisions).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OwnershipMap {
     owners: BTreeMap<SubCollectionId, NodeId>,
     epoch: u64,
@@ -250,13 +249,5 @@ mod tests {
     fn counts_include_zero_rows_for_candidates() {
         let map = OwnershipMap::balanced(4, &[n(0)]);
         assert_eq!(map.counts(&[n(0), n(1)]), vec![(n(0), 4), (n(1), 0)]);
-    }
-
-    #[test]
-    fn round_trips_through_serde() {
-        let map = OwnershipMap::balanced(6, &[n(0), n(1), n(2)]);
-        let json = serde_json::to_string(&map).unwrap();
-        let back: OwnershipMap = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, map);
     }
 }

@@ -10,12 +10,11 @@
 //! replay these plans bit-stably).
 
 use qa_types::{NodeId, SubCollectionId};
-use serde::{Deserialize, Serialize};
 
 use crate::ownership::OwnershipMap;
 
 /// What triggered a plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RebalanceReason {
     /// The failure detector declared an owner permanently lost.
     PermanentLoss,
@@ -40,7 +39,7 @@ impl std::fmt::Display for RebalanceReason {
 }
 
 /// One ownership transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrationStep {
     /// The sub-collection being re-homed.
     pub sub: SubCollectionId,
@@ -51,7 +50,7 @@ pub struct MigrationStep {
 }
 
 /// A journaled, term-fenced unit of membership change.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MigrationPlan {
     /// Plan id, unique per coordinator incarnation (monotone counter).
     pub id: u64,
@@ -301,15 +300,6 @@ mod tests {
                 to: n(1)
             }]
         );
-    }
-
-    #[test]
-    fn plan_round_trips_through_serde() {
-        let map = OwnershipMap::balanced(4, &[n(0), n(1)]);
-        let plan = plan_evacuation(&map, n(0), &[n(1)], RebalanceReason::PermanentLoss, 9, 2);
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: MigrationPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, plan);
     }
 
     #[test]

@@ -15,15 +15,13 @@
 //! A denied step is *deferred*, never dropped: the plan's remaining steps
 //! stay queued and the journal's exactly-once accounting is untouched.
 
-use serde::{Deserialize, Serialize};
-
 /// How many times in a row background work (a migration step, a scrub
 /// quantum) yields to a busy foreground before it goes anyway: healing
 /// and scrubbing must stay live under a persistently full gate.
 pub const MAX_DEFERRALS: u32 = 64;
 
 /// Migration pacing policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationThrottle {
     /// Fraction of the admission gate's in-flight capacity above which
     /// migrations yield to foreground traffic. With no capacity configured
@@ -121,16 +119,5 @@ mod tests {
         }
         assert_eq!(dues.len(), first.plan.steps.len() + second.plan.steps.len());
         assert!(dues.windows(2).all(|w| w[1] - w[0] > 0.049), "{dues:?}");
-    }
-
-    #[test]
-    fn round_trips_through_serde() {
-        let t = MigrationThrottle {
-            headroom: 0.9,
-            step_secs: 0.01,
-        };
-        let json = serde_json::to_string(&t).unwrap();
-        let back: MigrationThrottle = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, t);
     }
 }

@@ -9,10 +9,9 @@
 //! time toward the nearest lightly-loaded node on a ring topology.
 
 use qa_types::{NodeId, ResourceVector};
-use serde::{Deserialize, Serialize};
 
 /// Sender-initiated diffusion parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SenderDiffusion {
     /// A node with load above this watermark tries to shed new work.
     pub high_watermark: f64,
@@ -71,7 +70,7 @@ impl SenderDiffusion {
 /// The gradient model: every node knows its *proximity* — the ring
 /// distance to the nearest lightly-loaded node — and overloaded nodes
 /// forward work to the neighbor with the smaller proximity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GradientModel {
     /// Nodes with load below this are "lightly loaded" (proximity 0).
     pub low_watermark: f64,

@@ -9,10 +9,9 @@
 
 use loadsim::functions::LoadFunctions;
 use qa_types::{NodeId, QaModule, ResourceVector};
-use serde::{Deserialize, Serialize};
 
 /// Migration decision logic shared by all three scheduling points.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuestionDispatcher {
     /// The load functions in force (Table-3 weights by default).
     pub functions: LoadFunctions,

@@ -7,9 +7,9 @@
 //! * [`partition`] — the three partitioning algorithms of §4.1: **SEND**
 //!   (contiguous weighted split), **ISEND** (interleaved weighted split) and
 //!   **RECV** (receiver-pulled equal-size chunks);
-//! * [`recovery`] — backend-agnostic failure-recovery state machines for the
-//!   sender-controlled (Fig. 5c) and receiver-controlled (Fig. 6b)
-//!   distribution strategies;
+//! * [`recovery`] — the backend-agnostic failure-recovery state machine
+//!   (the receiver-controlled chunk queue of Fig. 6b, which the runtime
+//!   also runs SEND and ISEND partitions through);
 //! * [`dispatcher`] — the question dispatcher's migrate-or-stay decision
 //!   with the anti-thrashing hysteresis ("a question is migrated only if the
 //!   difference between the load of the source node and the load of the
@@ -36,4 +36,4 @@ pub use meta::{meta_schedule, Allocation};
 pub use partition::{
     partition_counts, partition_isend, partition_recv, partition_send, PartitionStrategy,
 };
-pub use recovery::{ChunkQueue, SenderDistribution};
+pub use recovery::ChunkQueue;

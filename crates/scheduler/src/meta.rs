@@ -17,10 +17,9 @@
 //! traces where four idle nodes each receive ~¼ of the paragraphs.
 
 use qa_types::{NodeId, QaError, ResourceVector};
-use serde::{Deserialize, Serialize};
 
 /// One processor's share of a partitioned task.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Allocation {
     /// The processor.
     pub node: NodeId,

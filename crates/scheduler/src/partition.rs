@@ -13,10 +13,8 @@
 //! * **RECV** (Fig. 6a): the item array is cut into equal-size chunks that
 //!   receivers pull one at a time; no granularity assumption at all.
 
-use serde::{Deserialize, Serialize};
-
 /// Which partitioning algorithm a dispatcher uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PartitionStrategy {
     /// Sender-controlled, contiguous weighted split.
     Send,

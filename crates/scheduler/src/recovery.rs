@@ -1,87 +1,12 @@
-//! Failure-recovery state machines for the distribution strategies.
+//! Failure-recovery state machine for chunked distribution.
 //!
-//! These are backend-agnostic: the thread runtime (`dqa-runtime`) and the
-//! discrete-event simulator (`cluster-sim`) both drive them, reporting
-//! sub-task completions and node failures; the state machine answers "what
-//! still needs to run".
+//! Backend-agnostic: the thread runtime (`dqa-runtime`) and the
+//! discrete-event simulator (`cluster-sim`) both drive it, reporting chunk
+//! completions and node failures; the state machine answers "what still
+//! needs to run".
 
 use qa_types::NodeId;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-
-/// Sender-controlled distribution (Fig. 5c): partitions are allocated up
-/// front; failed partitions are collected and rescheduled as a new task.
-///
-/// Node-keyed state is an ordered map so that recovery rounds replay in the
-/// same order for the same seed (both the DES and the thread runtime drive
-/// this machine).
-#[derive(Debug, Clone)]
-pub struct SenderDistribution<T> {
-    in_flight: BTreeMap<NodeId, Vec<T>>,
-    failed_items: Vec<T>,
-    completed: usize,
-}
-
-impl<T> SenderDistribution<T> {
-    /// Start a round with the given node → partition assignment.
-    /// Empty partitions are dropped.
-    pub fn new(assignment: Vec<(NodeId, Vec<T>)>) -> Self {
-        Self {
-            in_flight: assignment
-                .into_iter()
-                .filter(|(_, p)| !p.is_empty())
-                .collect(),
-            failed_items: Vec::new(),
-            completed: 0,
-        }
-    }
-
-    /// Nodes still working, in ascending id order.
-    pub fn pending_nodes(&self) -> Vec<NodeId> {
-        self.in_flight.keys().copied().collect()
-    }
-
-    /// The partition assigned to a node (if still in flight).
-    pub fn partition_of(&self, node: NodeId) -> Option<&[T]> {
-        self.in_flight.get(&node).map(Vec::as_slice)
-    }
-
-    /// Mark a node's sub-task successfully finished ("if successful
-    /// termination remove partition from the partition set").
-    pub fn complete(&mut self, node: NodeId) -> bool {
-        if self.in_flight.remove(&node).is_some() {
-            self.completed += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Mark a node failed; its unprocessed items join the recovery pool
-    /// ("build a new task from the unprocessed partitions").
-    pub fn fail(&mut self, node: NodeId) -> bool {
-        if let Some(items) = self.in_flight.remove(&node) {
-            self.failed_items.extend(items);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// True when no partition is in flight.
-    pub fn round_done(&self) -> bool {
-        self.in_flight.is_empty()
-    }
-
-    /// Items that must be redistributed in a new round (empties the pool).
-    pub fn take_failed(&mut self) -> Vec<T> {
-        std::mem::take(&mut self.failed_items)
-    }
-
-    /// Count of successfully completed partitions so far.
-    pub fn completed(&self) -> usize {
-        self.completed
-    }
-}
 
 /// What [`ChunkQueue::complete_keyed`] decided about a reported result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -279,41 +204,6 @@ mod tests {
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
-    }
-
-    #[test]
-    fn sender_happy_path() {
-        let mut d = SenderDistribution::new(vec![(n(0), vec![1, 2]), (n(1), vec![3])]);
-        assert_eq!(d.pending_nodes(), vec![n(0), n(1)]);
-        assert_eq!(d.partition_of(n(0)), Some([1, 2].as_slice()));
-        assert!(d.complete(n(0)));
-        assert!(d.complete(n(1)));
-        assert!(d.round_done());
-        assert!(d.take_failed().is_empty());
-        assert_eq!(d.completed(), 2);
-    }
-
-    #[test]
-    fn sender_failure_collects_items() {
-        let mut d = SenderDistribution::new(vec![(n(0), vec![1, 2]), (n(1), vec![3, 4])]);
-        assert!(d.complete(n(0)));
-        assert!(d.fail(n(1)));
-        assert!(d.round_done());
-        let mut failed = d.take_failed();
-        failed.sort_unstable();
-        assert_eq!(failed, vec![3, 4]);
-        // Second round with the recovered items.
-        let mut d2 = SenderDistribution::new(vec![(n(0), failed)]);
-        assert!(d2.complete(n(0)));
-        assert!(d2.round_done());
-    }
-
-    #[test]
-    fn sender_ignores_unknown_nodes_and_empty_partitions() {
-        let mut d = SenderDistribution::new(vec![(n(0), vec![1]), (n(1), Vec::<u32>::new())]);
-        assert_eq!(d.pending_nodes(), vec![n(0)]);
-        assert!(!d.complete(n(7)));
-        assert!(!d.fail(n(7)));
     }
 
     #[test]
