@@ -2,6 +2,7 @@
 //! load-balancing strategies at high load. Averaged over five seeds (a
 //! single simulated run is as noisy as a single hardware run).
 
+use bench::render::shape_verdict;
 use cluster_sim::experiments::load_balancing_summary;
 
 const SEEDS: [u64; 5] = [2001, 2002, 2003, 2004, 2005];
@@ -20,8 +21,13 @@ fn main() {
         "{:<14}{:>8}{:>8}{:>8}{:>26}",
         "", "DNS", "INTER", "DQA", "paper (DNS/INTER/DQA)"
     );
+    let mut broken = Vec::new();
     for &(nodes, pd, pi, pq) in &PAPER {
         let s = load_balancing_summary(nodes, &SEEDS);
+        let [dns, inter, dqa] = s.throughput;
+        if !(dns < inter && inter < dqa) {
+            broken.push(nodes);
+        }
         println!(
             "{:<14}{:>8.2}{:>8.2}{:>8.2}{:>14.2}{:>6.2}{:>6.2}",
             format!("{nodes} processors"),
@@ -33,5 +39,8 @@ fn main() {
             pq
         );
     }
-    println!("\nshape check: DNS < INTER < DQA at every size");
+    println!(
+        "\nshape check: DNS < INTER < DQA at every size: {}",
+        shape_verdict(&broken)
+    );
 }

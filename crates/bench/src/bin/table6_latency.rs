@@ -1,6 +1,7 @@
 //! Table 6: average question response times (seconds) under the three
 //! load-balancing strategies at high load, averaged over five seeds.
 
+use bench::render::shape_verdict;
 use cluster_sim::experiments::load_balancing_summary;
 
 const SEEDS: [u64; 5] = [2001, 2002, 2003, 2004, 2005];
@@ -19,8 +20,13 @@ fn main() {
         "{:<14}{:>9}{:>9}{:>9}{:>30}",
         "", "DNS", "INTER", "DQA", "paper (DNS/INTER/DQA)"
     );
+    let mut broken = Vec::new();
     for &(nodes, pd, pi, pq) in &PAPER {
         let s = load_balancing_summary(nodes, &SEEDS);
+        let [dns, inter, dqa] = s.response_time;
+        if !(dqa < dns && dqa < inter) {
+            broken.push(nodes);
+        }
         println!(
             "{:<14}{:>9.1}{:>9.1}{:>9.1}{:>14.1}{:>8.1}{:>8.1}",
             format!("{nodes} processors"),
@@ -32,7 +38,10 @@ fn main() {
             pq
         );
     }
-    println!("\nshape check: DQA lowest latency at every size");
+    println!(
+        "\nshape check: DQA lowest latency at every size: {}",
+        shape_verdict(&broken)
+    );
     println!("(absolute values differ: our open-loop burst holds more questions in");
     println!(" flight than the paper's; the strategy ordering is the result)");
 }

@@ -19,6 +19,16 @@ pub fn row(label: &str, cells: &[f64], precision: usize) -> String {
     s
 }
 
+/// The verdict a table binary prints after "shape check: <claim>": `holds`,
+/// or the cluster sizes whose printed row breaks the claim.
+pub fn shape_verdict(broken: &[usize]) -> String {
+    if broken.is_empty() {
+        return "holds".to_string();
+    }
+    let sizes: Vec<String> = broken.iter().map(|n| n.to_string()).collect();
+    format!("does NOT hold at {} processors", sizes.join(", "))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -28,6 +38,12 @@ mod tests {
         assert_eq!(fmt_bandwidth(125_000.0), "1 Mbps");
         assert_eq!(fmt_bandwidth(12_500_000.0), "100 Mbps");
         assert_eq!(fmt_bandwidth(125_000_000.0), "1 Gbps");
+    }
+
+    #[test]
+    fn shape_verdict_names_the_sizes_that_break_the_claim() {
+        assert_eq!(shape_verdict(&[]), "holds");
+        assert_eq!(shape_verdict(&[4, 12]), "does NOT hold at 4, 12 processors");
     }
 
     #[test]

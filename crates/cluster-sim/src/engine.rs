@@ -318,11 +318,6 @@ impl<T> Engine<T> {
         }
     }
 
-    /// Kill a task (failure injection); returns its tag if it was alive.
-    pub fn kill(&mut self, id: TaskId) -> Option<T> {
-        self.tasks.remove(&id).map(|t| t.tag)
-    }
-
     /// Kill every task whose tag matches `pred` (node-failure injection);
     /// returns the killed tags in id order.
     pub fn kill_where(&mut self, mut pred: impl FnMut(&T) -> bool) -> Vec<T> {
@@ -513,10 +508,10 @@ mod tests {
     #[test]
     fn kill_removes_a_task() {
         let mut e = Engine::new(1, 1e6);
-        let a = e.spawn(vec![Stage::cpu(n(0), 5.0)], "a");
+        e.spawn(vec![Stage::cpu(n(0), 5.0)], "a");
         e.spawn(vec![Stage::cpu(n(0), 5.0)], "b");
-        assert_eq!(e.kill(a), Some("a"));
-        assert_eq!(e.kill(a), None);
+        assert_eq!(e.kill_where(|t| *t == "a"), ["a"]);
+        assert!(e.kill_where(|t| *t == "a").is_empty());
         let done = run_all(&mut e);
         assert_eq!(done.len(), 1);
         assert!((done[0].0 - 5.0).abs() < 1e-9, "b at full rate");

@@ -47,8 +47,7 @@ pub(super) enum FaultAction {
 }
 
 /// Standby lease length in virtual seconds: how long after the last
-/// heartbeat a standby waits before promoting itself (mirrors
-/// `dqa_runtime::LeaderLease`).
+/// heartbeat a standby waits before promoting itself.
 const FAILOVER_LEASE_SECS: f64 = 0.5;
 
 /// Virtual seconds a standby spends folding one journal record during

@@ -2,10 +2,7 @@
 //! migration counts, the Table 9 overhead breakdown, the virtual-time
 //! event trace, and the span/critical-path views derived from them.
 
-use dqa_obs::{
-    critical_path, derive_span_id, derive_trace_id, CausalSpan, CauseSet, CriticalPath, Snapshot,
-    Span,
-};
+use dqa_obs::{derive_span_id, derive_trace_id, CausalSpan, CauseSet, Snapshot, Span};
 use qa_types::stats::percentile;
 use qa_types::{ModuleTimings, NodeId, OverloadCounts, QaModule, QuestionOutcome};
 use serde::Serialize;
@@ -347,11 +344,6 @@ impl SimReport {
             .collect()
     }
 
-    /// Critical-path attribution for question `q` (`None` if rejected).
-    pub fn question_critical_path(&self, q: usize, seed: u64) -> Option<CriticalPath> {
-        critical_path(&self.causal_spans(q, seed))
-    }
-
     /// Perfetto/chrome-tracing JSON of the whole run, byte-stable across
     /// seeded reruns.
     pub fn chrome_trace(&self, seed: u64) -> String {
@@ -363,6 +355,7 @@ impl SimReport {
 mod tests {
     use super::*;
     use crate::workload::{BalancingStrategy, QaSimulation, SimConfig};
+    use dqa_obs::critical_path;
     use faults::FaultSchedule;
     use qa_types::OverloadPolicy;
     use rebalance::ElasticConfig;
@@ -549,7 +542,7 @@ mod tests {
                 assert!(r.causal_spans(q, 5).is_empty(), "rejected q{q} has spans");
                 continue;
             }
-            let cp = r.question_critical_path(q, 5).expect("critical path");
+            let cp = critical_path(&r.causal_spans(q, 5)).expect("critical path");
             let e2e = rec.finished - rec.arrival;
             assert!(
                 (cp.total() - e2e).abs() <= 1e-9 * e2e.max(1.0),

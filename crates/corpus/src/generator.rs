@@ -8,7 +8,6 @@ use qa_types::rng::Rng;
 use qa_types::{
     AnswerType, DocId, Document, ParagraphId, QaError, SubCollectionId, SubCollectionMeta,
 };
-use std::sync::Arc;
 
 /// Verbs used by the sentence templates (real English so text reads
 /// plausibly; they index and stem like any other content word).
@@ -45,8 +44,7 @@ pub struct PlantedEntity {
     pub context_terms: Vec<String>,
 }
 
-/// The generated corpus: documents, planted ground truth, and the shared
-/// gazetteers/vocabulary that produced them.
+/// The generated corpus: documents and planted ground truth.
 #[derive(Debug, Clone)]
 pub struct Corpus {
     /// Generation parameters.
@@ -55,8 +53,6 @@ pub struct Corpus {
     pub documents: Vec<Document>,
     /// Ground truth for question generation.
     pub plants: Vec<PlantedEntity>,
-    gazetteers: Arc<Gazetteers>,
-    vocabulary: Vocabulary,
 }
 
 impl Corpus {
@@ -92,26 +88,7 @@ impl Corpus {
             config,
             documents,
             plants,
-            gazetteers,
-            vocabulary,
         })
-    }
-
-    /// The shared gazetteers used for planting.
-    pub fn gazetteers(&self) -> &Arc<Gazetteers> {
-        &self.gazetteers
-    }
-
-    /// The vocabulary used for generation.
-    pub fn vocabulary(&self) -> &Vocabulary {
-        &self.vocabulary
-    }
-
-    /// Documents belonging to one sub-collection.
-    pub fn sub_collection_docs(&self, id: SubCollectionId) -> impl Iterator<Item = &Document> + '_ {
-        self.documents
-            .iter()
-            .filter(move |d| d.sub_collection == id)
     }
 
     /// Look up a document by id.
@@ -159,18 +136,13 @@ impl Corpus {
         }
     }
 
-    /// Restore from a snapshot. The gazetteers and vocabulary are rebuilt
-    /// deterministically from the stored config.
+    /// Restore from a snapshot.
     pub fn from_snapshot(snapshot: CorpusSnapshot) -> Result<Corpus, QaError> {
         snapshot.config.validate().map_err(QaError::InvalidConfig)?;
-        let gazetteers = Gazetteers::standard();
-        let vocabulary = Vocabulary::generate(&snapshot.config);
         Ok(Corpus {
             config: snapshot.config,
             documents: snapshot.documents,
             plants: snapshot.plants,
-            gazetteers,
-            vocabulary,
         })
     }
 }
@@ -368,15 +340,9 @@ mod tests {
     #[test]
     fn sub_collections_partition_documents() {
         let c = corpus();
-        let total: usize = (0..c.config.sub_collections)
-            .map(|i| {
-                c.sub_collection_docs(SubCollectionId::new(i as u32))
-                    .count()
-            })
-            .sum();
-        assert_eq!(total, c.documents.len());
-        for d in c.sub_collection_docs(SubCollectionId::new(1)) {
-            assert_eq!(d.sub_collection, SubCollectionId::new(1));
+        // Every document lands in one of the configured sub-collections.
+        for d in &c.documents {
+            assert!(d.sub_collection.index() < c.config.sub_collections, "{d:?}");
         }
     }
 

@@ -88,11 +88,6 @@ impl Vocabulary {
         &self.words
     }
 
-    /// Word by index.
-    pub fn word(&self, i: usize) -> &str {
-        &self.words[i]
-    }
-
     /// Number of words.
     pub fn len(&self) -> usize {
         self.words.len()

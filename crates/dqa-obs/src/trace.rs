@@ -239,12 +239,6 @@ impl TraceRecorder {
         self.clock.now()
     }
 
-    /// The identity seed (mix it into shard-scoped recorders so broker
-    /// and shards agree on trace ids).
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// The trace id for `question` under this recorder's seed.
     pub fn trace_id(&self, question: u64) -> u64 {
         derive_trace_id(question, self.seed)

@@ -5,25 +5,11 @@
 use super::Cluster;
 use crate::integrity::ScrubReport;
 use crate::trace::TraceKind;
-use faults::FaultEvent;
 use qa_types::{NodeId, QuestionId, SubCollectionId};
 use rebalance::MAX_DEFERRALS;
 use std::time::Duration;
 
 impl Cluster {
-    /// Apply one corruption fault event against the integrity store's
-    /// segment image. Returns `true` when the event targeted an index
-    /// segment and damaged bytes; journal- and message-targeted events are
-    /// consumed by their own subsystems and return `false`, as does a
-    /// cluster without a [`ClusterConfig::integrity`] config.
-    pub fn apply_corruption(&self, event: &FaultEvent) -> bool {
-        let Some(integ) = &self.integrity else {
-            return false;
-        };
-        let judge = self.cfg.faults.corruption_judge();
-        integ.lock().inject(event, &judge)
-    }
-
     /// Apply every index-segment corruption in the configured fault
     /// schedule (the runtime analog of the simulator firing them at their
     /// scheduled virtual times). Returns the number of segments damaged.

@@ -354,11 +354,6 @@ impl Cluster {
         &self.board
     }
 
-    /// The broadcast load monitors (per-node cluster views, §3.1).
-    pub fn monitors(&self) -> &BroadcastMonitors {
-        &self.monitors
-    }
-
     /// Inject a node failure: the node stops serving and its queued work is
     /// recovered by coordinators.
     pub fn kill_node(&self, node: NodeId) {

@@ -1,154 +1,29 @@
-//! Replicated meta-scheduler: leases, terms and the shared journal handle.
+//! Replicated meta-scheduler: terms and the shared journal handle.
 //!
 //! The coordinator of PRs 1–4 is a single point of failure: every
 //! admission slot, in-flight question and chunk-dedup set lives in its
-//! memory. This module makes coordination *replicable*:
-//!
-//! * [`CoordinatorJournal`] — a cheap-to-clone handle over one durable
-//!   [`journal::Journal`]. Each coordinator incarnation holds its own
-//!   **term** cell; the journal rejects appends from any term other than
-//!   the highest it has witnessed, so after a standby promotes itself a
-//!   zombie ex-leader's grants bounce off with
-//!   [`journal::JournalError::Fenced`] (counted in
-//!   `dqa_fenced_grants_total`).
-//! * [`LeaderLease`] — a pure lease state machine over the sanctioned
-//!   [`dqa_obs::Clock`] seconds: no wall-clock reads, so the same code is
-//!   deterministic under [`dqa_obs::ManualClock`] in tests and under
-//!   virtual time in the simulator's mirror.
-//! * [`Standby`] — a standby coordinator tailing leader heartbeats over
-//!   the existing (bounded, crossbeam) link layer. When the lease
-//!   expires it promotes: bumps the term, fences the journal forward and
-//!   reports [`StandbyVerdict::Promoted`] so the caller can replay the
-//!   journal and [`crate::Cluster::resume`] every in-flight question.
+//! memory. This module makes coordination *replicable* through
+//! [`CoordinatorJournal`] — a cheap-to-clone handle over one durable
+//! [`journal::Journal`]. Each coordinator incarnation holds its own
+//! **term** cell; the journal rejects appends from any term other than
+//! the highest it has witnessed, so after a standby promotes itself a
+//! zombie ex-leader's grants bounce off with
+//! [`journal::JournalError::Fenced`] (counted in
+//! `dqa_fenced_grants_total`).
 //!
 //! The failover protocol is deliberately minimal — one journal is the
 //! single source of truth, so leadership is just "who may append":
-//! election is lease expiry, commitment is `advance_term`, and safety is
-//! the journal's term check, not any in-memory handshake.
+//! commitment is `advance_term`, and safety is the journal's term check,
+//! not any in-memory handshake. *When* a standby promotes is its
+//! caller's decision: the soaks and `tests/coordinator_failover.rs` crash
+//! the leader and promote at once, the simulator models a lease.
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::Mutex;
-use crossbeam_channel::{bounded, Receiver, Sender};
-use dqa_obs::Clock;
 use journal::{Journal, JournalError, JournalOptions, JournalRecord, Recovery};
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
-
-/// A heartbeat from the leader: its term and send time (clock seconds).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Beat {
-    /// The sender's term.
-    pub term: u64,
-    /// Send time in [`Clock`] seconds.
-    pub at: f64,
-}
-
-/// A bounded heartbeat link between a leader and one standby (the same
-/// crossbeam layer worker links use; bounded per the overload policy).
-pub fn heartbeat_channel(capacity: usize) -> (Sender<Beat>, Receiver<Beat>) {
-    bounded(capacity.max(1))
-}
-
-/// Pure lease/term state machine. All times are [`Clock`] seconds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LeaderLease {
-    term: u64,
-    lease_secs: f64,
-    last_beat: f64,
-}
-
-impl LeaderLease {
-    /// A fresh lease following `term`, granted at `now`.
-    pub fn new(term: u64, lease_secs: f64, now: f64) -> LeaderLease {
-        LeaderLease {
-            term,
-            lease_secs: lease_secs.max(0.0),
-            last_beat: now,
-        }
-    }
-
-    /// The term this lease currently follows.
-    pub fn term(&self) -> u64 {
-        self.term
-    }
-
-    /// Observe a heartbeat. Beats from the current or a newer term renew
-    /// the lease (and adopt the newer term); stale-term beats — a zombie
-    /// ex-leader still emitting — are ignored. Returns whether the beat
-    /// was accepted.
-    pub fn observe(&mut self, beat: Beat) -> bool {
-        if beat.term < self.term {
-            return false;
-        }
-        self.term = beat.term;
-        self.last_beat = self.last_beat.max(beat.at);
-        true
-    }
-
-    /// Whether the lease has expired at `now` (no acceptable heartbeat
-    /// for longer than the lease duration).
-    pub fn expired(&self, now: f64) -> bool {
-        now - self.last_beat > self.lease_secs
-    }
-
-    /// Claim leadership: bump to the next term and start a fresh lease at
-    /// `now`. Returns the new term.
-    pub fn promote(&mut self, now: f64) -> u64 {
-        self.term += 1;
-        self.last_beat = now;
-        self.term
-    }
-}
-
-/// What [`Standby::poll`] concluded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StandbyVerdict {
-    /// The leader's lease is live; keep tailing.
-    Following,
-    /// The lease expired: this standby claimed the contained (new) term.
-    /// The caller must fence the journal forward
-    /// ([`CoordinatorJournal::promote`]) before acting on it.
-    Promoted(u64),
-}
-
-/// A standby coordinator: tails heartbeats, promotes on lease expiry.
-#[derive(Debug)]
-pub struct Standby {
-    rx: Receiver<Beat>,
-    lease: LeaderLease,
-}
-
-impl Standby {
-    /// A standby following `term` with `lease_secs` of patience, starting
-    /// its lease at `now`.
-    pub fn new(rx: Receiver<Beat>, term: u64, lease_secs: f64, now: f64) -> Standby {
-        Standby {
-            rx,
-            lease: LeaderLease::new(term, lease_secs, now),
-        }
-    }
-
-    /// The lease state (term, for observability).
-    pub fn lease(&self) -> &LeaderLease {
-        &self.lease
-    }
-
-    /// Drain pending heartbeats and decide: still following, or promoted
-    /// because the lease ran out. Deterministic given the clock and the
-    /// beat sequence — no wall time, no randomness.
-    pub fn poll(&mut self, clock: &dyn Clock) -> StandbyVerdict {
-        while let Ok(beat) = self.rx.try_recv() {
-            self.lease.observe(beat);
-        }
-        let now = clock.now();
-        if self.lease.expired(now) {
-            StandbyVerdict::Promoted(self.lease.promote(now))
-        } else {
-            StandbyVerdict::Following
-        }
-    }
-}
 
 /// A coordinator's handle on the shared question journal.
 ///
@@ -244,7 +119,6 @@ impl CoordinatorJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dqa_obs::ManualClock;
     use journal::JournalError;
     use qa_types::{Question, QuestionId};
     use std::fs;
@@ -260,53 +134,6 @@ mod tests {
         JournalRecord::Admitted {
             question: Question::new(QuestionId::new(id), format!("question {id}")),
         }
-    }
-
-    #[test]
-    fn heartbeats_keep_standby_following() {
-        let clock = ManualClock::new();
-        let (tx, rx) = heartbeat_channel(16);
-        let mut standby = Standby::new(rx, 1, 0.5, clock.now());
-        for step in 1..=10 {
-            clock.set(step as f64 * 0.2);
-            tx.send(Beat {
-                term: 1,
-                at: clock.now(),
-            })
-            .unwrap();
-            assert_eq!(
-                standby.poll(&clock),
-                StandbyVerdict::Following,
-                "step {step}"
-            );
-        }
-    }
-
-    #[test]
-    fn lease_expiry_promotes_to_next_term() {
-        let clock = ManualClock::new();
-        let (_tx, rx) = heartbeat_channel(16);
-        let mut standby = Standby::new(rx, 3, 0.5, clock.now());
-        clock.set(0.4);
-        assert_eq!(standby.poll(&clock), StandbyVerdict::Following);
-        clock.set(0.6); // 0.6 > 0.5: lease gone
-        assert_eq!(standby.poll(&clock), StandbyVerdict::Promoted(4));
-        assert_eq!(standby.lease().term(), 4);
-        // A late beat from the deposed term-3 leader is ignored.
-        let mut lease = *standby.lease();
-        assert!(!lease.observe(Beat {
-            term: 3,
-            at: clock.now()
-        }));
-    }
-
-    #[test]
-    fn newer_term_beats_are_adopted() {
-        let mut lease = LeaderLease::new(1, 1.0, 0.0);
-        assert!(lease.observe(Beat { term: 2, at: 0.5 }));
-        assert_eq!(lease.term(), 2);
-        assert!(!lease.expired(1.0));
-        assert!(lease.expired(1.6));
     }
 
     #[test]

@@ -71,16 +71,6 @@ pub enum RepairSource {
     Rebuild,
 }
 
-impl RepairSource {
-    /// Metric label value for `dqa_integrity_repairs_total`.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            RepairSource::Replica => "replica",
-            RepairSource::Rebuild => "rebuild",
-        }
-    }
-}
-
 /// What one scrub step (or full scrub cycle) did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScrubReport {

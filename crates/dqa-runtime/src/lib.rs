@@ -48,9 +48,7 @@ pub use board::{LoadBoard, QuarantinePolicy};
 pub use chaos::ChaosDriver;
 pub use clock::now_instant;
 pub use cluster::{Cluster, ClusterConfig, DistributedAnswer};
-pub use failover::{
-    heartbeat_channel, Beat, CoordinatorJournal, LeaderLease, Standby, StandbyVerdict,
-};
+pub use failover::CoordinatorJournal;
 pub use integrity::{IntegrityConfig, IntegrityRuntime, IntegrityStore, RepairSource, ScrubReport};
 pub use links::FaultyLink;
 pub use monitor::BroadcastMonitors;

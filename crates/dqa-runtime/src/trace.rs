@@ -8,8 +8,7 @@
 //! wall time here and virtual time in the simulator's harnesses.
 
 use dqa_obs::{
-    render_waterfall, CausalSpan, CauseSet, Clock, Counter, FlightRecorder, Span, TraceRecorder,
-    WallClock,
+    CausalSpan, CauseSet, Clock, Counter, FlightRecorder, Span, TraceRecorder, WallClock,
 };
 use qa_types::{NodeId, QaModule, QuestionId, SubCollectionId};
 use std::sync::Arc;
@@ -176,47 +175,11 @@ impl TraceLog {
             .map(TraceEvent::render)
             .collect()
     }
-
-    /// Reconstruct the per-question timeline from the retained events.
-    pub fn timeline(&self, q: QuestionId) -> QuestionTimeline {
-        let events = self.for_question(q);
-        let phases = phase_spans(&events);
-        QuestionTimeline {
-            question: q,
-            events,
-            phases,
-        }
-    }
 }
 
 impl Default for TraceLog {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// A reconstructed per-question view: the Fig. 7 listing plus the derived
-/// QP → PR → PO → AP → SORT phase spans.
-#[derive(Debug, Clone)]
-pub struct QuestionTimeline {
-    /// The question.
-    pub question: QuestionId,
-    /// Its retained events, oldest first.
-    pub events: Vec<TraceEvent>,
-    /// Derived phase spans (only phases both of whose endpoints survive
-    /// in the ring appear).
-    pub phases: Vec<Span>,
-}
-
-impl QuestionTimeline {
-    /// Fig. 7-style listing, one rendered line per event.
-    pub fn listing(&self) -> Vec<String> {
-        self.events.iter().map(TraceEvent::render).collect()
-    }
-
-    /// ASCII per-phase waterfall, `width` columns wide.
-    pub fn waterfall(&self, width: usize) -> Vec<String> {
-        render_waterfall(&self.phases, width)
     }
 }
 
@@ -506,17 +469,13 @@ mod tests {
         step(4.0, n1, TraceKind::ApBatchDone(20));
         step(4.2, n0, TraceKind::AnswersSorted(5));
 
-        let tl = log.timeline(q);
-        let labels: Vec<&str> = tl.phases.iter().map(|s| s.label.as_str()).collect();
+        let phases = phase_spans(&log.for_question(q));
+        let labels: Vec<&str> = phases.iter().map(|s| s.label.as_str()).collect();
         assert_eq!(labels, ["QP", "PR", "PO", "AP", "SORT"]);
-        let pr = &tl.phases[1];
+        let pr = &phases[1];
         assert_eq!((pr.start, pr.end), (0.5, 2.5));
-        let po = &tl.phases[2];
+        let po = &phases[2];
         assert_eq!((po.start, po.end), (2.5, 2.7));
-        assert_eq!(tl.listing().len(), 9);
-        let lines = tl.waterfall(40);
-        assert_eq!(lines.len(), 5);
-        assert!(lines.iter().any(|l| l.contains("PR")));
     }
 
     #[test]
@@ -531,8 +490,8 @@ mod tests {
         log.record(q, n, TraceKind::ParagraphsMerged(0));
         clock.set(1.1);
         log.record(q, n, TraceKind::AnswersSorted(0));
-        let tl = log.timeline(q);
-        let labels: Vec<&str> = tl.phases.iter().map(|s| s.label.as_str()).collect();
+        let phases = phase_spans(&log.for_question(q));
+        let labels: Vec<&str> = phases.iter().map(|s| s.label.as_str()).collect();
         assert_eq!(labels, ["QP", "PO", "SORT"]);
     }
 

@@ -31,7 +31,6 @@
 //! node faults.
 
 use crate::breaker::ShardBreaker;
-use crate::clock;
 use crate::estimator::LatencyEstimator;
 use crate::partition::partition_documents;
 use crate::windows::FaultWindows;
@@ -40,7 +39,7 @@ use dqa_obs::{
     names, splitmix64, CausalSpan, CauseSet, Clock, DqaMetrics, MetricsRegistry, TraceRecorder,
     WallClock, DEFAULT_FLIGHT_RECORDER_CAPACITY,
 };
-use dqa_runtime::{Admission, Cluster, ClusterConfig};
+use dqa_runtime::{now_instant, Admission, Cluster, ClusterConfig};
 use faults::FaultSchedule;
 use ir_engine::{DocumentStore, ParagraphRetriever, RetrievalConfig, ShardedIndex};
 use nlp::NamedEntityRecognizer;
@@ -389,7 +388,7 @@ impl FederationBroker {
             metrics,
             windows,
             shutdown,
-            started: clock::now_instant(),
+            started: now_instant(),
             tracer,
         }
     }
@@ -405,12 +404,6 @@ impl FederationBroker {
     /// trees, under the shard's derived sub-seed).
     pub fn shard_tracer(&self, shard: usize) -> Option<&Arc<TraceRecorder>> {
         self.shards.get(shard).map(|s| s.primary.cluster.tracer())
-    }
-
-    /// The broker-level metrics registry (federation counters and
-    /// `dqa_shard_*` families).
-    pub fn metrics(&self) -> &MetricsRegistry {
-        self.metrics.registry()
     }
 
     /// Number of shards.
@@ -433,7 +426,7 @@ impl FederationBroker {
     /// Scatter one question to every shard, hedge stragglers, and merge
     /// whatever responded. See the module docs for the full contract.
     pub fn ask(&self, question: &Question) -> FederatedAdmission {
-        let scatter_start = clock::now_instant();
+        let scatter_start = now_instant();
         let enqueued_secs = self.tracer.now();
         let mut broker_paused = false;
         // Broker-tier faults: a transient crash holds the question until
@@ -657,7 +650,7 @@ impl FederationBroker {
             return fail(ShardStatus::Down, report, None);
         };
         let (reply_tx, reply_rx) = bounded::<ShardReply>(2);
-        let start = clock::now_instant();
+        let start = now_instant();
         let req = ShardRequest {
             question: question.clone(),
             reply: reply_tx.clone(),

@@ -13,9 +13,9 @@
 //! * **Hedging** — a shard running past its EWMA-tracked tail latency
 //!   ([`LatencyEstimator`]) gets a bounded, deduplicated hedge retry on
 //!   its replica; first result wins.
-//! * **Breakers** — consecutive failures or a saturated `dqa_node_load`
-//!   gauge open a per-shard [`ShardBreaker`], diverting primary traffic
-//!   to the replica for a cooldown.
+//! * **Breakers** — consecutive failures open a per-shard
+//!   [`ShardBreaker`], diverting primary traffic to the replica for a
+//!   cooldown.
 //! * **Merge** — responders ≥ quorum yield a merged, Coverage-annotated
 //!   answer; fewer responders still merge (flagged as a quorum
 //!   shortfall); zero responders with admission rejections aggregate a
@@ -30,7 +30,6 @@
 
 pub mod breaker;
 pub mod broker;
-pub mod clock;
 pub mod estimator;
 pub mod partition;
 pub mod sim;

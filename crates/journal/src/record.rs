@@ -133,25 +133,6 @@ pub enum JournalRecord {
     },
 }
 
-impl JournalRecord {
-    /// The question this record concerns, if any.
-    pub fn question(&self) -> Option<QuestionId> {
-        match self {
-            JournalRecord::Admitted { question } => Some(question.id),
-            JournalRecord::Scheduled { question, .. }
-            | JournalRecord::ChunkGranted { question, .. }
-            | JournalRecord::PartialResult { question, .. }
-            | JournalRecord::RetrySpent { question, .. }
-            | JournalRecord::Answered { question, .. }
-            | JournalRecord::Abandoned { question } => Some(*question),
-            JournalRecord::TermChange { .. }
-            | JournalRecord::RebalancePlanned { .. }
-            | JournalRecord::RebalanceStepDone { .. }
-            | JournalRecord::RebalanceConverged { .. } => None,
-        }
-    }
-}
-
 /// A record stamped with the term of the coordinator that wrote it —
 /// exactly what one on-disk frame's payload encodes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -286,17 +267,5 @@ mod tests {
             assert_eq!(serde_json::to_string(&framed).unwrap(), text);
             assert_eq!(serde_json::from_str::<Framed>(text).unwrap(), framed);
         }
-    }
-
-    #[test]
-    fn question_accessor() {
-        assert_eq!(
-            JournalRecord::Abandoned {
-                question: QuestionId::new(9)
-            }
-            .question(),
-            Some(QuestionId::new(9))
-        );
-        assert_eq!(JournalRecord::TermChange { term: 1 }.question(), None);
     }
 }

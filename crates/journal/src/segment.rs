@@ -201,11 +201,6 @@ impl Journal {
         ))
     }
 
-    /// Directory the journal lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// The term this journal currently requires of writers.
     pub fn term(&self) -> u64 {
         self.term

@@ -65,16 +65,6 @@ impl LoadFunctions {
         }
     }
 
-    /// Uniform-weight variant for the ablation bench.
-    pub fn uniform() -> Self {
-        Self {
-            qa: ResourceWeights::UNIFORM,
-            pr: ResourceWeights::UNIFORM,
-            ap: ResourceWeights::UNIFORM,
-            ..Self::paper()
-        }
-    }
-
     /// Evaluate the load function a dispatcher uses for `module`.
     pub fn load_for(&self, module: QaModule, v: ResourceVector) -> f64 {
         match module {
@@ -149,12 +139,5 @@ mod tests {
         assert_eq!(f.load_for(QaModule::Pr, v), pr_load(v));
         assert_eq!(f.load_for(QaModule::Ap, v), ap_load(v));
         assert_eq!(f.load_for(QaModule::Qp, v), qa_load(v));
-    }
-
-    #[test]
-    fn uniform_variant_differs() {
-        let u = LoadFunctions::uniform();
-        let v = ResourceVector::new(1.0, 0.0);
-        assert!((u.load_for(QaModule::Pr, v) - 0.5).abs() < 1e-12);
     }
 }

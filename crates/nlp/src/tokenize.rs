@@ -22,13 +22,6 @@ pub struct Token {
     pub capitalized: bool,
 }
 
-impl Token {
-    /// The original (un-lowercased) slice of the source.
-    pub fn source<'a>(&self, src: &'a str) -> &'a str {
-        &src[self.start..self.end]
-    }
-}
-
 /// Tokenize `text` into words with offsets.
 ///
 /// A joiner character (`'` or `-`) is kept inside a token only when it is
@@ -83,7 +76,7 @@ mod tests {
     fn offsets_slice_the_source() {
         let src = "Pope John Paul II";
         let toks = tokenize(src);
-        assert_eq!(toks[1].source(src), "John");
+        assert_eq!(&src[toks[1].start..toks[1].end], "John");
         assert!(toks[1].capitalized);
         assert_eq!(toks[1].text, "john");
         assert_eq!(&src[toks[3].start..toks[3].end], "II");

@@ -2011,6 +2011,67 @@ mod tests {
         assert!(validate_chrome_json(&json).unwrap() > 0);
     }
 
+    /// The lines `ask --json`, `ask --shards N --json` and `simulate
+    /// --waterfall Q --format json` print, as `serde_json::json!` wrote
+    /// them: keys sorted at every level.
+    #[test]
+    fn json_records_keep_the_sorted_key_order() {
+        let answers = RankedAnswers {
+            answers: vec![qa_types::Answer {
+                paragraph: ParagraphId::new(qa_types::DocId::new(8), 1),
+                candidate: "Lake Quaven".into(),
+                text: "built in Lake Quaven".into(),
+                score: 0.5,
+            }],
+        };
+        let answer = r#"{"candidate":"Lake Quaven","paragraph":{"doc":8,"ordinal":1},"score":0.5,"text":"built in Lake Quaven"}"#;
+        let truth = Some("Lake Quaven".to_string());
+        let ask = AskRecord {
+            answers: answer_records(&answers),
+            question: "where?",
+            truth: &truth,
+        };
+        assert_eq!(
+            serde_json::to_string(&ask).unwrap(),
+            format!(r#"{{"answers":[{answer}],"question":"where?","truth":"Lake Quaven"}}"#)
+        );
+        let shard = ShardReport {
+            shard: 1,
+            status: ShardStatus::TimedOut,
+            latency_secs: 0.25,
+            hedged: true,
+            hedge_won: false,
+        };
+        let federated = FederatedAskRecord {
+            answers: answer_records(&answers),
+            coverage: 0.5,
+            quorum_met: false,
+            question: "where?",
+            shards: vec![ShardRecord::from(&shard)],
+            truth: &None,
+        };
+        assert_eq!(
+            serde_json::to_string(&federated).unwrap(),
+            format!(
+                r#"{{"answers":[{answer}],"coverage":0.5,"quorum_met":false,"question":"where?","shards":[{{"hedge_won":false,"hedged":true,"latency_secs":0.25,"shard":1,"status":"TimedOut"}}],"truth":null}}"#
+            )
+        );
+        let hedged = dqa_obs::CauseSet::HEDGED;
+        let span = CausalSpan::new(7, Some(1), "PR", Some(2), 0.5, 2.5, 0.25, hedged);
+        let waterfall = WaterfallRecord {
+            question: 0,
+            seed: 3,
+            spans: vec![SpanRecord::from(&span)],
+        };
+        let id = format!("{:016x}", span.id);
+        assert_eq!(
+            serde_json::to_string(&waterfall).unwrap(),
+            format!(
+                r#"{{"question":0,"seed":3,"spans":[{{"causes":["hedged"],"end":2.5,"id":"{id}","name":"PR","node":2,"parent":"0000000000000001","queue_wait":0.25,"start":0.5,"trace":"0000000000000007"}}]}}"#
+            )
+        );
+    }
+
     #[test]
     fn simulate_waterfall_formats() {
         run(&[

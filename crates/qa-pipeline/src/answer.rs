@@ -21,7 +21,7 @@ use crate::config::PipelineConfig;
 use nlp::ner::NamedEntityRecognizer;
 use nlp::tokenize::{tokenize, Token};
 use nlp::Analyzer;
-use qa_types::{Answer, AnswerType, AnswerWindow, Paragraph, ProcessedQuestion, RankedAnswers};
+use qa_types::{Answer, AnswerType, Paragraph, ProcessedQuestion, RankedAnswers};
 use std::collections::HashMap;
 
 /// One unit of AP work: a paragraph plus its PS rank.
@@ -45,35 +45,6 @@ const WINDOW_TOKENS: usize = 10;
 /// Heuristic weights; they sum to 1.
 const W: [f64; 7] = [0.24, 0.10, 0.18, 0.10, 0.12, 0.16, 0.10];
 
-/// Extract every scored answer window from a batch — the *pre-ranking*
-/// view of AP, for explainability and debugging ("why did this answer
-/// win?"). Windows are returned in paragraph order, unranked and
-/// undeduplicated.
-pub fn extract_windows(
-    items: &[ApItem],
-    question: &ProcessedQuestion,
-    ner: &NamedEntityRecognizer,
-    cfg: &PipelineConfig,
-) -> Vec<AnswerWindow> {
-    let mut out = Vec::new();
-    let mut analyzer = Analyzer::default();
-    for item in items {
-        for (ans, entity_type, offset, window) in
-            candidates_in_paragraph(item, question, ner, cfg, &mut analyzer)
-        {
-            out.push(AnswerWindow {
-                paragraph: ans.paragraph,
-                candidate: ans.candidate,
-                entity_type,
-                window,
-                offset,
-                score: ans.score,
-            });
-        }
-    }
-    out
-}
-
 /// Extract and rank answers from a batch of accepted paragraphs.
 ///
 /// This is the unit of AP partitioning: each partition runs
@@ -90,7 +61,7 @@ pub fn extract_answers(
     let mut analyzer = Analyzer::default();
 
     for item in items {
-        for (ans, ..) in candidates_in_paragraph(item, question, ner, cfg, &mut analyzer) {
+        for ans in candidates_in_paragraph(item, question, ner, cfg, &mut analyzer) {
             match best.get_mut(&ans.candidate) {
                 Some(cur) if !Answer::better(&ans, cur) => {}
                 Some(cur) => *cur = ans,
@@ -104,16 +75,14 @@ pub fn extract_answers(
     RankedAnswers::from_unsorted(best.into_values().collect(), cfg.answers_requested)
 }
 
-/// Shared candidate extraction: every typed entity with keyword support,
-/// with its window metadata `(answer, entity type, byte offset, window
-/// text)`.
+/// Candidate extraction: every typed entity with keyword support.
 fn candidates_in_paragraph(
     item: &ApItem,
     question: &ProcessedQuestion,
     ner: &NamedEntityRecognizer,
     cfg: &PipelineConfig,
     analyzer: &mut Analyzer,
-) -> Vec<(Answer, AnswerType, usize, String)> {
+) -> Vec<Answer> {
     let text = &item.paragraph.text;
     let tokens = tokenize(text);
     if tokens.is_empty() {
@@ -173,18 +142,12 @@ fn candidates_in_paragraph(
         }
 
         let text_span = answer_span(text, &tokens, win_lo, win_hi, cfg.answer_bytes);
-        let full_window = text[tokens[win_lo].start..tokens[win_hi].end].to_string();
-        out.push((
-            Answer {
-                paragraph: item.paragraph.id,
-                candidate: m.text.clone(),
-                text: text_span,
-                score,
-            },
-            m.entity_type,
-            m.start,
-            full_window,
-        ));
+        out.push(Answer {
+            paragraph: item.paragraph.id,
+            candidate: m.text.clone(),
+            text: text_span,
+            score,
+        });
     }
     out
 }
@@ -485,40 +448,6 @@ mod tests {
             &PipelineConfig::default(),
         );
         assert!(!ans.is_empty());
-    }
-
-    #[test]
-    fn extract_windows_exposes_the_pre_ranking_view() {
-        let loc = location();
-        let q = pq("Where is the granite quarry ledge?");
-        let text = format!("The granite quarry ledge sits in {loc} today.");
-        let items = vec![ApItem {
-            paragraph: para(0, &text),
-            rank: 1.0,
-        }];
-        let windows = extract_windows(
-            &items,
-            &q,
-            &NamedEntityRecognizer::standard(),
-            &PipelineConfig::default(),
-        );
-        assert!(!windows.is_empty());
-        let w = &windows[0];
-        assert_eq!(w.candidate, loc);
-        assert_eq!(w.entity_type, AnswerType::Location);
-        assert!(w.window.contains(&loc));
-        assert_eq!(&text[w.offset..w.offset + loc.len()], loc.as_str());
-        assert!(w.score > 0.0);
-        // The ranked answers are a subset of the windows' candidates.
-        let ans = extract_answers(
-            &items,
-            &q,
-            &NamedEntityRecognizer::standard(),
-            &PipelineConfig::default(),
-        );
-        for a in &ans.answers {
-            assert!(windows.iter().any(|w| w.candidate == a.candidate));
-        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod ordering;
 pub mod pipeline;
 pub mod scoring;
 
-pub use answer::{extract_answers, extract_windows, ApItem};
+pub use answer::{extract_answers, ApItem};
 pub use config::PipelineConfig;
 pub use ordering::order_paragraphs;
 pub use pipeline::{PipelineOutput, QaPipeline};

@@ -6,30 +6,12 @@
 //! keywords — scores windows with seven heuristics and returns the best `N_a`.
 
 use crate::ids::ParagraphId;
-use crate::question::AnswerType;
 use serde::{Deserialize, Serialize};
 
 /// The answer-window length limits used by TREC (Table 1 of the paper).
 pub const SHORT_ANSWER_BYTES: usize = 50;
 /// Long-answer window limit.
 pub const LONG_ANSWER_BYTES: usize = 250;
-
-/// A candidate answer window before final ranking.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnswerWindow {
-    /// Paragraph the window was cut from.
-    pub paragraph: ParagraphId,
-    /// Candidate answer entity text.
-    pub candidate: String,
-    /// Category the candidate was recognized as.
-    pub entity_type: AnswerType,
-    /// Window text (candidate plus surrounding keywords).
-    pub window: String,
-    /// Byte offset of the candidate within the paragraph.
-    pub offset: usize,
-    /// Combined score from the seven AP heuristics.
-    pub score: f64,
-}
 
 /// A final answer returned to the user.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -45,11 +27,6 @@ pub struct Answer {
 }
 
 impl Answer {
-    /// Size in bytes as transferred to the user (`S_ans` in the model).
-    pub fn wire_size(&self) -> usize {
-        self.text.len() + self.candidate.len() + std::mem::size_of::<ParagraphId>()
-    }
-
     /// Total order used when deduplicating the same candidate found in
     /// several paragraphs: higher score wins; ties go to the lower
     /// paragraph id. Order-independent, so sequential and partitioned AP

@@ -55,16 +55,6 @@ impl ModuleProfile {
     pub fn sequential_fixed(&self) -> f64 {
         self.times.qp + self.times.po
     }
-
-    /// Mean PR demand per sub-collection (seconds).
-    pub fn pr_per_collection(&self) -> f64 {
-        self.times.pr / self.sub_collections as f64
-    }
-
-    /// Mean AP demand per accepted paragraph (seconds).
-    pub fn ap_per_paragraph(&self) -> f64 {
-        self.times.ap / self.paragraphs_accepted as f64
-    }
 }
 
 /// Marker type exposing the TREC-8 profile (Table 2, first column).
@@ -196,13 +186,6 @@ mod tests {
             let parallelizable = p.times.pr + p.times.ps + p.times.ap;
             assert!(parallelizable / p.sequential_total() > 0.90);
         }
-    }
-
-    #[test]
-    fn per_item_demands_are_consistent() {
-        let p = Trec9Profile::complex();
-        assert!((p.pr_per_collection() * p.sub_collections as f64 - p.times.pr).abs() < 1e-9);
-        assert!((p.ap_per_paragraph() * p.paragraphs_accepted as f64 - p.times.ap).abs() < 1e-9);
     }
 
     #[test]

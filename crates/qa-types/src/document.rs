@@ -18,13 +18,6 @@ pub struct Paragraph {
     pub text: String,
 }
 
-impl Paragraph {
-    /// Size in bytes as it crosses the network (`S_par` in the model).
-    pub fn wire_size(&self) -> usize {
-        self.text.len() + std::mem::size_of::<ParagraphId>()
-    }
-}
-
 /// A document: a title plus a sequence of paragraphs.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Document {
@@ -102,12 +95,5 @@ mod tests {
             doc.body_bytes(),
             "first para".len() + "second para text".len()
         );
-    }
-
-    #[test]
-    fn paragraph_wire_size_includes_id() {
-        let doc = sample_doc();
-        let p = doc.iter_paragraphs().next().unwrap();
-        assert_eq!(p.wire_size(), "first para".len() + 8);
     }
 }

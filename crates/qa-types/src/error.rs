@@ -1,6 +1,6 @@
 //! Error type shared across the workspace.
 
-use crate::ids::{NodeId, QuestionId};
+use crate::ids::QuestionId;
 use std::fmt;
 
 /// Errors surfaced by the Q/A subsystems.
@@ -10,8 +10,6 @@ pub enum QaError {
     UnknownSubCollection(u32),
     /// A question produced no usable keywords.
     NoKeywords(QuestionId),
-    /// A node failed while processing a sub-task.
-    NodeFailed(NodeId),
     /// The requested configuration is invalid (empty node set, zero chunk
     /// size, weight vector mismatch, …).
     InvalidConfig(String),
@@ -39,7 +37,6 @@ impl fmt::Display for QaError {
         match self {
             QaError::UnknownSubCollection(c) => write!(f, "unknown sub-collection C{c}"),
             QaError::NoKeywords(q) => write!(f, "question {q} produced no keywords"),
-            QaError::NodeFailed(n) => write!(f, "node {n} failed"),
             QaError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             QaError::Codec(msg) => write!(f, "codec error: {msg}"),
             QaError::Disconnected(msg) => write!(f, "disconnected: {msg}"),
@@ -69,10 +66,6 @@ mod tests {
         assert_eq!(
             QaError::NoKeywords(QuestionId::new(3)).to_string(),
             "question Q3 produced no keywords"
-        );
-        assert_eq!(
-            QaError::NodeFailed(NodeId::new(2)).to_string(),
-            "node N2 failed"
         );
         assert!(QaError::InvalidConfig("x".into()).to_string().contains("x"));
     }

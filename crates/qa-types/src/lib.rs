@@ -29,7 +29,7 @@ pub mod resources;
 pub mod rng;
 pub mod stats;
 
-pub use answer::{Answer, AnswerWindow, Coverage, RankedAnswers};
+pub use answer::{Answer, Coverage, RankedAnswers};
 pub use calibration::{ModuleProfile, Trec8Profile, Trec9Profile};
 pub use crc::crc32;
 pub use document::{Document, Paragraph, SubCollectionMeta};
@@ -40,4 +40,4 @@ pub use modules::{ModuleTimings, QaModule};
 pub use overload::{Offer, OverloadCounts, OverloadPolicy, QuestionOutcome};
 pub use params::SystemParams;
 pub use question::{AnswerType, Keyword, ProcessedQuestion, Question};
-pub use resources::{Resource, ResourceVector, ResourceWeights};
+pub use resources::{ResourceVector, ResourceWeights};

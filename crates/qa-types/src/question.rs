@@ -38,21 +38,6 @@ pub enum AnswerType {
     Unknown,
 }
 
-impl AnswerType {
-    /// All concrete (non-[`Unknown`](AnswerType::Unknown)) categories.
-    pub const ALL: [AnswerType; 9] = [
-        AnswerType::Person,
-        AnswerType::Location,
-        AnswerType::Organization,
-        AnswerType::Date,
-        AnswerType::Quantity,
-        AnswerType::Money,
-        AnswerType::Nationality,
-        AnswerType::Disease,
-        AnswerType::Definition,
-    ];
-}
-
 impl fmt::Display for AnswerType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -108,12 +93,6 @@ impl Question {
             text: text.into(),
         }
     }
-
-    /// Size of the question in bytes as transferred over the network
-    /// (`S_q` in the analytical model).
-    pub fn wire_size(&self) -> usize {
-        self.text.len() + std::mem::size_of::<QuestionId>()
-    }
 }
 
 /// Output of the Question Processing module: answer type plus keywords.
@@ -132,11 +111,6 @@ impl ProcessedQuestion {
     pub fn keyword_terms(&self) -> impl Iterator<Item = &str> {
         self.keywords.iter().map(|k| k.term.as_str())
     }
-
-    /// Total keyword payload in bytes (`N_k · S_kw` in the analytical model).
-    pub fn keyword_bytes(&self) -> usize {
-        self.keywords.iter().map(|k| k.term.len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -151,18 +125,6 @@ mod tests {
     }
 
     #[test]
-    fn all_covers_every_concrete_variant() {
-        assert_eq!(AnswerType::ALL.len(), 9);
-        assert!(!AnswerType::ALL.contains(&AnswerType::Unknown));
-    }
-
-    #[test]
-    fn wire_size_counts_text_bytes() {
-        let q = Question::new(QuestionId::new(73), "Where is the Taj Mahal ?");
-        assert_eq!(q.wire_size(), q.text.len() + 4);
-    }
-
-    #[test]
     fn processed_question_keyword_accessors() {
         let q = ProcessedQuestion {
             question: Question::new(QuestionId::new(1), "who?"),
@@ -171,6 +133,5 @@ mod tests {
         };
         let terms: Vec<_> = q.keyword_terms().collect();
         assert_eq!(terms, ["taj", "mahal"]);
-        assert_eq!(q.keyword_bytes(), 8);
     }
 }

@@ -5,29 +5,6 @@
 //! weights equal the fraction of module execution time spent on each
 //! resource (Table 3).
 
-use std::fmt;
-
-/// A schedulable hardware resource.
-///
-/// "CPU" follows the paper's footnote: the combination of the processing
-/// unit and dynamic memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Resource {
-    /// Processor + dynamic memory.
-    Cpu,
-    /// Disk subsystem.
-    Disk,
-}
-
-impl fmt::Display for Resource {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Resource::Cpu => "CPU",
-            Resource::Disk => "DISK",
-        })
-    }
-}
-
 /// A per-resource measurement: utilization (0.0 = idle, 1.0 = saturated) or
 /// queue length, depending on context.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -42,14 +19,6 @@ impl ResourceVector {
     /// Construct from components.
     pub const fn new(cpu: f64, disk: f64) -> Self {
         Self { cpu, disk }
-    }
-
-    /// Access a component by resource kind.
-    pub fn get(&self, r: Resource) -> f64 {
-        match r {
-            Resource::Cpu => self.cpu,
-            Resource::Disk => self.disk,
-        }
     }
 }
 
@@ -151,14 +120,5 @@ mod tests {
             ResourceWeights::normalized(0.0, 0.0),
             ResourceWeights::UNIFORM
         );
-    }
-
-    #[test]
-    fn resource_vector_get() {
-        let v = ResourceVector::new(0.3, 0.6);
-        assert_eq!(v.get(Resource::Cpu), 0.3);
-        assert_eq!(v.get(Resource::Disk), 0.6);
-        assert_eq!(Resource::Cpu.to_string(), "CPU");
-        assert_eq!(Resource::Disk.to_string(), "DISK");
     }
 }
