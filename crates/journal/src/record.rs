@@ -6,6 +6,8 @@
 //! Payloads that the coordinator would otherwise have to recompute
 //! (scored paragraphs, ranked answers) are stored as opaque `serde_json`
 //! bytes so the journal crate does not depend on the pipeline crates.
+//! Every variant has a writer in `dqa-runtime`; a kind nothing writes is
+//! not part of the schema.
 
 use qa_types::{Question, QuestionId};
 use serde::{Deserialize, Serialize};

@@ -327,7 +327,7 @@ fn ask(argv: &[String]) -> Result<(), CmdError> {
                     overload,
                     metrics: Some(registry.clone()),
                     journal: journal.clone(),
-                    elastic: elastic.clone(),
+                    elastic,
                     ..ClusterConfig::default()
                 },
             );
