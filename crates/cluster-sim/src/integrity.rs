@@ -157,13 +157,12 @@ pub fn run_integrity_sim(cfg: &IntegritySimConfig) -> IntegritySimReport {
     let mut events: Vec<(f64, EventClass, u64)> = Vec::new();
     let mut seq = 0u64;
     for ev in &cfg.faults.events {
-        let (target, at) = match *ev {
+        let (CorruptTarget::IndexSegment { sub }, at) = match *ev {
             FaultEvent::BitFlip { target, at } | FaultEvent::TornWrite { target, at } => {
                 (target, at)
             }
             _ => continue,
         };
-        let CorruptTarget::IndexSegment { sub } = target;
         if at <= cfg.horizon_secs && sub < n {
             events.push((at, EventClass::Corrupt, u64::from(sub)));
         }
@@ -247,15 +246,14 @@ pub fn run_integrity_sim(cfg: &IntegritySimConfig) -> IntegritySimReport {
                             // of `BLOCKS_PER_SHARD` blocks hits the (single)
                             // damaged block with p = sample/blocks; the draw
                             // is a splitmix unit-interval per (question, shard).
-                            let blocks = BLOCKS_PER_SHARD;
                             let sample = cfg.read_sample_blocks;
-                            let hit = if sample >= blocks {
+                            let hit = if sample >= BLOCKS_PER_SHARD {
                                 true
                             } else if sample == 0 {
                                 false
                             } else {
                                 let u = unit_f64(mix(seed, qid, s as u64));
-                                u < sample as f64 / blocks as f64
+                                u < sample as f64 / BLOCKS_PER_SHARD as f64
                             };
                             if hit {
                                 report.detected_by_read += 1;

@@ -291,12 +291,11 @@ impl IntegrityRuntime {
     /// Apply one scheduled corruption fault. Returns `true` when the event
     /// was a corruption and damaged bytes.
     pub fn inject(&mut self, event: &FaultEvent, judge: &CorruptionJudge) -> bool {
-        let (target, torn) = match *event {
+        let (CorruptTarget::IndexSegment { sub }, torn) = match *event {
             FaultEvent::BitFlip { target, .. } => (target, false),
             FaultEvent::TornWrite { target, .. } => (target, true),
             _ => return false,
         };
-        let CorruptTarget::IndexSegment { sub } = target;
         self.store.corrupt(judge, sub, torn).is_some()
     }
 

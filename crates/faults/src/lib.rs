@@ -182,9 +182,9 @@ pub enum CorruptTarget {
 }
 
 impl CorruptTarget {
-    /// Stable flow key for the splitmix64 decision hash. The high bits
-    /// name the target space, so every seeded decision stays where it was
-    /// when a second kind of byte store joins the index segments.
+    /// Stable flow key for the splitmix64 decision hash. The high bits tag
+    /// the index-segment target space; every seeded corruption decision,
+    /// and the digests over them, depend on the tag staying as it is.
     pub fn flow_key(&self) -> u64 {
         let CorruptTarget::IndexSegment { sub } = *self;
         0x1000_0000_0000_0000 | u64::from(sub)

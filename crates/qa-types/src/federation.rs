@@ -6,8 +6,8 @@
 //! that tier shares between the thread-backed broker (`federation`), its
 //! virtual-time model, `qa-cli` and the soak harnesses. Everything here
 //! follows the `OverloadPolicy` conventions: durations are `f64` seconds
-//! (virtual in the DES, scaled wall-clock in the runtime), defaults are
-//! permissive, and the types are serde round-trippable.
+//! (virtual in the DES, scaled wall-clock in the runtime) and defaults are
+//! permissive.
 
 use serde::Serialize;
 
