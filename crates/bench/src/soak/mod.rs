@@ -174,14 +174,14 @@ fn start(fixture: &QaFixture, config: ClusterConfig) -> Cluster {
     )
 }
 
-/// The bytes two answers are compared by.
-fn answer_bytes(out: &DistributedAnswer) -> String {
-    json(&out.answers)
+/// The bytes two answers are compared by: score bits included.
+fn answer_bytes(out: &DistributedAnswer) -> Vec<u8> {
+    out.answers.encode()
 }
 
 /// Fault-free answer bytes for every fixture question: what each later
 /// wave of the scenario must reproduce.
-fn baseline(clean: &Cluster, fixture: &QaFixture) -> Vec<String> {
+fn baseline(clean: &Cluster, fixture: &QaFixture) -> Vec<Vec<u8>> {
     fixture
         .questions
         .iter()

@@ -18,12 +18,12 @@
 //! live and crashed journal images stay under `DIR/recovery/` next to the
 //! dump. `--ci` runs four questions.
 
-use super::{answer_bytes, start, Ctx, Outcome};
+use super::{start, Ctx, Outcome};
 use crate::fixtures::QaFixture;
 use dqa_obs::MetricsRegistry;
 use dqa_runtime::{ClusterConfig, CoordinatorJournal};
 use journal::{read_segment, JournalRecord};
-use qa_types::QuestionId;
+use qa_types::{QuestionId, RankedAnswers};
 use scheduler::partition::PartitionStrategy;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -85,8 +85,8 @@ pub fn run(ctx: &Ctx) -> Outcome {
     let _ = std::fs::remove_dir_all(&crash_dir);
     let fixture = QaFixture::small(ctx.seed, questions);
 
-    // Phase 0 — crash-free baseline: the answer bytes every later
-    // incarnation must reproduce.
+    // Phase 0 — crash-free baseline: the answers every later incarnation
+    // must reproduce exactly.
     let baseline_registry = MetricsRegistry::new();
     let clean = start(&fixture, config(None, &baseline_registry));
     let mut baseline = Vec::new();
@@ -95,7 +95,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
         if !answer.coverage.is_complete() {
             return out.fail("crash-free baseline degraded", &baseline_registry);
         }
-        baseline.push(answer_bytes(&answer));
+        baseline.push(answer.answers);
     }
     clean.shutdown();
 
@@ -105,7 +105,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
     let cl = start(&fixture, config(Some(leader.clone()), &leader_registry));
     for (i, gq) in fixture.questions.iter().enumerate() {
         let answer = cl.ask(&gq.question).expect("journaled ask failed");
-        if answer_bytes(&answer) != baseline[i] {
+        if answer.answers != baseline[i] {
             return out.fail(
                 format!("journaling perturbed question {}", gq.question.id),
                 &leader_registry,
@@ -141,7 +141,9 @@ pub fn run(ctx: &Ctx) -> Outcome {
             .state
             .get(gq.question.id)
             .and_then(|rec| rec.answer())
-            .is_some_and(|(payload, complete)| complete && payload == baseline[i].as_bytes());
+            .is_some_and(|(payload, complete)| {
+                complete && RankedAnswers::decode(payload).as_ref() == Ok(&baseline[i])
+            });
         if !survived {
             return out.fail(
                 format!(
@@ -170,7 +172,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
         Ok(answer) if !answer.coverage.is_complete() => {
             return out.fail("resumed answer lost coverage", &recovery_registry)
         }
-        Ok(answer) if answer_bytes(answer) != baseline[questions - 1] => {
+        Ok(answer) if answer.answers != baseline[questions - 1] => {
             return out.fail(
                 format!("resumed answer for {} diverged from the baseline", q.id),
                 &recovery_registry,
@@ -215,7 +217,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
         .ask(&fixture.questions[0].question)
         .expect("zombie ask failed");
     cl3.shutdown();
-    if answer_bytes(&answer) != baseline[0] {
+    if answer.answers != baseline[0] {
         return out.fail(
             "fencing corrupted the zombie's in-memory answer",
             &zombie_registry,

@@ -130,8 +130,12 @@ impl Cluster {
     /// admitted but not yet answered (or abandoned) at the crash is re-run
     /// with its journaled partial results pre-applied, so completed chunks
     /// are never re-executed and — the pipeline being deterministic — the
-    /// resumed answers are byte-identical to a crash-free run. Results come
-    /// back in recovered-question order (ascending question id).
+    /// resumed answers are byte-identical to a crash-free run. A PR partial
+    /// is journaled by reference and its text read back from this
+    /// cluster's store: resume assumes the collection the crashed
+    /// incarnation served, as the journaled chunk ids already do, and a
+    /// partial that does not resolve against it re-runs its chunk. Results
+    /// come back in recovered-question order (ascending question id).
     pub fn resume(
         &self,
         recovery: &Recovery,
@@ -246,17 +250,16 @@ impl Cluster {
                 } else {
                     self.metrics.degraded.inc();
                 }
-                // The final answer is journaled so a successor coordinator
-                // knows the question no longer occupies an admission slot
-                // (and byte-identity across incarnations can be audited).
+                // The final answer is journaled (`RankedAnswers::encode`, by
+                // value) so a successor coordinator knows the question no
+                // longer occupies an admission slot, and identity across
+                // incarnations can be audited.
                 if self.cfg.journal.is_some() {
-                    if let Ok(payload) = serde_json::to_vec(&answer.answers) {
-                        self.journal_append(&JournalRecord::Answered {
-                            question: question.id,
-                            payload,
-                            complete: answer.coverage.is_complete(),
-                        });
-                    }
+                    self.journal_append(&JournalRecord::Answered {
+                        question: question.id,
+                        payload: answer.answers.encode(),
+                        complete: answer.coverage.is_complete(),
+                    });
                 }
             }
             Err(QaError::Overloaded { .. }) => self.metrics.rejected.inc(),

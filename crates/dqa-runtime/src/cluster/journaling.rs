@@ -43,28 +43,6 @@ impl Cluster {
         }
     }
 
-    /// Journal a completed chunk's payload so a successor coordinator can
-    /// reuse it instead of re-running the chunk (exactly-once semantics).
-    pub(super) fn journal_partial<T: serde::Serialize>(
-        &self,
-        question: QuestionId,
-        phase: JournalPhase,
-        chunk: u32,
-        result: &T,
-    ) {
-        if self.cfg.journal.is_none() {
-            return;
-        }
-        if let Ok(payload) = serde_json::to_vec(result) {
-            self.journal_append(&JournalRecord::PartialResult {
-                question,
-                phase,
-                chunk,
-                payload,
-            });
-        }
-    }
-
     /// Journal the cumulative retry budget spent in `phase`, so a resumed
     /// question keeps (not resets) its pre-crash spend.
     pub(super) fn journal_retry(&self, question: QuestionId, phase: JournalPhase, spent: u32) {

@@ -36,7 +36,7 @@ use crossbeam_channel::bounded;
 use dqa_obs::{names, Clock, DqaMetrics, Gauge, MetricsRegistry, TraceRecorder, WallClock};
 use elastic::ElasticRuntime;
 use faults::{FaultSchedule, RetryPolicy};
-use ir_engine::ParagraphRetriever;
+use ir_engine::{DocumentStore, ParagraphRetriever};
 use loadsim::functions::LoadFunctions;
 use nlp::{NamedEntityRecognizer, QuestionProcessor};
 use qa_pipeline::PipelineConfig;
@@ -194,6 +194,9 @@ pub struct Cluster {
     functions: LoadFunctions,
     rr: AtomicUsize,
     shards: usize,
+    /// The collection the cluster is started over: what a journaled PR
+    /// partial's paragraph references are resolved against on resume.
+    store: Arc<DocumentStore>,
     monitors: BroadcastMonitors,
     chaos: Option<ChaosDriver>,
     gate: AdmissionGate,
@@ -235,6 +238,7 @@ impl Cluster {
             registry.counter(names::TRACE_DROPPED_TOTAL, &[]),
         ));
         let shards = retriever.index().shard_count();
+        let store = Arc::clone(retriever.store());
         let link_judge = (!cfg.faults.link.is_clean()).then(|| cfg.faults.link_judge());
         let mut links = Vec::with_capacity(cfg.nodes);
         let mut workers = Vec::with_capacity(cfg.nodes);
@@ -320,6 +324,7 @@ impl Cluster {
             functions: LoadFunctions::paper(),
             rr: AtomicUsize::new(0),
             shards,
+            store,
             chaos,
             gate,
             estimator: PhaseEstimator::new(Trec9Profile::average()),

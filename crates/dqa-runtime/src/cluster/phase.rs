@@ -27,8 +27,8 @@ use std::time::{Duration, Instant};
 pub(super) trait Phase {
     /// What a chunk is made of.
     type Item: Clone;
-    /// One chunk's result, as a worker returns it and the journal keeps it.
-    type Partial: serde::Serialize;
+    /// One chunk's result, as a worker returns it.
+    type Partial;
     /// The partials gathered so far.
     type Acc: Default;
     /// The merged result of the whole phase.
@@ -53,8 +53,11 @@ pub(super) trait Phase {
     /// Unpack a worker's reply; the other phase's variant is a protocol
     /// error.
     fn payload(result: SubTaskResult) -> Result<Self::Partial, QaError>;
-    /// Decode a partial the journal preserved.
-    fn decode(payload: &[u8]) -> Option<Self::Partial>;
+    /// The bytes the journal keeps of one chunk's partial.
+    fn encode(partial: &Self::Partial) -> Vec<u8>;
+    /// Decode a partial the journal preserved; `None` when the bytes are
+    /// not a partial of this cluster's collection.
+    fn decode(cl: &Cluster, payload: &[u8]) -> Option<Self::Partial>;
     /// Fold one chunk's partial into the gathered ones.
     fn fold(acc: &mut Self::Acc, partial: Self::Partial);
     /// Close the phase: merge what was gathered.
@@ -108,8 +111,15 @@ impl Phase for PrPhase {
         }
     }
 
-    fn decode(payload: &[u8]) -> Option<Self::Partial> {
-        serde_json::from_slice(payload).ok()
+    // By reference: the paragraphs' text is in the collection the successor
+    // serves, so the journal keeps ids and scores and resume looks the text
+    // up again.
+    fn encode(partial: &Self::Partial) -> Vec<u8> {
+        ScoredParagraph::encode_refs(partial)
+    }
+
+    fn decode(cl: &Cluster, payload: &[u8]) -> Option<Self::Partial> {
+        ScoredParagraph::decode_refs(payload, &cl.store).ok()
     }
 
     fn fold(acc: &mut Self::Acc, partial: Self::Partial) {
@@ -166,8 +176,13 @@ impl Phase for ApPhase {
         }
     }
 
-    fn decode(payload: &[u8]) -> Option<Self::Partial> {
-        serde_json::from_slice(payload).ok()
+    // By value: answers are derived windows, stored nowhere else.
+    fn encode(partial: &Self::Partial) -> Vec<u8> {
+        partial.encode()
+    }
+
+    fn decode(_cl: &Cluster, payload: &[u8]) -> Option<Self::Partial> {
+        RankedAnswers::decode(payload).ok()
     }
 
     fn fold(acc: &mut Self::Acc, partial: Self::Partial) {
@@ -250,11 +265,13 @@ impl Cluster {
 
         // Resume: chunks whose results the journal preserved are marked
         // complete up front and their partials restored instead of
-        // recomputed.
+        // recomputed. Decode first: a partial that does not decode (damaged
+        // bytes, a reference this collection cannot resolve) completes
+        // nothing, so its chunk is dispatched again like any other.
         if let Some(rec) = resume {
             for (chunk, payload) in rec.partials(P::JOURNAL) {
-                if run.queue.complete_keyed(home, chunk) == ChunkOutcome::Fresh {
-                    if let Some(partial) = P::decode(payload) {
+                if let Some(partial) = P::decode(self, payload) {
+                    if run.queue.complete_keyed(home, chunk) == ChunkOutcome::Fresh {
                         P::fold(&mut gathered, partial);
                     }
                 }
@@ -286,7 +303,16 @@ impl Cluster {
                     let partial = P::payload(result)?;
                     run.policy.progress();
                     if run.queue.complete_keyed(node, chunk) == ChunkOutcome::Fresh {
-                        self.journal_partial(question, P::JOURNAL, chunk, &partial);
+                        // Journaled so a successor coordinator reuses the
+                        // result instead of re-running the chunk.
+                        if self.cfg.journal.is_some() {
+                            self.journal_append(&JournalRecord::PartialResult {
+                                question,
+                                phase: P::JOURNAL,
+                                chunk,
+                                payload: P::encode(&partial),
+                            });
+                        }
                         P::fold(&mut gathered, partial);
                     }
                     if !run.dispatch(node) {
@@ -668,6 +694,106 @@ mod tests {
         cl.shutdown();
     }
 
+    /// A journaled partial that does not decode — damaged bytes, or a
+    /// reference the collection cannot resolve — completes nothing: its
+    /// chunk runs again, and the resumed phase is whole, not silently
+    /// partial under a coverage that says complete.
+    #[test]
+    fn an_undecodable_journaled_partial_reruns_its_chunk() {
+        let c = Corpus::generate(CorpusConfig::small(91)).unwrap();
+        let dir = std::env::temp_dir().join(format!("dqa-phase-{}-garbage", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (journal, _) = crate::CoordinatorJournal::open(&dir).unwrap();
+        let cl = Cluster::start(
+            retriever(&c),
+            NamedEntityRecognizer::standard(),
+            ClusterConfig {
+                nodes: 2,
+                journal: Some(journal),
+                ..ClusterConfig::default()
+            },
+        );
+        let q = QuestionGenerator::new(&c, 23)
+            .generate(1)
+            .remove(0)
+            .question;
+        let processed = cl.qp.process(&q).unwrap();
+        // Two chunks: the lower and the upper half of the sub-collections.
+        let subs: Vec<SubCollectionId> = (0..c.config.sub_collections as u32)
+            .map(SubCollectionId::new)
+            .collect();
+        let chunks: Vec<Vec<SubCollectionId>> =
+            subs.chunks(subs.len() / 2).map(<[_]>::to_vec).collect();
+        assert_eq!(chunks.len(), 2);
+        let (home, both) = (NodeId::new(0), vec![NodeId::new(0), NodeId::new(1)]);
+        let by_id = |mut scored: Vec<ScoredParagraph>| {
+            scored.sort_by_key(|s| s.paragraph.id);
+            scored
+        };
+        // Chunk ids granted so far, in journal order.
+        let granted = || -> Vec<u32> {
+            let mut segments: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .collect();
+            segments.sort();
+            segments
+                .iter()
+                .flat_map(|seg| journal::read_segment(seg).unwrap())
+                .filter_map(|(_, framed)| match framed.record {
+                    JournalRecord::ChunkGranted { chunk, .. } => Some(chunk),
+                    _ => None,
+                })
+                .collect()
+        };
+
+        let (baseline, _, coverage) = cl
+            .run_phase::<PrPhase>(&processed, home, both.clone(), chunks.clone(), None, None)
+            .unwrap();
+        assert!(coverage.is_complete());
+        let baseline = by_id(baseline);
+        let of_chunk = |i: usize| -> Vec<ScoredParagraph> {
+            let mine = |s: &&ScoredParagraph| chunks[i].contains(&s.paragraph.sub_collection);
+            baseline.iter().filter(mine).cloned().collect()
+        };
+        let (good, lost) = (of_chunk(0), of_chunk(1));
+        assert!(!good.is_empty() && !lost.is_empty(), "both chunks retrieve");
+
+        let mut dangling = lost.clone();
+        dangling[0].paragraph.id.ordinal = u32::MAX;
+        for garbage in [vec![0xff; 7], ScoredParagraph::encode_refs(&dangling)] {
+            let mut state = journal::RecoveredState::new();
+            for (chunk, payload) in [(0, ScoredParagraph::encode_refs(&good)), (1, garbage)] {
+                state.apply(&journal::Framed {
+                    term: 1,
+                    record: JournalRecord::PartialResult {
+                        question: q.id,
+                        phase: JournalPhase::Pr,
+                        chunk,
+                        payload,
+                    },
+                });
+            }
+            let before = granted().len();
+            let (resumed, used, coverage) = cl
+                .run_phase::<PrPhase>(
+                    &processed,
+                    home,
+                    both.clone(),
+                    chunks.clone(),
+                    None,
+                    state.get(q.id),
+                )
+                .unwrap();
+            assert_eq!(by_id(resumed), baseline, "the resumed phase is whole");
+            assert_eq!(coverage, Coverage::full(2));
+            assert_eq!(used.len(), 1);
+            assert_eq!(granted()[before..], [1], "only the lost chunk runs again");
+        }
+        cl.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// What a scenario needs from a phase description beyond the trait.
     struct Fixture<P: Phase> {
         /// Cut the chunks of one question's phase.
@@ -819,7 +945,7 @@ mod tests {
                     .map(|s| vec![SubCollectionId::new(s)])
                     .collect()
             },
-            journaled: serde_json::to_vec(&Vec::<ScoredParagraph>::new()).unwrap(),
+            journaled: ScoredParagraph::encode_refs(&[]),
             foreign: SubTaskResult::Answers {
                 node: NodeId::new(0),
                 answers: RankedAnswers::default(),
@@ -847,7 +973,7 @@ mod tests {
                     .collect();
                 scheduler::partition::partition_recv(items, 4)
             },
-            journaled: serde_json::to_vec(&RankedAnswers::default()).unwrap(),
+            journaled: RankedAnswers::default().encode(),
             foreign: SubTaskResult::Paragraphs {
                 node: NodeId::new(0),
                 shard: SubCollectionId::new(0),

@@ -57,10 +57,11 @@
 //! frames use.
 
 use crate::index::{ShardedIndex, SubIndex, TermTable};
-use crate::persist::{put_bytes, put_u32, put_u64, Reader};
+use crate::persist::varint;
 use crate::postings::{write_varint, PostingsList};
 pub use qa_types::crc32;
 use qa_types::rng::mix;
+use qa_types::wire::{put_bytes, put_u32, put_u64, Reader};
 use qa_types::{DocId, QaError, SubCollectionId};
 
 /// Magic header of the checksummed format. The digit moves with the body
@@ -323,7 +324,7 @@ fn decode_shard_body(sub: u32, body: &[u8]) -> Result<SubIndex, IntegrityError> 
             other => other.to_string(),
         })
     };
-    let mut r = Reader { data: body, pos: 0 };
+    let mut r = Reader::new(body);
     let term_occurrences = r.u64().map_err(qerr)?;
     let doc_count = r.u32().map_err(qerr)?;
     // Each list is walked entry by entry before anything is sized by it.
@@ -365,19 +366,19 @@ fn decode_shard_body(sub: u32, body: &[u8]) -> Result<SubIndex, IntegrityError> 
 }
 
 fn decode_term_block(blk: &[u8], unit_count: u32, postings: &mut TermTable) -> Result<(), QaError> {
-    let mut r = Reader { data: blk, pos: 0 };
+    let mut r = Reader::new(blk);
     let n_terms = r.u32()? as usize;
     // A term spends at least its three one-byte header varints.
     if n_terms > TERM_BLOCK || n_terms > r.remaining() / 3 {
         return Err(QaError::Codec("absurd term count in block".into()));
     }
     for _ in 0..n_terms {
-        let term_len = r.varint()? as usize;
+        let term_len = varint(&mut r)? as usize;
         let term = std::str::from_utf8(r.take(term_len)?)
             .map_err(|_| QaError::Codec("term not utf-8".into()))?
             .to_string();
-        let n_units = r.varint()?;
-        let enc_len = r.varint()? as usize;
+        let n_units = varint(&mut r)?;
+        let enc_len = varint(&mut r)? as usize;
         let list = PostingsList::from_encoded(r.take(enc_len)?, n_units, u64::from(unit_count))
             .map_err(|e| QaError::Codec(format!("postings for {term}: {e}")))?;
         postings.insert(term, list);
@@ -478,7 +479,7 @@ fn verify_blocks(
 ) -> Result<(), IntegrityError> {
     let fmt = |s: &str| IntegrityError::Format(format!("sub-collection {sub}: {s}"));
     let qfmt = |_: QaError| fmt("truncated shard body");
-    let mut r = Reader { data: body, pos: 0 };
+    let mut r = Reader::new(body);
     r.u64().map_err(qfmt)?; // term occurrences
     let doc_count = r.u32().map_err(qfmt)? as usize;
     // A document spends at least a byte in each of its two lists.

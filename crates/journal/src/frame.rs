@@ -9,7 +9,7 @@
 pub const HEADER_LEN: usize = 8;
 
 /// Upper bound on a single payload; anything larger is corruption, not a
-/// record (journal payloads are small JSON documents).
+/// record (the largest, a chunk's ranked answers, is a few kilobytes).
 pub const MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
 
 /// CRC-32 (IEEE) of a payload — the workspace's one implementation, the
@@ -19,11 +19,26 @@ pub use qa_types::crc32;
 
 /// Encode one frame (header + payload) into a fresh buffer.
 pub fn encode(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    let mut out = vec![0; HEADER_LEN];
     out.extend_from_slice(payload);
+    seal(&mut out).expect("payload within the frame cap");
     out
+}
+
+/// Fill in the header of a frame built in place: `frame` is
+/// [`HEADER_LEN`] reserved bytes followed by the payload. A payload above
+/// [`MAX_PAYLOAD`] is refused — [`decode`] would call it corruption.
+pub fn seal(frame: &mut [u8]) -> Result<(), String> {
+    let (header, payload) = frame.split_at_mut(HEADER_LEN);
+    if payload.len() > MAX_PAYLOAD as usize {
+        return Err(format!(
+            "record of {} bytes exceeds the frame cap {MAX_PAYLOAD}",
+            payload.len()
+        ));
+    }
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    Ok(())
 }
 
 /// Outcome of decoding the frame starting at `buf[offset..]`.

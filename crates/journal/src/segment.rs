@@ -10,9 +10,8 @@
 //! else is reported, never silently skipped.
 
 use crate::frame::{self, Decoded};
-use crate::record::{Framed, JournalRecord};
+use crate::record::{encode_payload, Framed, JournalRecord};
 use crate::replay::{RecoveredState, ReplayStats};
-use serde::Serialize;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
@@ -80,7 +79,8 @@ pub enum JournalError {
         /// Term the journal currently requires.
         current: u64,
     },
-    /// Record (de)serialization failed.
+    /// A record does not fit one frame ([`frame::MAX_PAYLOAD`]); nothing
+    /// was written.
     Codec(String),
 }
 
@@ -125,15 +125,6 @@ pub struct Recovery {
     pub stats: ReplayStats,
 }
 
-/// Borrowing twin of [`Framed`] so appends never clone the record. The
-/// struct name is irrelevant to the JSON encoding, so frames written
-/// through this deserialize as [`Framed`].
-#[derive(Serialize)]
-struct FramedRef<'a> {
-    term: u64,
-    record: &'a JournalRecord,
-}
-
 /// An open, appendable journal directory.
 #[derive(Debug)]
 pub struct Journal {
@@ -145,6 +136,9 @@ pub struct Journal {
     term: u64,
     appended: u64,
     since_sync: u32,
+    /// The frame being appended, header and payload; kept between appends
+    /// so a record costs no allocation.
+    frame: Vec<u8>,
 }
 
 impl Journal {
@@ -196,6 +190,7 @@ impl Journal {
                 term,
                 appended: 0,
                 since_sync: 0,
+                frame: Vec::new(),
             },
             Recovery { state, stats },
         ))
@@ -222,11 +217,12 @@ impl Journal {
                 current: self.term,
             });
         }
-        let payload = serde_json::to_vec(&FramedRef { term, record })
-            .map_err(|e| JournalError::Codec(e.to_string()))?;
-        let frame = frame::encode(&payload);
-        self.file.write_all(&frame).map_err(io_err)?;
-        self.segment_len += frame.len() as u64;
+        self.frame.clear();
+        self.frame.resize(frame::HEADER_LEN, 0);
+        encode_payload(&mut self.frame, term, record);
+        frame::seal(&mut self.frame).map_err(JournalError::Codec)?;
+        self.file.write_all(&self.frame).map_err(io_err)?;
+        self.segment_len += self.frame.len() as u64;
         self.appended += 1;
         if let Some(every) = self.opts.fsync_every {
             self.since_sync += 1;
@@ -325,12 +321,11 @@ fn scan_segment(
     while (offset as usize) < buf.len() {
         match frame::decode(&buf, offset) {
             Decoded::Frame { payload, next } => {
-                let framed: Framed =
-                    serde_json::from_slice(payload).map_err(|e| JournalError::Corrupt {
-                        segment: segment.clone(),
-                        offset,
-                        detail: format!("checksum-valid frame with undecodable payload: {e}"),
-                    })?;
+                let framed = Framed::decode(payload).map_err(|e| JournalError::Corrupt {
+                    segment: segment.clone(),
+                    offset,
+                    detail: format!("checksum-valid frame with undecodable payload: {e}"),
+                })?;
                 state.apply(&framed);
                 stats.records += 1;
                 offset = next;
@@ -378,14 +373,14 @@ fn scan_segment(
 }
 
 /// Scan forward from a torn read for any checksum-valid frame whose
-/// payload deserializes: proof the tear is mid-segment damage rather
-/// than a crash-truncated tail. A CRC collision on garbage is ~2⁻³²,
-/// and the serde check pushes accidental matches further still.
+/// payload decodes as a record: proof the tear is mid-segment damage
+/// rather than a crash-truncated tail. A CRC collision on garbage is
+/// ~2⁻³², and the record decode pushes accidental matches further still.
 fn valid_frame_after(buf: &[u8], torn_at: u64) -> Option<u64> {
     let mut probe = torn_at as usize + 1;
     while probe + frame::HEADER_LEN <= buf.len() {
         if let Decoded::Frame { payload, .. } = frame::decode(buf, probe as u64) {
-            if serde_json::from_slice::<Framed>(payload).is_ok() {
+            if Framed::decode(payload).is_ok() {
                 return Some(probe as u64);
             }
         }
@@ -407,12 +402,11 @@ pub fn read_segment(path: impl AsRef<Path>) -> Result<Vec<(u64, Framed)>, Journa
     while (offset as usize) < buf.len() {
         match frame::decode(&buf, offset) {
             Decoded::Frame { payload, next } => {
-                let framed: Framed =
-                    serde_json::from_slice(payload).map_err(|e| JournalError::Corrupt {
-                        segment: segment.clone(),
-                        offset,
-                        detail: e.to_string(),
-                    })?;
+                let framed = Framed::decode(payload).map_err(|e| JournalError::Corrupt {
+                    segment: segment.clone(),
+                    offset,
+                    detail: e.to_string(),
+                })?;
                 frames.push((offset, framed));
                 offset = next;
             }
@@ -625,6 +619,55 @@ mod tests {
                 assert_eq!(offset, second_start);
             }
             other => panic!("expected CorruptFrame, got {other:?}"),
+        }
+    }
+
+    /// One format, replaced: a segment holding a checksum-valid frame of
+    /// the `serde_json` codec this crate used to write is corrupt — never
+    /// skipped, never cut off as a torn tail, never folded as something
+    /// else — wherever in the segment the frame sits.
+    #[test]
+    fn a_frame_of_the_retired_json_codec_is_refused_loudly() {
+        let json = frame::encode(
+            br#"{"term":3,"record":{"Scheduled":{"question":7,"point":"Pr","nodes":[0,3]}}}"#,
+        );
+        let binary = |id| {
+            frame::encode(
+                &Framed {
+                    term: 1,
+                    record: admit(id),
+                }
+                .encode(),
+            )
+        };
+        let images = [
+            (0, json.clone()),
+            (binary(1).len(), [binary(1), json.clone()].concat()),
+            (binary(1).len(), [binary(1), json, binary(2)].concat()),
+        ];
+        for (i, (json_at, image)) in images.into_iter().enumerate() {
+            let dir = tmp(&format!("json-{i}"));
+            fs::create_dir_all(&dir).unwrap();
+            let path = segment_path(&dir, 0);
+            fs::write(&path, &image).unwrap();
+            for result in [
+                Journal::open(&dir).map(|_| ()),
+                read_segment(&path).map(|_| ()),
+            ] {
+                match result {
+                    Err(JournalError::Corrupt {
+                        segment,
+                        offset,
+                        detail,
+                    }) => {
+                        assert!(segment.ends_with("segment-000000.dqaj"), "{segment}");
+                        assert_eq!(offset, json_at as u64, "image {i}");
+                        assert!(detail.contains("unknown record kind"), "{detail}");
+                    }
+                    other => panic!("image {i}: expected Corrupt, got {other:?}"),
+                }
+            }
+            assert_eq!(fs::read(&path).unwrap(), image, "refused, not repaired");
         }
     }
 

@@ -12,18 +12,63 @@
 //!    contains every present keyword.
 
 use ir_engine::terms::QueryTerms;
+use ir_engine::DocumentStore;
 use nlp::Analyzer;
-use qa_types::{Keyword, Paragraph};
-use serde::{Deserialize, Serialize};
+use qa_types::wire::{put_u32, put_u64, Reader};
+use qa_types::{DocId, Keyword, Paragraph, ParagraphId, QaError};
 
 /// A paragraph plus its PS rank.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScoredParagraph {
     /// The scored paragraph.
     pub paragraph: Paragraph,
     /// Combined heuristic score in `[0, 1]`-ish range (weighted sum of three
     /// components each in `[0, 1]`).
     pub score: f64,
+}
+
+/// One encoded reference: document, ordinal, score bits.
+const REF_BYTES: usize = 4 + 4 + 8;
+
+impl ScoredParagraph {
+    /// Encode `scored` *by reference* — a count, then `doc u32 · ordinal
+    /// u32 · score bits u64` per paragraph ([`qa_types::wire`]) — which is
+    /// what the journal keeps of a PR chunk: the text stays in the
+    /// collection, where a successor coordinator already has it.
+    pub fn encode_refs(scored: &[ScoredParagraph]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(4 + scored.len() * REF_BYTES);
+        put_u32(&mut out, scored.len() as u32);
+        for s in scored {
+            put_u32(&mut out, s.paragraph.id.doc.raw());
+            put_u32(&mut out, s.paragraph.id.ordinal);
+            put_u64(&mut out, s.score.to_bits());
+        }
+        out
+    }
+
+    /// Decode [`ScoredParagraph::encode_refs`] bytes, re-materialising each
+    /// paragraph from `store` — the collection the references were taken
+    /// over. Malformed bytes and a reference the store cannot resolve are
+    /// both errors: a caller re-runs the chunk rather than answer from part
+    /// of it.
+    pub fn decode_refs(
+        bytes: &[u8],
+        store: &DocumentStore,
+    ) -> Result<Vec<ScoredParagraph>, QaError> {
+        let mut r = Reader::new(bytes);
+        let n = r.count(REF_BYTES)?;
+        let mut scored = Vec::with_capacity(n);
+        for _ in 0..n {
+            let id = ParagraphId::new(DocId::new(r.u32()?), r.u32()?);
+            let score = f64::from_bits(r.u64()?);
+            let paragraph = store
+                .paragraph(id)
+                .ok_or_else(|| QaError::Codec(format!("paragraph {id} is not in the store")))?;
+            scored.push(ScoredParagraph { paragraph, score });
+        }
+        r.finish()?;
+        Ok(scored)
+    }
 }
 
 /// Weights of the three PS heuristics (sum to 1).
@@ -138,7 +183,7 @@ pub fn score_paragraphs(paragraphs: Vec<Paragraph>, keywords: &[Keyword]) -> Vec
 mod tests {
     use super::*;
     use corpus::{Corpus, CorpusConfig, QuestionGenerator};
-    use qa_types::{DocId, ParagraphId, SubCollectionId};
+    use qa_types::SubCollectionId;
     use std::collections::BTreeSet;
 
     fn para(text: &str) -> Paragraph {
@@ -289,5 +334,46 @@ mod tests {
         let k = kws(&["city"]);
         let s = score_paragraph(&para("the cities were large"), &k);
         assert!(s > 0.0);
+    }
+
+    #[test]
+    fn refs_round_trip_through_the_store_and_refuse_what_it_lacks() {
+        let c = Corpus::generate(CorpusConfig::small(55)).unwrap();
+        let store = DocumentStore::new(c.documents.clone());
+        let k = kws(&["alpha"]);
+        let scored = score_paragraphs(
+            (c.documents.iter().take(9))
+                .flat_map(|d| d.iter_paragraphs())
+                .collect(),
+            &k,
+        );
+        assert!(scored.len() > 9);
+        let bytes = ScoredParagraph::encode_refs(&scored);
+        assert_eq!(bytes.len(), 4 + scored.len() * REF_BYTES);
+        assert_eq!(
+            ScoredParagraph::decode_refs(&bytes, &store).unwrap(),
+            scored
+        );
+        assert_eq!(
+            ScoredParagraph::decode_refs(&ScoredParagraph::encode_refs(&[]), &store).unwrap(),
+            []
+        );
+
+        // A document or an ordinal the store does not hold: refused whole.
+        for (at, value) in [(4, u32::MAX - 1), (8, 10_000)] {
+            let mut dangling = bytes.clone();
+            dangling[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            assert!(ScoredParagraph::decode_refs(&dangling, &store).is_err());
+        }
+        // Hostile bytes: every truncation, a trailing byte, a count the
+        // input cannot hold (refused before a `Vec` is sized by it).
+        for cut in 0..bytes.len() {
+            assert!(ScoredParagraph::decode_refs(&bytes[..cut], &store).is_err());
+        }
+        let mut huge = bytes.clone();
+        huge[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(ScoredParagraph::decode_refs(&huge, &store).is_err());
+        let trailing = [&bytes[..], &[0]].concat();
+        assert!(ScoredParagraph::decode_refs(&trailing, &store).is_err());
     }
 }

@@ -5,8 +5,10 @@
 //! around each candidate — a text span containing the candidate plus question
 //! keywords — scores windows with seven heuristics and returns the best `N_a`.
 
-use crate::ids::ParagraphId;
-use serde::{Deserialize, Serialize};
+use crate::error::QaError;
+use crate::ids::{DocId, ParagraphId};
+use crate::wire::{put_str, put_u32, put_u64, Reader};
+use serde::Serialize;
 
 /// The answer-window length limits used by TREC (Table 1 of the paper).
 pub const SHORT_ANSWER_BYTES: usize = 50;
@@ -14,7 +16,7 @@ pub const SHORT_ANSWER_BYTES: usize = 50;
 pub const LONG_ANSWER_BYTES: usize = 250;
 
 /// A final answer returned to the user.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Answer {
     /// Paragraph that supplied the answer.
     pub paragraph: ParagraphId,
@@ -40,8 +42,12 @@ impl Answer {
     }
 }
 
+/// The fixed part of one encoded [`Answer`]: paragraph id, score bits and
+/// the two string length prefixes.
+const MIN_ANSWER_BYTES: usize = 4 + 4 + 8 + 4 + 4;
+
 /// An ordered set of answers for one question.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RankedAnswers {
     /// Answers in decreasing score order.
     pub answers: Vec<Answer>,
@@ -106,6 +112,48 @@ impl RankedAnswers {
             }
         }
         Self::from_unsorted(best.into_values().collect(), keep)
+    }
+
+    /// The one binary encoding of a ranked answer set, which is what the
+    /// journal stores for an AP partial and for a final answer: a count,
+    /// then per answer `doc u32 · ordinal u32 · score bits u64 · candidate
+    /// str · text str` ([`crate::wire`]). Answers are derived windows of at
+    /// most [`LONG_ANSWER_BYTES`], held nowhere else, so they are kept by
+    /// value.
+    pub fn encode(&self) -> Vec<u8> {
+        let text: usize = self
+            .answers
+            .iter()
+            .map(|a| a.candidate.len() + a.text.len())
+            .sum();
+        let mut out = Vec::with_capacity(4 + self.answers.len() * MIN_ANSWER_BYTES + text);
+        put_u32(&mut out, self.answers.len() as u32);
+        for a in &self.answers {
+            put_u32(&mut out, a.paragraph.doc.raw());
+            put_u32(&mut out, a.paragraph.ordinal);
+            put_u64(&mut out, a.score.to_bits());
+            put_str(&mut out, &a.candidate);
+            put_str(&mut out, &a.text);
+        }
+        out
+    }
+
+    /// Decode what [`RankedAnswers::encode`] wrote. Score bits survive
+    /// exactly; truncated input, broken UTF-8 or trailing bytes are errors.
+    pub fn decode(bytes: &[u8]) -> Result<Self, QaError> {
+        let mut r = Reader::new(bytes);
+        let n = r.count(MIN_ANSWER_BYTES)?;
+        let mut answers = Vec::with_capacity(n);
+        for _ in 0..n {
+            answers.push(Answer {
+                paragraph: ParagraphId::new(DocId::new(r.u32()?), r.u32()?),
+                score: f64::from_bits(r.u64()?),
+                candidate: r.str()?.to_owned(),
+                text: r.str()?.to_owned(),
+            });
+        }
+        r.finish()?;
+        Ok(Self { answers })
     }
 
     /// Number of answers held.
@@ -182,7 +230,6 @@ impl Default for Coverage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::DocId;
 
     fn ans(doc: u32, score: f64) -> Answer {
         Answer {
@@ -263,6 +310,69 @@ mod tests {
         let empty = Coverage::default();
         assert!(empty.is_complete(), "empty phase counts as complete");
         assert_eq!(empty.fraction(), 1.0);
+    }
+
+    #[test]
+    fn codec_round_trips_every_bit_and_is_pinned() {
+        let mut odd = ans(7, -0.0);
+        odd.paragraph.ordinal = u32::MAX;
+        odd.candidate = "São Tomé".into();
+        odd.text.clear();
+        let mut nan = ans(8, 0.0);
+        nan.score = f64::from_bits(0x7ff8_0000_0000_beef);
+        for ranked in [
+            RankedAnswers::default(),
+            RankedAnswers {
+                answers: vec![ans(1, 0.1 + 0.2), odd, nan],
+            },
+        ] {
+            let back = RankedAnswers::decode(&ranked.encode()).unwrap();
+            assert_eq!(back.len(), ranked.len());
+            for (a, b) in back.answers.iter().zip(&ranked.answers) {
+                assert_eq!(a.score.to_bits(), b.score.to_bits());
+                assert_eq!(
+                    (a.paragraph, &a.candidate, &a.text),
+                    (b.paragraph, &b.candidate, &b.text)
+                );
+            }
+        }
+        // The stored bytes: count, doc, ordinal, score bits, two strings.
+        let one = RankedAnswers {
+            answers: vec![ans(2, 1.5)],
+        };
+        let hex: String = one.encode().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "01000000\
+             0200000000000000\
+             000000000000f83f\
+             0500000063616e6432\
+             050000007465787432"
+        );
+    }
+
+    #[test]
+    fn decode_refuses_hostile_bytes_without_allocating_for_them() {
+        let bytes = RankedAnswers {
+            answers: vec![ans(1, 0.5), ans(2, 0.25)],
+        }
+        .encode();
+        for cut in 0..bytes.len() {
+            assert!(RankedAnswers::decode(&bytes[..cut]).is_err(), "cut {cut}");
+        }
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert!(RankedAnswers::decode(&trailing).is_err());
+        // A count or a string length of u32::MAX is refused against the
+        // bytes that remain, before any `Vec` or `String` is sized by it.
+        for at in [0, 20] {
+            let mut huge = bytes.clone();
+            huge[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(RankedAnswers::decode(&huge).is_err(), "length at {at}");
+        }
+        let mut utf8 = bytes;
+        utf8[24] = 0xff; // first byte of the first candidate
+        assert!(RankedAnswers::decode(&utf8).is_err());
     }
 
     #[test]

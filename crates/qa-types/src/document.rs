@@ -8,7 +8,7 @@ use crate::ids::{DocId, ParagraphId, SubCollectionId};
 use serde::{Deserialize, Serialize};
 
 /// A paragraph extracted from a document: the unit of work of PS and AP.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Paragraph {
     /// Identity of this paragraph.
     pub id: ParagraphId,

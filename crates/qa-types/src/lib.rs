@@ -12,7 +12,8 @@
 //! (`ir-engine`, `qa-pipeline`, `cluster-sim`, …) build behaviour on top.
 //! The pieces of arithmetic every crate must agree on bit for bit live
 //! here too: the seeded generator ([`rng`]), the nearest-rank percentile
-//! ([`stats`]) and the CRC-32 of every checksummed file ([`crc`]).
+//! ([`stats`]), the CRC-32 of every checksummed file ([`crc`]) and the
+//! byte cursor of every hand-written binary format ([`wire`]).
 
 pub mod answer;
 pub mod calibration;
@@ -28,6 +29,7 @@ pub mod question;
 pub mod resources;
 pub mod rng;
 pub mod stats;
+pub mod wire;
 
 pub use answer::{Answer, Coverage, RankedAnswers};
 pub use calibration::{ModuleProfile, Trec8Profile, Trec9Profile};

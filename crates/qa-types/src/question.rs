@@ -77,7 +77,7 @@ impl Keyword {
 }
 
 /// A natural-language question submitted to the system.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Question {
     /// Unique id (TREC numbering in the paper's examples, e.g. Q226).
     pub id: QuestionId,

@@ -50,8 +50,8 @@ fn chaos_config(faults: FaultSchedule) -> ClusterConfig {
     }
 }
 
-fn answer_bytes(answers: &falcon_dqa::qa_types::RankedAnswers) -> String {
-    serde_json::to_string(answers).expect("answers serialize")
+fn answer_bytes(answers: &falcon_dqa::qa_types::RankedAnswers) -> Vec<u8> {
+    answers.encode()
 }
 
 #[test]
@@ -286,7 +286,7 @@ fn decommission_mid_question_migrates_live_without_losing_answers() {
     );
     // Pre-drain baseline: the byte-identical yardstick for every later
     // full-coverage answer.
-    let baseline: Vec<String> = questions
+    let baseline: Vec<Vec<u8>> = questions
         .iter()
         .map(|q| answer_bytes(&cluster.ask(q).expect("clean ask").answers))
         .collect();

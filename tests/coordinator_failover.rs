@@ -4,9 +4,10 @@
 //! coordinator dies mid-question, a successor replays the journal,
 //! promotes past the dead incarnation's term and *resumes* — not
 //! restarts — the in-flight work. The acceptance bar is exact: zero
-//! questions lost, resumed answers byte-identical to a crash-free run
-//! of the same seed, and every post-term grant from the zombie provably
-//! fenced (visible in `dqa_fenced_grants_total`).
+//! questions lost, resumed answers identical (paragraph, candidate,
+//! window, score) to a crash-free run of the same seed, and every
+//! post-term grant from the zombie provably fenced (visible in
+//! `dqa_fenced_grants_total`).
 
 use falcon_dqa::corpus::{Corpus, CorpusConfig, QuestionGenerator};
 use falcon_dqa::dqa_obs::MetricsRegistry;
@@ -14,6 +15,7 @@ use falcon_dqa::dqa_runtime::{Cluster, ClusterConfig, CoordinatorJournal};
 use falcon_dqa::ir_engine::{DocumentStore, ParagraphRetriever, RetrievalConfig, ShardedIndex};
 use falcon_dqa::journal::{read_segment, JournalRecord};
 use falcon_dqa::nlp::NamedEntityRecognizer;
+use falcon_dqa::qa_types::RankedAnswers;
 use falcon_dqa::scheduler::partition::PartitionStrategy;
 use std::fs;
 use std::path::PathBuf;
@@ -60,14 +62,14 @@ fn coordinator_crash_resumes_in_flight_question_byte_identically() {
     const SEED: u64 = 701;
 
     // Phase A — crash-free baseline: the answers every later incarnation
-    // must reproduce byte for byte.
+    // must reproduce exactly.
     let (corpus, base) = cluster(SEED, 3, None, None);
     let questions = QuestionGenerator::new(&corpus, 9).generate(4);
     let mut baseline = Vec::new();
     for gq in &questions {
         let out = base.ask(&gq.question).unwrap();
         assert!(out.coverage.is_complete());
-        baseline.push(serde_json::to_vec(&out.answers).unwrap());
+        baseline.push(out.answers);
     }
     base.shutdown();
 
@@ -78,11 +80,7 @@ fn coordinator_crash_resumes_in_flight_question_byte_identically() {
     let (_, cl) = cluster(SEED, 3, Some(leader.clone()), None);
     for (gq, want) in questions.iter().zip(&baseline) {
         let out = cl.ask(&gq.question).unwrap();
-        assert_eq!(
-            &serde_json::to_vec(&out.answers).unwrap(),
-            want,
-            "journaling must not perturb answers"
-        );
+        assert_eq!(&out.answers, want, "journaling must not perturb answers");
     }
     cl.shutdown();
     assert!(leader.appended() > 0, "the run must have journaled records");
@@ -137,7 +135,11 @@ fn coordinator_crash_resumes_in_flight_question_byte_identically() {
         let rec = recovery.state.get(gq.question.id).expect("journaled");
         let (payload, complete) = rec.answer().expect("answered before the crash");
         assert!(complete);
-        assert_eq!(payload, &want[..], "pre-crash answer bytes changed");
+        assert_eq!(
+            RankedAnswers::decode(payload).as_ref(),
+            Ok(want),
+            "pre-crash answer changed in the journal"
+        );
     }
     // A handle frozen at the dead incarnation's term, minted *before* the
     // successor promotes: the zombie ex-leader.
@@ -153,9 +155,8 @@ fn coordinator_crash_resumes_in_flight_question_byte_identically() {
     let out = res.as_ref().expect("resumed question answers");
     assert!(out.coverage.is_complete(), "no chunk may be lost");
     assert_eq!(
-        serde_json::to_vec(&out.answers).unwrap(),
-        baseline[3],
-        "resumed answer must be byte-identical to the crash-free run"
+        out.answers, baseline[3],
+        "resumed answer must be identical to the crash-free run"
     );
     let snap = registry.snapshot();
     assert_eq!(snap.counter("dqa_resumed_questions_total"), 1);
@@ -172,8 +173,7 @@ fn coordinator_crash_resumes_in_flight_question_byte_identically() {
     let (_, cl3) = cluster(SEED, 3, Some(zombie), Some(zombie_registry.clone()));
     let out = cl3.ask(&questions[0].question).unwrap();
     assert_eq!(
-        serde_json::to_vec(&out.answers).unwrap(),
-        baseline[0],
+        out.answers, baseline[0],
         "fencing must not corrupt the zombie's in-memory answers"
     );
     let zsnap = zombie_registry.snapshot();
@@ -199,7 +199,7 @@ fn resume_reuses_journaled_chunks_instead_of_rerunning_them() {
     let (leader, _) = CoordinatorJournal::open(&dir).unwrap();
     let (corpus, cl) = cluster(SEED, 2, Some(leader.clone()), None);
     let questions = QuestionGenerator::new(&corpus, 11).generate(1);
-    let want = serde_json::to_vec(&cl.ask(&questions[0].question).unwrap().answers).unwrap();
+    let want = cl.ask(&questions[0].question).unwrap().answers;
     cl.shutdown();
     drop(leader);
 
@@ -245,7 +245,7 @@ fn resume_reuses_journaled_chunks_instead_of_rerunning_them() {
     let resumed = cl2.resume(&recovery);
     assert_eq!(resumed.len(), 1);
     assert_eq!(
-        serde_json::to_vec(&resumed[0].1.as_ref().unwrap().answers).unwrap(),
+        resumed[0].1.as_ref().unwrap().answers,
         want,
         "resumed answer diverged"
     );

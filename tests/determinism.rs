@@ -191,15 +191,17 @@ fn retrieval_and_answers_are_pinned() {
 }
 
 /// The bytes the journal stores for one question, pinned across commits:
-/// the `serde_json::to_vec` encoding of a PR partial (`Vec<ScoredParagraph>`)
-/// and of the final `RankedAnswers`, each folded to a digest. Captured
-/// before the serde derives were pruned to the wire types; a dropped
-/// attribute or a reordered field on `ScoredParagraph`, `Paragraph`,
-/// `ParagraphId`, `Answer` or `RankedAnswers` moves one of them.
+/// a PR partial *by reference* (`ScoredParagraph::encode_refs`: document,
+/// ordinal and score bits per paragraph) and the final `RankedAnswers` by
+/// value (`RankedAnswers::encode`), each folded to a digest — a reordered
+/// field or a widened integer in either codec moves one of them. Both
+/// decode back to the value they were taken from, the PR text
+/// re-materialised from the store the paragraphs were retrieved over.
 #[test]
 fn journaled_payload_bytes_are_pinned() {
     use falcon_dqa::ir_engine::{DocumentStore, ParagraphRetriever, RetrievalConfig};
-    use falcon_dqa::qa_pipeline::score_paragraphs;
+    use falcon_dqa::qa_pipeline::{score_paragraphs, ScoredParagraph};
+    use falcon_dqa::qa_types::RankedAnswers;
     let c = Corpus::generate(CorpusConfig::small(405)).unwrap();
     let retriever = ParagraphRetriever::new(
         std::sync::Arc::new(ShardedIndex::build(&c.documents, c.config.sub_collections)),
@@ -216,12 +218,20 @@ fn journaled_payload_bytes_are_pinned() {
     let partial = score_paragraphs(retriever.retrieve_all(&keywords).paragraphs, &keywords);
     let answers = qa.answer(question).unwrap().answers;
     assert!(partial.len() > 1 && !answers.is_empty());
-    let digest = |bytes: Vec<u8>| bytes.iter().fold(0, |h, b| fold(h, u64::from(*b)));
-    let partial = digest(serde_json::to_vec(&partial).unwrap());
-    let answers = digest(serde_json::to_vec(&answers).unwrap());
+
+    let (refs, by_value) = (ScoredParagraph::encode_refs(&partial), answers.encode());
+    assert_eq!(refs.len(), 4 + 16 * partial.len(), "16 bytes a paragraph");
     assert_eq!(
-        (partial, answers),
-        (0x35b1_2bba_70cc_3291, 0x4e08_7f4f_c97a_50db),
-        "partial {partial:#018x}, answers {answers:#018x}"
+        ScoredParagraph::decode_refs(&refs, retriever.store()).unwrap(),
+        partial
+    );
+    assert_eq!(RankedAnswers::decode(&by_value).unwrap(), answers);
+
+    let digest = |bytes: &[u8]| bytes.iter().fold(0, |h, b| fold(h, u64::from(*b)));
+    let (refs, by_value) = (digest(&refs), digest(&by_value));
+    assert_eq!(
+        (refs, by_value),
+        (0x1f7e_7595_990d_0cce, 0x6f13_b2d3_fd72_2a0a),
+        "refs {refs:#018x}, answers {by_value:#018x}"
     );
 }
