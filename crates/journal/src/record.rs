@@ -6,7 +6,7 @@
 //! Payloads that the coordinator would otherwise have to recompute
 //! (scored paragraphs, ranked answers) are opaque bytes here — the codecs
 //! live beside their types (`qa_types::RankedAnswers::{encode, decode}`,
-//! `qa_pipeline::scoring::{encode_refs, decode_refs}`) — so the journal
+//! `qa_pipeline::ScoredParagraph::{encode_refs, decode_refs}`) — so the journal
 //! crate does not depend on the pipeline crates.
 //! Every variant has a writer in `dqa-runtime`; a kind nothing writes is
 //! not part of the schema.

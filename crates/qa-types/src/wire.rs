@@ -2,7 +2,7 @@
 //! workspace: the index segment (`ir_engine::integrity`), the journal's
 //! frame payloads (`journal::record`) and the partial-result payloads
 //! inside them ([`RankedAnswers::encode`](crate::RankedAnswers::encode),
-//! `qa_pipeline::scoring::{encode_refs, decode_refs}`).
+//! `qa_pipeline::ScoredParagraph::{encode_refs, decode_refs}`).
 //!
 //! Fixed-width little-endian integers; byte strings and `str`s carry a
 //! `u32` length prefix. [`Reader`] is bounds-checked: every length read
@@ -40,7 +40,7 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
 
 /// Bounds-checked read cursor over untrusted bytes. Every failure is a
 /// [`QaError::Codec`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Reader<'a> {
     rest: &'a [u8],
 }
