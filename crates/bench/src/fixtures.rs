@@ -1,4 +1,4 @@
-//! Shared fixtures for the experiment binaries and criterion benches.
+//! Shared fixtures for the experiment binaries and the soaks.
 
 use corpus::{Corpus, CorpusConfig, GeneratedQuestion, QuestionGenerator};
 use ir_engine::{DocumentStore, ParagraphRetriever, RetrievalConfig, ShardedIndex};

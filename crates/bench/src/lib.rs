@@ -10,8 +10,8 @@
 //! * `src/bin/soak.rs` over [`soak`] — every soak and gate (chaos,
 //!   overload, recovery, federation, rebalance, integrity, trace,
 //!   obs_overhead) as one scenario table: `soak <scenario>…|all --ci`.
-//! * `benches/*.rs` — criterion micro-benchmarks of the substrates
-//!   (IR engine, pipeline modules, partitioning, DES engine).
+//!
+//! Per-function timings live in the `crates/perf` ledger, not here.
 
 pub mod fixtures;
 pub mod render;

@@ -1,19 +1,27 @@
 //! Property tests of the processor-sharing engine.
 
 use cluster_sim::engine::{Advance, Engine, Stage, StageKind};
-use proptest::prelude::*;
+use qa_types::rng::{cases, Rng};
 use qa_types::NodeId;
 
-/// Strategy: a random task = 1–4 stages over 2 nodes + network.
-fn task_strategy() -> impl Strategy<Value = Vec<Stage>> {
-    proptest::collection::vec(
-        (0u8..3, 0.0f64..5.0).prop_map(|(kind, demand)| match kind {
+/// A random task = 1–3 stages over 2 nodes + network.
+fn task(rng: &mut Rng) -> Vec<Stage> {
+    rng.vec(1..=3, |r| {
+        let (kind, demand) = (r.below(3), r.uniform(0.0..5.0));
+        match kind {
             0 => Stage::cpu(NodeId::new(0), demand),
             1 => Stage::disk(NodeId::new(1), demand),
             _ => Stage::net(demand * 100.0),
-        }),
-        1..4,
-    )
+        }
+    })
+}
+
+fn engine_with(tasks: &[Vec<Stage>]) -> Engine<usize> {
+    let mut e: Engine<usize> = Engine::new(2, 100.0);
+    for (i, stages) in tasks.iter().cloned().enumerate() {
+        e.spawn(stages, i);
+    }
+    e
 }
 
 fn run_all(e: &mut Engine<usize>) -> Vec<(f64, usize)> {
@@ -27,35 +35,28 @@ fn run_all(e: &mut Engine<usize>) -> Vec<(f64, usize)> {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn every_task_completes_exactly_once(tasks in proptest::collection::vec(task_strategy(), 0..30)) {
-        let mut e: Engine<usize> = Engine::new(2, 100.0);
-        for (i, stages) in tasks.iter().cloned().enumerate() {
-            e.spawn(stages, i);
-        }
+#[test]
+fn every_task_completes_exactly_once() {
+    cases(0xe191_0001, 64, |rng| {
+        let tasks = rng.vec(0..=29, task);
+        let mut e = engine_with(&tasks);
         let done = run_all(&mut e);
-        prop_assert_eq!(done.len(), tasks.len());
+        assert_eq!(done.len(), tasks.len());
         let mut tags: Vec<usize> = done.iter().map(|&(_, t)| t).collect();
         tags.sort_unstable();
-        prop_assert_eq!(tags, (0..tasks.len()).collect::<Vec<_>>());
-        prop_assert_eq!(e.active_tasks(), 0);
-    }
+        assert_eq!(tags, (0..tasks.len()).collect::<Vec<_>>());
+        assert_eq!(e.active_tasks(), 0);
+    });
+}
 
-    #[test]
-    fn completion_times_are_monotone_and_bounded_below(
-        tasks in proptest::collection::vec(task_strategy(), 1..20),
-    ) {
-        let mut e: Engine<usize> = Engine::new(2, 100.0);
-        for (i, stages) in tasks.iter().cloned().enumerate() {
-            e.spawn(stages, i);
-        }
-        let done = run_all(&mut e);
+#[test]
+fn completion_times_are_monotone_and_bounded_below() {
+    cases(0xe191_0002, 64, |rng| {
+        let tasks = rng.vec(1..=19, task);
+        let done = run_all(&mut engine_with(&tasks));
         // Event times never go backwards.
         for w in done.windows(2) {
-            prop_assert!(w[0].0 <= w[1].0 + 1e-9);
+            assert!(w[0].0 <= w[1].0 + 1e-9);
         }
         // A resource can't finish its total demand faster than serially at
         // full rate: makespan >= max per-resource total demand.
@@ -68,51 +69,49 @@ proptest! {
                     StageKind::Cpu(_) => cpu0 += s.remaining,
                     StageKind::Disk(_) => disk1 += s.remaining,
                     StageKind::Net | StageKind::NetLink(_) => net += s.remaining / 100.0,
+                    StageKind::Delay => unreachable!("`task` makes none"),
                 }
             }
         }
         let makespan = done.last().map(|&(t, _)| t).unwrap_or(0.0);
         let bound = cpu0.max(disk1).max(net);
-        prop_assert!(makespan >= bound - 1e-6, "makespan {makespan} < bound {bound}");
-    }
+        assert!(
+            makespan >= bound - 1e-6,
+            "makespan {makespan} < bound {bound}"
+        );
+    });
+}
 
-    #[test]
-    fn advance_with_limit_never_overshoots(
-        tasks in proptest::collection::vec(task_strategy(), 1..10),
-        limit in 0.0f64..10.0,
-    ) {
-        let mut e: Engine<usize> = Engine::new(2, 100.0);
-        for (i, stages) in tasks.iter().cloned().enumerate() {
-            e.spawn(stages, i);
-        }
+#[test]
+fn advance_with_limit_never_overshoots() {
+    cases(0xe191_0003, 64, |rng| {
+        let tasks = rng.vec(1..=9, task);
+        let limit = rng.uniform(0.0..10.0);
+        let mut e = engine_with(&tasks);
         loop {
             match e.advance(Some(limit)) {
-                Advance::TaskDone { at, .. } => prop_assert!(at <= limit + 1e-9),
+                Advance::TaskDone { at, .. } => assert!(at <= limit + 1e-9),
                 Advance::ReachedTime(t) => {
-                    prop_assert!((t - limit).abs() < 1e-9);
+                    assert!((t - limit).abs() < 1e-9);
                     break;
                 }
                 Advance::Idle => break,
             }
         }
-        prop_assert!(e.now() <= limit + 1e-9);
-    }
+        assert!(e.now() <= limit + 1e-9);
+    });
+}
 
-    #[test]
-    fn deterministic_replay(tasks in proptest::collection::vec(task_strategy(), 0..15)) {
-        let run = || {
-            let mut e: Engine<usize> = Engine::new(2, 100.0);
-            for (i, stages) in tasks.iter().cloned().enumerate() {
-                e.spawn(stages, i);
-            }
-            run_all(&mut e)
-        };
-        let a = run();
-        let b = run();
-        prop_assert_eq!(a.len(), b.len());
+#[test]
+fn deterministic_replay() {
+    cases(0xe191_0004, 64, |rng| {
+        let tasks = rng.vec(0..=14, task);
+        let a = run_all(&mut engine_with(&tasks));
+        let b = run_all(&mut engine_with(&tasks));
+        assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(b.iter()) {
-            prop_assert!((x.0 - y.0).abs() < 1e-12);
-            prop_assert_eq!(x.1, y.1);
+            assert!((x.0 - y.0).abs() < 1e-12);
+            assert_eq!(x.1, y.1);
         }
-    }
+    });
 }

@@ -13,7 +13,7 @@
 //! overhead bench compares against.
 
 use crate::snapshot::{metric_key, HistogramSnapshot, Snapshot};
-use parking_lot::Mutex;
+use qa_types::sync::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;

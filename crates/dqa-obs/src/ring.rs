@@ -4,7 +4,7 @@
 //! caps it at a fixed capacity and *counts* what it evicts so loss is
 //! visible (export the count as `dqa_trace_dropped_total`), never silent.
 
-use parking_lot::Mutex;
+use qa_types::sync::Mutex;
 use std::collections::VecDeque;
 
 /// Default capacity: 64k events, roughly 40 questions' worth of fully

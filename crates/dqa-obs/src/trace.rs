@@ -30,7 +30,7 @@
 use crate::metrics::Counter;
 use crate::ring::FlightRecorder;
 use crate::Clock;
-use parking_lot::Mutex;
+use qa_types::sync::Mutex;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;

@@ -22,6 +22,7 @@ mod journaling;
 mod phase;
 
 use crate::board::LoadBoard;
+use crate::channel::bounded;
 use crate::chaos::ChaosDriver;
 use crate::failover::CoordinatorJournal;
 use crate::integrity::{IntegrityConfig, IntegrityRuntime};
@@ -32,7 +33,6 @@ use crate::node::{run_node, NodeContext};
 use crate::overload::{AdmissionGate, PhaseEstimator};
 use crate::sync::Mutex;
 use crate::trace::{TraceLog, DEFAULT_FLIGHT_RECORDER_CAPACITY};
-use crossbeam_channel::bounded;
 use dqa_obs::{names, Clock, DqaMetrics, Gauge, MetricsRegistry, TraceRecorder, WallClock};
 use elastic::ElasticRuntime;
 use faults::{FaultSchedule, RetryPolicy};

@@ -7,11 +7,11 @@
 //! that mechanism; a [`Phase`] describes only what differs between the two.
 
 use super::Cluster;
+use crate::channel::{bounded, RecvTimeoutError, Sender};
 use crate::clock::now_instant;
 use crate::links::SendError;
 use crate::message::{Envelope, SubTask, SubTaskResult};
 use crate::trace::TraceKind;
-use crossbeam_channel::{bounded, RecvTimeoutError, Sender};
 use dqa_obs::{DqaMetrics, Histogram};
 use faults::RetryPolicy;
 use journal::{JournalPhase, JournalRecord, QuestionRecovery};
@@ -718,13 +718,10 @@ mod tests {
             .remove(0)
             .question;
         let processed = cl.qp.process(&q).unwrap();
-        // Two chunks: the lower and the upper half of the sub-collections.
-        let subs: Vec<SubCollectionId> = (0..c.config.sub_collections as u32)
-            .map(SubCollectionId::new)
-            .collect();
-        let chunks: Vec<Vec<SubCollectionId>> =
-            subs.chunks(subs.len() / 2).map(<[_]>::to_vec).collect();
-        assert_eq!(chunks.len(), 2);
+        // Two chunks of one sub-collection each, as the coordinator cuts
+        // them: a chunk is done at its first result, so a second shard in it
+        // would be kept or dropped by arrival order.
+        let chunks = vec![vec![SubCollectionId::new(0)], vec![SubCollectionId::new(2)]];
         let (home, both) = (NodeId::new(0), vec![NodeId::new(0), NodeId::new(1)]);
         let by_id = |mut scored: Vec<ScoredParagraph>| {
             scored.sort_by_key(|s| s.paragraph.id);
@@ -807,7 +804,7 @@ mod tests {
     /// Swap every node's ingress link for a channel the test holds: sends
     /// succeed (dispatch works) but no worker ever serves them. The
     /// returned receivers keep the channels open.
-    fn black_hole(cl: &mut Cluster) -> Vec<crossbeam_channel::Receiver<Envelope>> {
+    fn black_hole(cl: &mut Cluster) -> Vec<crate::channel::Receiver<Envelope>> {
         (0..cl.links.len())
             .map(|i| {
                 let (tx, rx) = bounded::<Envelope>(64);

@@ -11,7 +11,7 @@
 //! calibrated virtual hardware, this crate demonstrates the architecture
 //! *functionally*, with real concurrency on real data: each node is a
 //! worker thread holding (a reference to) its copy of the collection and
-//! serving PR/PS and AP sub-tasks over crossbeam channels; a per-question
+//! serving PR/PS and AP sub-tasks over bounded channels ([`channel`]); a per-question
 //! coordinator implements the Fig. 3 dataflow — QP, the PR dispatcher with
 //! receiver-controlled sub-collection chunks, centralized paragraph
 //! merging + ordering, the AP dispatcher with SEND/ISEND/RECV paragraph
@@ -31,6 +31,7 @@
 //!   prescribe.
 
 pub mod board;
+pub mod channel;
 pub mod chaos;
 pub mod clock;
 pub mod cluster;

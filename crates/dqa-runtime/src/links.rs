@@ -1,6 +1,6 @@
 //! Fault-injecting channel layer.
 //!
-//! [`FaultyLink`] wraps a node's crossbeam sender and consults the seeded
+//! [`FaultyLink`] wraps a node's [`Sender`] and consults the seeded
 //! [`LinkJudge`] for every envelope: deliver, drop, duplicate, or delay.
 //! Decisions are a pure function of `(seed, destination, sequence number)`,
 //! so a given schedule perturbs the same messages on every run.
@@ -18,8 +18,8 @@
 //! (backpressure feeding the retry machinery) instead of blocking behind a
 //! saturated node.
 
+use crate::channel::{SendTimeoutError, Sender};
 use crate::message::Envelope;
-use crossbeam_channel::{SendTimeoutError, Sender};
 use faults::{LinkDecision, LinkJudge};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -77,7 +77,7 @@ impl FaultyLink {
     /// Depth of the destination's bounded ingress queue right now
     /// (feeds the `dqa_queue_depth` gauge).
     pub fn queue_len(&self) -> usize {
-        self.inner.len()
+        self.inner.queued()
     }
 
     /// Send an envelope through the (possibly faulty) link, waiting at most
@@ -130,8 +130,8 @@ impl FaultyLink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::bounded;
     use crate::message::{SubTask, SubTaskResult};
-    use crossbeam_channel::{bounded, unbounded};
     use faults::FaultSchedule;
     use qa_types::{QuestionId, SubCollectionId};
 
@@ -151,43 +151,43 @@ mod tests {
 
     #[test]
     fn clean_link_delivers_everything() {
-        let (tx, rx) = unbounded();
-        let (reply, _keep) = unbounded();
+        let (tx, _rx) = bounded(16);
+        let (reply, _keep) = bounded(1);
         let link = FaultyLink::clean(tx);
         for i in 0..10 {
             link.send(envelope(reply.clone(), i), T).unwrap();
         }
-        assert_eq!(rx.len(), 10);
+        assert_eq!(link.queue_len(), 10);
     }
 
     #[test]
     fn full_loss_delivers_nothing_but_reports_ok() {
-        let (tx, rx) = unbounded();
-        let (reply, _keep) = unbounded();
+        let (tx, _rx) = bounded(16);
+        let (reply, _keep) = bounded(1);
         let judge = FaultSchedule::seeded(3).message_loss(1.0).link_judge();
         let link = FaultyLink::faulty(tx, judge, 0);
         for i in 0..10 {
             link.send(envelope(reply.clone(), i), T).unwrap();
         }
-        assert_eq!(rx.len(), 0, "every message lost");
+        assert_eq!(link.queue_len(), 0, "every message lost");
     }
 
     #[test]
     fn full_duplication_doubles_delivery() {
-        let (tx, rx) = unbounded();
-        let (reply, _keep) = unbounded();
+        let (tx, _rx) = bounded(16);
+        let (reply, _keep) = bounded(1);
         let judge = FaultSchedule::seeded(3).message_dup(1.0).link_judge();
         let link = FaultyLink::faulty(tx, judge, 0);
         for i in 0..5 {
             link.send(envelope(reply.clone(), i), T).unwrap();
         }
-        assert_eq!(rx.len(), 10, "every message delivered twice");
+        assert_eq!(link.queue_len(), 10, "every message delivered twice");
     }
 
     #[test]
     fn delayed_messages_arrive_late_but_arrive() {
-        let (tx, rx) = unbounded();
-        let (reply, _keep) = unbounded();
+        let (tx, rx) = bounded(16);
+        let (reply, _keep) = bounded(1);
         let judge = FaultSchedule::seeded(3)
             .message_delay(1.0, 0.01)
             .link_judge();
@@ -199,8 +199,8 @@ mod tests {
 
     #[test]
     fn closed_channel_is_an_error_on_delivery() {
-        let (tx, rx) = unbounded();
-        let (reply, _keep) = unbounded();
+        let (tx, rx) = bounded(16);
+        let (reply, _keep) = bounded(1);
         drop(rx);
         let link = FaultyLink::clean(tx);
         assert_eq!(
@@ -212,7 +212,7 @@ mod tests {
     #[test]
     fn full_bounded_queue_times_out_instead_of_blocking() {
         let (tx, rx) = bounded(1);
-        let (reply, _keep) = unbounded();
+        let (reply, _keep) = bounded(1);
         let link = FaultyLink::clean(tx);
         link.send(envelope(reply.clone(), 0), T).unwrap();
         let started = std::time::Instant::now();

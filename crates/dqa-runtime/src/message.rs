@@ -1,6 +1,6 @@
 //! The sub-task protocol between question coordinators and worker nodes.
 
-use crossbeam_channel::Sender;
+use crate::channel::Sender;
 use qa_pipeline::scoring::ScoredParagraph;
 use qa_pipeline::{ApItem, PipelineConfig};
 use qa_types::ProcessedQuestion;

@@ -9,9 +9,9 @@
 //! error path.
 
 use crate::board::LoadBoard;
+use crate::channel::{Receiver, RecvTimeoutError, TryRecvError};
 use crate::message::{Envelope, SubTask, SubTaskResult};
 use crate::trace::{TraceKind, TraceLog};
-use crossbeam_channel::{Receiver, RecvTimeoutError, TryRecvError};
 use ir_engine::ParagraphRetriever;
 use nlp::NamedEntityRecognizer;
 use qa_pipeline::answer::extract_answers;

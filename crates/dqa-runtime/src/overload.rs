@@ -185,7 +185,8 @@ impl AdmissionGate {
     }
 
     /// High-water mark of the waiting queue — by construction never above
-    /// the configured depth (the proptest invariant).
+    /// the configured depth (the invariant the root property tests draw
+    /// arrivals against).
     pub fn peak_waiting(&self) -> usize {
         self.state.lock().peak_waiting
     }
@@ -472,7 +473,7 @@ mod loom_tests {
             for c in contenders {
                 assert_ne!(c.join().unwrap(), GateDecision::ShuttingDown);
             }
-            // The proptest invariant, now checked exhaustively.
+            // The property-test invariant, now checked exhaustively.
             assert!(gate.peak_waiting() <= 1, "queue overshot its bound");
             assert_eq!(gate.in_flight(), 0);
         });

@@ -11,7 +11,7 @@
 //!   atomic access, spawn/join). Each execution replays a recorded
 //!   decision path, then backtracks to the deepest unexplored branch.
 //! - [`sync`] provides drop-in `Mutex`/`Condvar` shims with the
-//!   `parking_lot` API surface the runtime uses, plus sequentially
+//!   `qa_types::sync` API surface the runtime uses, plus sequentially
 //!   consistent atomic shims. **Dual mode:** outside [`model`] they pass
 //!   straight through to `std::sync`, so a crate compiled against the
 //!   shims (e.g. `dqa-runtime --features loom`) still behaves normally in

@@ -86,9 +86,21 @@ pub(crate) struct Ctx {
     pub tid: Tid,
 }
 
-/// The calling thread's model context, if it is a controlled thread.
+/// The calling thread's place in a model run. `None` outside one — and
+/// for a thread already unwinding out of an aborted execution, whose
+/// destructors may still lock or notify (a channel half's `Drop` does
+/// both): a second panic there would abort the process, so the shims pass
+/// through to `std`. Every thread of an aborted execution is unwinding,
+/// and real locks order them.
 pub(crate) fn current() -> Option<Ctx> {
-    CTX.with(|c| c.borrow().clone())
+    let ctx = CTX.with(|c| c.borrow().clone())?;
+    let aborted = || {
+        ctx.shared
+            .state
+            .lock()
+            .map_or_else(|e| e.into_inner().abort, |st| st.abort)
+    };
+    (!(std::thread::panicking() && aborted())).then_some(ctx)
 }
 
 impl Shared {
@@ -198,19 +210,15 @@ impl Shared {
         wake
     }
 
-    /// Notify: a decision point, then every waiter (or the lowest-id
-    /// waiter for `notify_one`) becomes runnable with `Wake::Notified`.
-    pub(crate) fn cv_notify(&self, tid: Tid, cv: usize, all: bool) {
+    /// Notify all: a decision point, then every waiter becomes runnable
+    /// with `Wake::Notified`.
+    pub(crate) fn cv_notify(&self, tid: Tid, cv: usize) {
         self.switch_point(tid);
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let mut woken = 0usize;
         for t in st.threads.iter_mut() {
-            if let Status::WaitingOnCv { cv: c, .. } = t.status {
-                if c == cv && (all || woken == 0) {
-                    t.status = Status::Runnable;
-                    t.wake = Some(Wake::Notified);
-                    woken += 1;
-                }
+            if matches!(t.status, Status::WaitingOnCv { cv: c, .. } if c == cv) {
+                t.status = Status::Runnable;
+                t.wake = Some(Wake::Notified);
             }
         }
     }

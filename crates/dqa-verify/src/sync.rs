@@ -1,5 +1,5 @@
-//! Dual-mode `Mutex`/`Condvar`/atomic shims with the `parking_lot` API
-//! surface the runtime uses.
+//! Dual-mode `Mutex`/`Condvar`/atomic shims with the API surface of
+//! `qa_types::sync`, which the runtime uses by default.
 //!
 //! Outside a [`crate::model`] run every operation passes straight through
 //! to `std::sync`, so code compiled against these shims behaves normally.
@@ -27,7 +27,7 @@ fn take_std<'a, T>(m: &'a StdMutex<T>) -> std::sync::MutexGuard<'a, T> {
     }
 }
 
-/// A mutex with the `parking_lot` API: `lock()` returns the guard
+/// A mutex with the `qa_types::sync` API: `lock()` returns the guard
 /// directly (no `Result`), poisoning is swallowed.
 pub struct Mutex<T> {
     inner: StdMutex<T>,
@@ -60,20 +60,6 @@ impl<T> Mutex<T> {
             inner: Some(self.inner.lock().unwrap_or_else(|e| e.into_inner())),
             model: None,
         }
-    }
-
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: Default> Default for Mutex<T> {
-    fn default() -> Self {
-        Mutex::new(T::default())
     }
 }
 
@@ -117,7 +103,7 @@ impl<T> Drop for MutexGuard<'_, T> {
 }
 
 /// The result of a timed condvar wait; mirrors
-/// `parking_lot::WaitTimeoutResult`.
+/// `std::sync::WaitTimeoutResult`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WaitTimeoutResult(bool);
 
@@ -127,7 +113,7 @@ impl WaitTimeoutResult {
     }
 }
 
-/// A condition variable with the `parking_lot` API: waits take
+/// A condition variable with the `qa_types::sync` API: waits take
 /// `&mut MutexGuard` instead of consuming it.
 pub struct Condvar {
     inner: std::sync::Condvar,
@@ -172,17 +158,9 @@ impl Condvar {
         WaitTimeoutResult(res.timed_out())
     }
 
-    pub fn notify_one(&self) {
-        if let (Some((shared, cv)), Some(ctx)) = (&self.model, sched::current()) {
-            shared.cv_notify(ctx.tid, *cv, false);
-            return;
-        }
-        self.inner.notify_one();
-    }
-
     pub fn notify_all(&self) {
         if let (Some((shared, cv)), Some(ctx)) = (&self.model, sched::current()) {
-            shared.cv_notify(ctx.tid, *cv, true);
+            shared.cv_notify(ctx.tid, *cv);
             return;
         }
         self.inner.notify_all();
@@ -215,12 +193,6 @@ impl Condvar {
         guard.inner = Some(take_std(&guard.lock.inner));
         guard.model = Some((ctx, m));
         Some(wake)
-    }
-}
-
-impl Default for Condvar {
-    fn default() -> Self {
-        Condvar::new()
     }
 }
 
@@ -295,10 +267,6 @@ pub mod atomic {
                 ) -> Result<$prim, $prim> {
                     self.compare_exchange(current, new, success, failure)
                 }
-
-                pub fn into_inner(self) -> $prim {
-                    self.inner.into_inner()
-                }
             }
         };
     }
@@ -313,11 +281,6 @@ pub mod atomic {
                 pub fn fetch_add(&self, v: $prim, _order: Ordering) -> $prim {
                     interleave();
                     self.inner.fetch_add(v, Ordering::SeqCst)
-                }
-
-                pub fn fetch_sub(&self, v: $prim, _order: Ordering) -> $prim {
-                    interleave();
-                    self.inner.fetch_sub(v, Ordering::SeqCst)
                 }
 
                 pub fn fetch_max(&self, v: $prim, _order: Ordering) -> $prim {

@@ -14,7 +14,7 @@
 //!   doubled bytes on the wire);
 //! * `dqa-runtime` interprets event times as **scaled wall-clock offsets**
 //!   (a `ChaosDriver` thread applies crashes/rejoins/straggler windows) and
-//!   wraps its crossbeam links in a fault-injecting channel layer that
+//!   wraps its channel links in a fault-injecting channel layer that
 //!   drops, delays or duplicates envelopes.
 //!
 //! Every stochastic decision is a pure function of `(seed, flow, sequence

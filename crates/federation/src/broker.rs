@@ -34,11 +34,11 @@ use crate::breaker::ShardBreaker;
 use crate::estimator::LatencyEstimator;
 use crate::partition::partition_documents;
 use crate::windows::FaultWindows;
-use crossbeam_channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use dqa_obs::{
     names, splitmix64, CausalSpan, CauseSet, Clock, DqaMetrics, MetricsRegistry, TraceRecorder,
     WallClock, DEFAULT_FLIGHT_RECORDER_CAPACITY,
 };
+use dqa_runtime::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use dqa_runtime::{now_instant, Admission, Cluster, ClusterConfig};
 use faults::FaultSchedule;
 use ir_engine::{DocumentStore, ParagraphRetriever, RetrievalConfig, ShardedIndex};

@@ -152,6 +152,11 @@ impl Hasher for Fnv1a {
     }
 }
 
+/// The most text units (titles + paragraphs) one shard may number. The
+/// builder stops there, so a segment reader can refuse a larger total
+/// before sizing the unit → document table by it (64 MiB at the bound).
+pub const MAX_SHARD_UNITS: u32 = 1 << 24;
+
 /// Term → the text units holding it.
 pub(crate) type TermTable = HashMap<String, PostingsList, BuildHasherDefault<Fnv1a>>;
 
@@ -199,13 +204,18 @@ impl IndexBuilder {
 
     /// Index one document: its title is one text unit, each paragraph the
     /// next. A document id may be fed once ([`IndexBuilder::finish`]
-    /// panics otherwise).
+    /// panics otherwise), and a document that would take the shard past
+    /// [`MAX_SHARD_UNITS`] panics here.
     pub fn add_document(&mut self, doc: &Document) {
         self.fed_in_id_order &= self.doc_ids.last().is_none_or(|last| *last < doc.id);
         self.doc_ids.push(doc.id);
         let first = *self.doc_start.last().expect("starts at [0]");
-        let end = u32::try_from(first as usize + 1 + doc.paragraphs.len())
-            .expect("a shard holds fewer than 2^32 text units");
+        let end = first as usize + 1 + doc.paragraphs.len();
+        assert!(
+            end <= MAX_SHARD_UNITS as usize,
+            "a shard holds at most {MAX_SHARD_UNITS} text units"
+        );
+        let end = end as u32;
         let texts = std::iter::once(&doc.title).chain(&doc.paragraphs);
         for (unit, text) in (first..end).zip(texts) {
             let mut terms = self.analyzer.terms(text);

@@ -31,7 +31,9 @@
 //!   bytes doc_ids        — list of doc_count document ids, increasing
 //!   bytes doc_units      — list of doc_count running totals of text units:
 //!                          its gaps are the units (title + paragraphs) of
-//!                          each document, its last entry the unit count
+//!                          each document, its last entry the unit count,
+//!                          at most MAX_SHARD_UNITS (2^24: the builder
+//!                          stops there, a reader refuses more unsized)
 //!   u32 n_blocks
 //!   n_blocks × { u32 block_len, u32 block_crc, block body }
 //!     block body: u32 n_terms · n_terms ×
@@ -56,7 +58,7 @@
 //! spot-check). The CRC-32 is [`qa_types::crc32`], the one the journal's
 //! frames use.
 
-use crate::index::{ShardedIndex, SubIndex, TermTable};
+use crate::index::{ShardedIndex, SubIndex, TermTable, MAX_SHARD_UNITS};
 use crate::persist::varint;
 use crate::postings::{write_varint, PostingsList};
 pub use qa_types::crc32;
@@ -330,7 +332,9 @@ fn decode_shard_body(sub: u32, body: &[u8]) -> Result<SubIndex, IntegrityError> 
     // Each list is walked entry by entry before anything is sized by it.
     let doc_ids = PostingsList::from_encoded(r.bytes().map_err(qerr)?, doc_count, 1 << 32)
         .map_err(|e| fmt(format!("doc id list: {e}")))?;
-    let doc_units = PostingsList::from_encoded(r.bytes().map_err(qerr)?, doc_count, 1 << 32)
+    // Its last entry sizes the unit → document table.
+    let most_units = u64::from(MAX_SHARD_UNITS) + 1;
+    let doc_units = PostingsList::from_encoded(r.bytes().map_err(qerr)?, doc_count, most_units)
         .map_err(|e| fmt(format!("units-per-document list: {e}")))?;
     let doc_ids: Vec<DocId> = doc_ids.iter().map(DocId::new).collect();
     let doc_start: Vec<u32> = std::iter::once(0).chain(&doc_units).collect();
@@ -644,6 +648,14 @@ mod tests {
             &shard(2, &list(&[4, 9]), &overflowing, &no_blocks),
             "units-per-document list: entry out of range",
         );
+        // a unit total past the builder's bound: 34 bytes of body behind
+        // valid checksums that used to size a 16 GiB unit → document table
+        for total in [MAX_SHARD_UNITS + 1, 0xFFFF_FFFE] {
+            rejected(
+                &shard(1, &list(&[0]), &list(&[total]), &no_blocks),
+                "units-per-document list: entry out of range",
+            );
+        }
         // block count no input could hold
         rejected(
             &shard(0, b"", b"", &u32::MAX.to_le_bytes()),

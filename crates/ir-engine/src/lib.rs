@@ -15,8 +15,8 @@
 //!   units, numbered in document-id order, plus each document's first
 //!   unit) grouped into a [`ShardedIndex`] (the paper splits TREC-9 into 8
 //!   shards), and the hashed [`IndexBuilder`];
-//! * [`query`] — Boolean AST (AND/OR/term) evaluation plus quorum matching,
-//!   the document-level view of the unit lists;
+//! * [`query`] — per-document match counts and quorum matching, the
+//!   document-level view of the unit lists;
 //! * [`retrieval`] — the PR module proper: Boolean search with Falcon-style
 //!   query relaxation, then paragraph selection, both counted over the
 //!   lists (text is read only for the paragraphs returned), with I/O
@@ -42,6 +42,5 @@ pub use integrity::{
     Quarantine, VerifiedIndex,
 };
 pub use postings::PostingsList;
-pub use query::BooleanQuery;
 pub use retrieval::{ParagraphRetriever, RetrievalConfig, RetrievalResult};
 pub use store::DocumentStore;

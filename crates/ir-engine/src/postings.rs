@@ -179,65 +179,6 @@ pub(crate) fn read_varint(data: &[u8]) -> Option<(u32, usize)> {
     None
 }
 
-/// Intersect two sorted id streams (Boolean AND).
-pub fn intersect<T: Ord + Copy>(a: impl Iterator<Item = T>, b: impl Iterator<Item = T>) -> Vec<T> {
-    let mut out = Vec::new();
-    let mut a = a.peekable();
-    let mut b = b.peekable();
-    while let (Some(&x), Some(&y)) = (a.peek(), b.peek()) {
-        match x.cmp(&y) {
-            std::cmp::Ordering::Less => {
-                a.next();
-            }
-            std::cmp::Ordering::Greater => {
-                b.next();
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(x);
-                a.next();
-                b.next();
-            }
-        }
-    }
-    out
-}
-
-/// Union two sorted id streams (Boolean OR).
-pub fn union<T: Ord + Copy>(a: impl Iterator<Item = T>, b: impl Iterator<Item = T>) -> Vec<T> {
-    let mut out = Vec::new();
-    let mut a = a.peekable();
-    let mut b = b.peekable();
-    loop {
-        match (a.peek(), b.peek()) {
-            (Some(&x), Some(&y)) => match x.cmp(&y) {
-                std::cmp::Ordering::Less => {
-                    out.push(x);
-                    a.next();
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(y);
-                    b.next();
-                }
-                std::cmp::Ordering::Equal => {
-                    out.push(x);
-                    a.next();
-                    b.next();
-                }
-            },
-            (Some(&x), None) => {
-                out.push(x);
-                a.next();
-            }
-            (None, Some(&y)) => {
-                out.push(y);
-                b.next();
-            }
-            (None, None) => break,
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,22 +258,6 @@ mod tests {
             load(&wrap[..5], 1, 1 << 32).map(|p| p.to_vec()),
             Ok(vec![u32::MAX])
         );
-    }
-
-    #[test]
-    fn intersect_and_union() {
-        let a = PostingsList::from_sorted(&[1, 3, 5, 7]);
-        let b = PostingsList::from_sorted(&[3, 4, 5, 8]);
-        assert_eq!(intersect(a.iter(), b.iter()), [3, 5]);
-        assert_eq!(union(a.iter(), b.iter()), [1, 3, 4, 5, 7, 8]);
-    }
-
-    #[test]
-    fn intersect_with_empty_is_empty() {
-        let a = PostingsList::from_sorted(&[1, 2]);
-        let e = PostingsList::from_sorted(&[]);
-        assert!(intersect(a.iter(), e.iter()).is_empty());
-        assert_eq!(union(a.iter(), e.iter()), [1, 2]);
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //!    prefix of the log — there is no state outside it.
 //! 2. **Deterministic replay.** [`replay::RecoveredState::apply`] is
 //!    monotone and idempotent (inserts into sets/maps, `max` on terms), so
-//!    `replay ∘ replay = replay` — the property the proptests in
-//!    `tests/journal_props.rs` pin down.
+//!    `replay ∘ replay = replay` — the property `tests/journal_props.rs`
+//!    pins down.
 //! 3. **Fencing.** Every frame carries the writer's *term*. The journal
 //!    tracks the highest term it has witnessed and rejects appends from
 //!    any older term with [`JournalError::Fenced`]; a zombie ex-leader

@@ -8,12 +8,13 @@
 //! load-balancing machinery, and the calibration constants taken from the
 //! paper's own measurements (Tables 2, 3 and 8).
 //!
-//! Everything here is plain data: no I/O, no concurrency. Higher crates
+//! Everything here is plain data: no I/O, no threads. Higher crates
 //! (`ir-engine`, `qa-pipeline`, `cluster-sim`, …) build behaviour on top.
-//! The pieces of arithmetic every crate must agree on bit for bit live
-//! here too: the seeded generator ([`rng`]), the nearest-rank percentile
-//! ([`stats`]), the CRC-32 of every checksummed file ([`crc`]) and the
-//! byte cursor of every hand-written binary format ([`wire`]).
+//! The pieces every crate must agree on live here too: the seeded
+//! generator ([`rng`]), the nearest-rank percentile ([`stats`]), the CRC-32
+//! of every checksummed file ([`crc`]), the byte cursor of every
+//! hand-written binary format ([`wire`]) and the lock the threaded crates
+//! share ([`sync`]).
 
 pub mod answer;
 pub mod calibration;
@@ -29,6 +30,7 @@ pub mod question;
 pub mod resources;
 pub mod rng;
 pub mod stats;
+pub mod sync;
 pub mod wire;
 
 pub use answer::{Answer, Coverage, RankedAnswers};

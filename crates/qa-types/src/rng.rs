@@ -8,7 +8,8 @@
 //! xoshiro256++ seeded through splitmix64, and [`Zipf`] / [`LogNormal`]
 //! are the two distributions the corpus generator and the DES sample.
 //! Every generator takes its seed as an argument; there is no entropy
-//! constructor. The known-answer tests below pin each stream; the integer
+//! constructor. [`cases`] is the loop every property test draws its inputs
+//! in. The known-answer tests below pin each stream; the integer
 //! and uniform samplers are exact everywhere, the two distributions go
 //! through the platform's `ln`/`exp`/`cos`/`powf`.
 
@@ -130,6 +131,29 @@ impl Rng {
             None
         } else {
             Some(&items[self.below(items.len())])
+        }
+    }
+
+    /// A vector of `item` draws, its length uniform in `len`.
+    pub fn vec<T>(
+        &mut self,
+        len: RangeInclusive<u64>,
+        mut item: impl FnMut(&mut Rng) -> T,
+    ) -> Vec<T> {
+        (0..self.range(len)).map(|_| item(self)).collect()
+    }
+}
+
+/// The property tests' case loop: `body` runs on `n` generators, case `i`
+/// seeded with `mix(seed, i, 0)`. A panic inside is followed on stderr by
+/// the case and its seed, so the failing input is one [`Rng::new`] away.
+pub fn cases(seed: u64, n: u64, mut body: impl FnMut(&mut Rng)) {
+    for case in 0..n {
+        let case_seed = mix(seed, case, 0);
+        let run = std::panic::AssertUnwindSafe(|| body(&mut Rng::new(case_seed)));
+        if let Err(panic) = std::panic::catch_unwind(run) {
+            eprintln!("failed in case {case}: Rng::new({case_seed:#018x})");
+            std::panic::resume_unwind(panic);
         }
     }
 }

@@ -1,20 +1,23 @@
 //! Property tests of the meta-scheduler.
 
 use loadsim::functions::LoadFunctions;
-use proptest::prelude::*;
+use qa_types::rng::cases;
 use qa_types::{NodeId, QaModule, ResourceVector};
 use scheduler::meta::meta_schedule;
 
-proptest! {
-    #[test]
-    fn weights_normalize_and_nodes_come_from_candidates(
-        loads in proptest::collection::vec((0.0f64..3.0, 0.0f64..3.0), 1..16),
-    ) {
-        let candidates: Vec<(NodeId, ResourceVector)> = loads
-            .iter()
-            .enumerate()
-            .map(|(i, &(c, d))| (NodeId::new(i as u32), ResourceVector::new(c, d)))
-            .collect();
+fn candidates(loads: &[(f64, f64)]) -> Vec<(NodeId, ResourceVector)> {
+    loads
+        .iter()
+        .enumerate()
+        .map(|(i, &(c, d))| (NodeId::new(i as u32), ResourceVector::new(c, d)))
+        .collect()
+}
+
+#[test]
+fn weights_normalize_and_nodes_come_from_candidates() {
+    cases(0x5c4e_d001, 256, |rng| {
+        let loads = rng.vec(1..=15, |r| (r.uniform(0.0..3.0), r.uniform(0.0..3.0)));
+        let candidates = candidates(&loads);
         let f = LoadFunctions::paper();
         for module in [QaModule::Pr, QaModule::Ap] {
             let alloc = meta_schedule(
@@ -23,45 +26,41 @@ proptest! {
                 |v| f.is_underloaded(module, v),
             )
             .unwrap();
-            prop_assert!(!alloc.is_empty());
+            assert!(!alloc.is_empty());
             let sum: f64 = alloc.iter().map(|a| a.weight).sum();
-            prop_assert!((sum - 1.0).abs() < 1e-6, "weights sum {sum}");
+            assert!((sum - 1.0).abs() < 1e-6, "weights sum {sum}");
             for a in &alloc {
-                prop_assert!(a.weight > 0.0 && a.weight <= 1.0 + 1e-9);
-                prop_assert!(candidates.iter().any(|(n, _)| *n == a.node));
+                assert!(a.weight > 0.0 && a.weight <= 1.0 + 1e-9);
+                assert!(candidates.iter().any(|(n, _)| *n == a.node));
             }
             // No node appears twice.
             let mut ids: Vec<_> = alloc.iter().map(|a| a.node).collect();
             ids.sort_unstable();
             ids.dedup();
-            prop_assert_eq!(ids.len(), alloc.len());
+            assert_eq!(ids.len(), alloc.len());
         }
-    }
+    });
+}
 
-    #[test]
-    fn less_loaded_nodes_never_get_smaller_weights(
-        loads in proptest::collection::vec(0.0f64..0.9, 2..10),
-    ) {
+#[test]
+fn less_loaded_nodes_never_get_smaller_weights() {
+    cases(0x5c4e_d002, 256, |rng| {
         // All CPU-only loads below the AP under-load threshold: every node
         // selected; weights must be monotone non-increasing in load.
-        let candidates: Vec<(NodeId, ResourceVector)> = loads
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (NodeId::new(i as u32), ResourceVector::new(c, 0.0)))
-            .collect();
+        let loads = rng.vec(2..=9, |r| (r.uniform(0.0..0.9), 0.0));
         let f = LoadFunctions::paper();
         let alloc = meta_schedule(
-            &candidates,
+            &candidates(&loads),
             |v| f.load_for(QaModule::Ap, v),
             |v| f.is_underloaded(QaModule::Ap, v),
         )
         .unwrap();
         for a in &alloc {
             for b in &alloc {
-                let la = loads[a.node.index()];
-                let lb = loads[b.node.index()];
+                let la = loads[a.node.index()].0;
+                let lb = loads[b.node.index()].0;
                 if la < lb {
-                    prop_assert!(
+                    assert!(
                         a.weight >= b.weight - 1e-9,
                         "load {la} got weight {} < load {lb}'s {}",
                         a.weight,
@@ -70,5 +69,5 @@ proptest! {
                 }
             }
         }
-    }
+    });
 }

@@ -18,7 +18,7 @@ fn usage() -> ExitCode {
          \x20 raw-instant          no direct Instant::now() in dqa-runtime\n\
          \x20 runtime-panic        no unwrap/expect/panic! in dqa-runtime non-test code\n\
          \x20 unbounded-recv       no bare .recv() in dqa-runtime non-test code\n\
-         \x20 unbounded-channel    no crossbeam_channel::unbounded in dqa-runtime\n\
+         \x20 unbounded-channel    no std::sync::mpsc::channel in dqa-runtime\n\
          \x20 raw-fs-write         no ad-hoc fs writes in dqa-runtime (journal only)\n\
          \x20 lock-order           no cycles in the workspace lock-acquisition graph\n\
          \x20 blocking-under-guard no blocking call while a lock guard is held\n\

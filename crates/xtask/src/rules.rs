@@ -438,8 +438,8 @@ impl Checker<'_> {
                 (&UNORDERED_STATE, "std::collections::HashSet", "HashSet"),
                 (
                     &UNBOUNDED_CHANNEL,
-                    "crossbeam_channel::unbounded",
-                    "crossbeam_channel::unbounded",
+                    "std::sync::mpsc::channel",
+                    "std::sync::mpsc::channel",
                 ),
             ] {
                 if u.glob {
@@ -1006,12 +1006,12 @@ impl Checker<'_> {
                 st.wall_reads.push((last_line, "now_instant()"));
                 self.maybe_clock_leak(st);
             }
-            "unbounded" => {
-                if judge(&self.ctx, segs, "crossbeam_channel::unbounded") != Verdict::Innocent {
+            "channel" => {
+                if judge(&self.ctx, segs, "std::sync::mpsc::channel") != Verdict::Innocent {
                     self.report(
                         &UNBOUNDED_CHANNEL,
                         seg_lines[segs.len() - 1],
-                        "crossbeam_channel::unbounded",
+                        "std::sync::mpsc::channel",
                     );
                 }
             }

@@ -1,7 +1,7 @@
 //! blocking-under-guard fixture: a blocking receive while a guard is
 //! held, the sanctioned condvar hand-over, and the drop-first fix.
-use crossbeam_channel::Receiver;
-use parking_lot::{Condvar, Mutex};
+use dqa_runtime::channel::Receiver;
+use qa_types::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 pub fn stall(rx: &Receiver<u64>, m: &Mutex<u64>) -> u64 {

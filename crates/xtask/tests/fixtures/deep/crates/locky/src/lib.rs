@@ -1,6 +1,6 @@
 //! lock-order fixture: `ab` and `ba` acquire the pair in opposite
 //! orders — a lock-graph cycle no token pattern can see.
-use parking_lot::Mutex;
+use qa_types::sync::Mutex;
 
 pub struct Pair {
     a: Mutex<u64>,

@@ -37,15 +37,15 @@ fn violations_fixture_flags_each_rule_at_exact_lines() {
         (rt, "runtime-panic", 9, ".expect()"),
         (rt, "runtime-panic", 13, "panic!"),
         (rt, "runtime-panic", 17, "unreachable!"),
-        (rt, "unbounded-channel", 21, "crossbeam_channel::unbounded"),
+        (rt, "unbounded-channel", 21, "std::sync::mpsc::channel"),
         (rt, "raw-instant", 26, "Instant::now()"),
         (rt, "unbounded-recv", 34, ".recv()"),
         (rt, "raw-fs-write", 54, "fs::write"),
         (rt, "raw-fs-write", 58, "File::create"),
-        (fed, "unbounded-channel", 5, "crossbeam_channel::unbounded"),
+        (fed, "unbounded-channel", 5, "std::sync::mpsc::channel"),
         (reb, "raw-instant", 6, "Instant::now()"),
         (reb, "unbounded-recv", 10, ".recv()"),
-        (reb, "unbounded-channel", 14, "crossbeam_channel::unbounded"),
+        (reb, "unbounded-channel", 14, "std::sync::mpsc::channel"),
     ];
     assert_eq!(got, want);
 }
