@@ -718,10 +718,13 @@ mod tests {
             .remove(0)
             .question;
         let processed = cl.qp.process(&q).unwrap();
-        // Two chunks of one sub-collection each, as the coordinator cuts
-        // them: a chunk is done at its first result, so a second shard in it
-        // would be kept or dropped by arrival order.
-        let chunks = vec![vec![SubCollectionId::new(0)], vec![SubCollectionId::new(2)]];
+        // Two chunks: the lower and the upper half of the sub-collections.
+        let subs: Vec<SubCollectionId> = (0..c.config.sub_collections as u32)
+            .map(SubCollectionId::new)
+            .collect();
+        let chunks: Vec<Vec<SubCollectionId>> =
+            subs.chunks(subs.len() / 2).map(<[_]>::to_vec).collect();
+        assert_eq!(chunks.len(), 2);
         let (home, both) = (NodeId::new(0), vec![NodeId::new(0), NodeId::new(1)]);
         let by_id = |mut scored: Vec<ScoredParagraph>| {
             scored.sort_by_key(|s| s.paragraph.id);

@@ -210,15 +210,19 @@ impl Shared {
         wake
     }
 
-    /// Notify all: a decision point, then every waiter becomes runnable
-    /// with `Wake::Notified`.
-    pub(crate) fn cv_notify(&self, tid: Tid, cv: usize) {
+    /// Notify: a decision point, then every waiter (or the lowest-id
+    /// waiter for `notify_one`) becomes runnable with `Wake::Notified`.
+    pub(crate) fn cv_notify(&self, tid: Tid, cv: usize, all: bool) {
         self.switch_point(tid);
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut woken = 0usize;
         for t in st.threads.iter_mut() {
-            if matches!(t.status, Status::WaitingOnCv { cv: c, .. } if c == cv) {
-                t.status = Status::Runnable;
-                t.wake = Some(Wake::Notified);
+            if let Status::WaitingOnCv { cv: c, .. } = t.status {
+                if c == cv && (all || woken == 0) {
+                    t.status = Status::Runnable;
+                    t.wake = Some(Wake::Notified);
+                    woken += 1;
+                }
             }
         }
     }

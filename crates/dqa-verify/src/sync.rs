@@ -61,6 +61,20 @@ impl<T> Mutex<T> {
             model: None,
         }
     }
+
+    pub fn into_inner(self) -> T {
+        self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
+    }
+
+    pub fn get_mut(&mut self) -> &mut T {
+        self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+impl<T: Default> Default for Mutex<T> {
+    fn default() -> Self {
+        Mutex::new(T::default())
+    }
 }
 
 impl<T: std::fmt::Debug> std::fmt::Debug for Mutex<T> {
@@ -158,9 +172,17 @@ impl Condvar {
         WaitTimeoutResult(res.timed_out())
     }
 
+    pub fn notify_one(&self) {
+        if let (Some((shared, cv)), Some(ctx)) = (&self.model, sched::current()) {
+            shared.cv_notify(ctx.tid, *cv, false);
+            return;
+        }
+        self.inner.notify_one();
+    }
+
     pub fn notify_all(&self) {
         if let (Some((shared, cv)), Some(ctx)) = (&self.model, sched::current()) {
-            shared.cv_notify(ctx.tid, *cv);
+            shared.cv_notify(ctx.tid, *cv, true);
             return;
         }
         self.inner.notify_all();
@@ -193,6 +215,12 @@ impl Condvar {
         guard.inner = Some(take_std(&guard.lock.inner));
         guard.model = Some((ctx, m));
         Some(wake)
+    }
+}
+
+impl Default for Condvar {
+    fn default() -> Self {
+        Condvar::new()
     }
 }
 
@@ -267,6 +295,10 @@ pub mod atomic {
                 ) -> Result<$prim, $prim> {
                     self.compare_exchange(current, new, success, failure)
                 }
+
+                pub fn into_inner(self) -> $prim {
+                    self.inner.into_inner()
+                }
             }
         };
     }
@@ -281,6 +313,11 @@ pub mod atomic {
                 pub fn fetch_add(&self, v: $prim, _order: Ordering) -> $prim {
                     interleave();
                     self.inner.fetch_add(v, Ordering::SeqCst)
+                }
+
+                pub fn fetch_sub(&self, v: $prim, _order: Ordering) -> $prim {
+                    interleave();
+                    self.inner.fetch_sub(v, Ordering::SeqCst)
                 }
 
                 pub fn fetch_max(&self, v: $prim, _order: Ordering) -> $prim {

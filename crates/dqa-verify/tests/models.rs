@@ -52,7 +52,7 @@ impl Gate {
         let mut g = self.permits.lock();
         *g += 1;
         if notify {
-            self.cv.notify_all();
+            self.cv.notify_one();
         }
     }
 }

@@ -569,6 +569,18 @@ mod tests {
             let mut trailing = payload.clone();
             trailing.push(0);
             corrupt(frame::encode(&trailing), "one trailing byte");
+
+            // Seeded single-byte overwrites: the decode is an error, or the
+            // bytes were a record's own encoding all along. Never a panic.
+            for _ in 0..2_000 {
+                let at = rng.below(payload.len());
+                let byte = rng.next_u64() as u8;
+                let mut mutated = payload.clone();
+                mutated[at] = byte;
+                if let Ok(framed) = Framed::decode(&mutated) {
+                    assert_eq!(framed.encode(), mutated, "decode accepted a non-encoding");
+                }
+            }
         }
         // Seeded garbage of every small length, checksummed or not.
         for len in 0..64 {

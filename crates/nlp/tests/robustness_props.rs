@@ -3,30 +3,14 @@
 
 use nlp::gazetteer::Gazetteers;
 use nlp::{NamedEntityRecognizer, QuestionProcessor};
-use qa_types::rng::{cases, Rng};
+use qa_types::rng::cases;
 use qa_types::{Question, QuestionId};
-
-/// About `max_chars` characters, never a line feed: pieces the analyser has
-/// rules for — stopwords, suffixes to stem, joiners inside and outside
-/// words, capitalised names, letters whose case mapping is special — and,
-/// one draw in eight, a scalar value from anywhere in Unicode.
-fn text(rng: &mut Rng, max_chars: u64) -> String {
-    const PIECES: &str = "the|of|Running|ponies|o'clock|well-known|ΟΔΟΣ|İzmir|straße|Paris|\
-                          Mr.|1999|$40|e\u{301}| | | |'|-|’|—|.|?";
-    let pieces: Vec<&str> = PIECES.split('|').collect();
-    let piece = |rng: &mut Rng| match rng.below(8) {
-        0 => char::from_u32(rng.range(0..=0x10_ffff) as u32).map_or(" ".into(), String::from),
-        _ => pieces[rng.below(pieces.len())].to_string(),
-    };
-    let text = rng.vec(0..=max_chars / 3, piece).concat();
-    text.replace('\n', " ")
-}
 
 #[test]
 fn ner_never_panics_and_mentions_are_well_formed() {
     let ner = NamedEntityRecognizer::standard();
     cases(0x41e5_0001, 96, |rng| {
-        let text = text(rng, 300);
+        let text = rng.text(0..=300);
         let mentions = ner.recognize(&text);
         for m in &mentions {
             assert!(m.start < m.end);
@@ -44,7 +28,7 @@ fn ner_never_panics_and_mentions_are_well_formed() {
 fn qp_never_panics() {
     let qp = QuestionProcessor::new();
     cases(0x41e5_0002, 96, |rng| {
-        let q = Question::new(QuestionId::new(1), text(rng, 200));
+        let q = Question::new(QuestionId::new(1), rng.text(0..=200));
         if let Ok(p) = qp.process(&q) {
             assert!(!p.keywords.is_empty());
             assert!(p.keywords.len() <= 8);

@@ -24,22 +24,6 @@ fn text_of(rng: &mut Rng, len: std::ops::RangeInclusive<u64>, alphabet: &[char])
         .collect()
 }
 
-/// About `max_chars` characters, never a line feed: pieces the analyser has
-/// rules for — stopwords, suffixes to stem, joiners inside and outside
-/// words, letters whose case mapping is special — and, one draw in eight, a
-/// scalar value from anywhere in Unicode.
-fn text(rng: &mut Rng, max_chars: u64) -> String {
-    const PIECES: &str = "the|of|Running|ponies|agreed|o'clock|well-known|ΟΔΟΣ|İzmir|straße|\
-                          ǅ|e\u{301}|42| | | |'|-|’|—|.";
-    let pieces: Vec<&str> = PIECES.split('|').collect();
-    let piece = |rng: &mut Rng| match rng.below(8) {
-        0 => char::from_u32(rng.range(0..=0x10_ffff) as u32).map_or(" ".into(), String::from),
-        _ => pieces[rng.below(pieces.len())].to_string(),
-    };
-    let text = rng.vec(0..=max_chars / 3, piece).concat();
-    text.replace('\n', " ")
-}
-
 fn weights(rng: &mut Rng, len: std::ops::RangeInclusive<u64>, lo: f64, hi: f64) -> Vec<f64> {
     rng.vec(len, |r| r.uniform(lo..hi))
 }
@@ -86,7 +70,7 @@ fn index_terms_never_contain_stopwords() {
 #[test]
 fn tokenize_is_spans_plus_lowercase() {
     cases(0xfa1c_0005, 256, |rng| {
-        let text = text(rng, 200);
+        let text = rng.text(0..=200);
         let tokens = tokenize(&text);
         let spans: Vec<_> = words(&text).collect();
         assert_eq!(tokens.len(), spans.len());
@@ -111,7 +95,7 @@ fn tokenize_is_spans_plus_lowercase() {
 #[test]
 fn index_terms_is_filter_map_over_tokenize() {
     cases(0xfa1c_0006, 256, |rng| {
-        let text = text(rng, 160);
+        let text = rng.text(0..=160);
         let want: Vec<String> = tokenize(&text)
             .iter()
             .filter(|t| !is_stopword(&t.text))
