@@ -43,13 +43,13 @@ pub(super) trait Phase {
     fn reply_capacity(shards: usize, workers: usize) -> usize;
     /// The Table 9 overhead slice the initial fan-out is timed into.
     fn fan_out_overhead(metrics: &DqaMetrics) -> &Histogram;
-    /// The sub-tasks that carry chunk `id` to one worker, in send order.
-    fn tasks(
-        cl: &Cluster,
-        processed: &ProcessedQuestion,
-        id: u32,
-        chunk: &[Self::Item],
-    ) -> impl Iterator<Item = SubTask>;
+    /// Whether `chunk` travels whole in one sub-task. One chunk is one
+    /// envelope and one result — the loop completes a chunk at its first
+    /// result — so [`Cluster::run_phase`] refuses any other chunk before it
+    /// sends anything.
+    fn fits_one_task(chunk: &[Self::Item]) -> bool;
+    /// The sub-task that carries chunk `id` (one that fits) to a worker.
+    fn task(cl: &Cluster, processed: &ProcessedQuestion, id: u32, chunk: &[Self::Item]) -> SubTask;
     /// Unpack a worker's reply; the other phase's variant is a protocol
     /// error.
     fn payload(result: SubTaskResult) -> Result<Self::Partial, QaError>;
@@ -64,9 +64,9 @@ pub(super) trait Phase {
     fn finish(acc: Self::Acc, cl: &Cluster) -> Self::Output;
 }
 
-/// Receiver-controlled PR (+ PS, fused as in Fig. 3): a chunk is a set of
-/// sub-collections, sent as one `PrShard` envelope each; the partials are
-/// scored paragraphs, concatenated for PO.
+/// Receiver-controlled PR (+ PS, fused as in Fig. 3): a chunk is one
+/// sub-collection, sent as a `PrShard` envelope; the partials are scored
+/// paragraphs, concatenated for PO.
 pub(super) struct PrPhase;
 
 impl Phase for PrPhase {
@@ -88,18 +88,24 @@ impl Phase for PrPhase {
         &metrics.overhead_kw_send
     }
 
-    fn tasks(
+    // A worker answers a `PrShard` per shard, so a chunk of two would be
+    // completed by whichever answered first and lose the other's paragraphs.
+    fn fits_one_task(chunk: &[SubCollectionId]) -> bool {
+        chunk.len() == 1
+    }
+
+    fn task(
         _cl: &Cluster,
         processed: &ProcessedQuestion,
         id: u32,
         chunk: &[SubCollectionId],
-    ) -> impl Iterator<Item = SubTask> {
-        chunk.iter().map(move |shard| SubTask::PrShard {
+    ) -> SubTask {
+        SubTask::PrShard {
             question: processed.question.id,
             keywords: processed.keywords.clone(),
-            shard: *shard,
+            shard: chunk[0],
             chunk: id,
-        })
+        }
     }
 
     fn payload(result: SubTaskResult) -> Result<Self::Partial, QaError> {
@@ -153,18 +159,17 @@ impl Phase for ApPhase {
         &metrics.overhead_par_send
     }
 
-    fn tasks(
-        cl: &Cluster,
-        processed: &ProcessedQuestion,
-        id: u32,
-        chunk: &[ApItem],
-    ) -> impl Iterator<Item = SubTask> {
-        std::iter::once(SubTask::ApBatch {
+    fn fits_one_task(_chunk: &[ApItem]) -> bool {
+        true
+    }
+
+    fn task(cl: &Cluster, processed: &ProcessedQuestion, id: u32, chunk: &[ApItem]) -> SubTask {
+        SubTask::ApBatch {
             question: processed.clone(),
             items: chunk.to_vec(),
             config: cl.cfg.pipeline,
             chunk: id,
-        })
+        }
     }
 
     fn payload(result: SubTaskResult) -> Result<Self::Partial, QaError> {
@@ -229,7 +234,9 @@ impl Cluster {
     /// re-execution of straggler chunks, retransmission on lossy links,
     /// and deadline-driven graceful degradation. Grants, partials and
     /// retry spend are journaled. The phase always terminates with a
-    /// coverage report; it never spins forever.
+    /// coverage report; it never spins forever. A chunk that does not fit
+    /// one sub-task ([`Phase::fits_one_task`]) is a protocol error, raised
+    /// before anything is sent.
     pub(super) fn run_phase<P: Phase>(
         &self,
         processed: &ProcessedQuestion,
@@ -240,6 +247,12 @@ impl Cluster {
         resume: Option<&QuestionRecovery>,
     ) -> Result<(P::Output, Vec<NodeId>, Coverage), QaError> {
         let question = processed.question.id;
+        if !chunks.iter().all(|chunk| P::fits_one_task(chunk)) {
+            return Err(QaError::Protocol(format!(
+                "a {} chunk does not fit one sub-task",
+                P::NAME
+            )));
+        }
         let (reply_tx, reply_rx) =
             bounded::<SubTaskResult>(P::reply_capacity(self.shards, workers.len()));
         let mut run = PhaseRun::<P> {
@@ -348,19 +361,17 @@ impl<P: Phase> PhaseRun<'_, P> {
     fn send_chunk(&mut self, node: NodeId, id: u32, chunk: &[P::Item]) -> bool {
         let (cl, question) = (self.cl, self.processed.question.id);
         let link = &cl.links[node.index()];
-        let granted = P::tasks(cl, self.processed, id, chunk).all(|task| {
-            let envelope = Envelope {
-                task,
-                reply: self.reply_tx.clone(),
-            };
-            let sent = link.send(envelope, SEND_TIMEOUT);
-            if sent == Err(SendError::Timeout) {
-                cl.metrics.backpressure.inc();
-                cl.trace.record(question, node, TraceKind::Backpressure);
-            }
-            cl.queue_depth[node.index()].set(link.queue_len() as f64);
-            sent.is_ok()
-        });
+        let envelope = Envelope {
+            task: P::task(cl, self.processed, id, chunk),
+            reply: self.reply_tx.clone(),
+        };
+        let sent = link.send(envelope, SEND_TIMEOUT);
+        if sent == Err(SendError::Timeout) {
+            cl.metrics.backpressure.inc();
+            cl.trace.record(question, node, TraceKind::Backpressure);
+        }
+        cl.queue_depth[node.index()].set(link.queue_len() as f64);
+        let granted = sent.is_ok();
         if !granted {
             self.queue.fail(node);
         } else if cl.cfg.journal.is_some() {
@@ -718,13 +729,13 @@ mod tests {
             .remove(0)
             .question;
         let processed = cl.qp.process(&q).unwrap();
-        // Two chunks: the lower and the upper half of the sub-collections.
-        let subs: Vec<SubCollectionId> = (0..c.config.sub_collections as u32)
-            .map(SubCollectionId::new)
+        // One chunk a sub-collection, as `readable_chunks` cuts them; the
+        // last one is the chunk whose journaled partial is lost.
+        let chunks: Vec<Vec<SubCollectionId>> = (0..c.config.sub_collections as u32)
+            .map(|s| vec![SubCollectionId::new(s)])
             .collect();
-        let chunks: Vec<Vec<SubCollectionId>> =
-            subs.chunks(subs.len() / 2).map(<[_]>::to_vec).collect();
-        assert_eq!(chunks.len(), 2);
+        let last = chunks.len() - 1;
+        assert!(last > 0);
         let (home, both) = (NodeId::new(0), vec![NodeId::new(0), NodeId::new(1)]);
         let by_id = |mut scored: Vec<ScoredParagraph>| {
             scored.sort_by_key(|s| s.paragraph.id);
@@ -756,20 +767,26 @@ mod tests {
             let mine = |s: &&ScoredParagraph| chunks[i].contains(&s.paragraph.sub_collection);
             baseline.iter().filter(mine).cloned().collect()
         };
-        let (good, lost) = (of_chunk(0), of_chunk(1));
-        assert!(!good.is_empty() && !lost.is_empty(), "both chunks retrieve");
+        let lost = of_chunk(last);
+        assert!(!lost.is_empty(), "the lost chunk retrieves");
+        assert!(!of_chunk(0).is_empty(), "a kept chunk retrieves");
 
         let mut dangling = lost.clone();
         dangling[0].paragraph.id.ordinal = u32::MAX;
         for garbage in [vec![0xff; 7], ScoredParagraph::encode_refs(&dangling)] {
             let mut state = journal::RecoveredState::new();
-            for (chunk, payload) in [(0, ScoredParagraph::encode_refs(&good)), (1, garbage)] {
+            for chunk in 0..=last {
+                let payload = if chunk == last {
+                    garbage.clone()
+                } else {
+                    ScoredParagraph::encode_refs(&of_chunk(chunk))
+                };
                 state.apply(&journal::Framed {
                     term: 1,
                     record: JournalRecord::PartialResult {
                         question: q.id,
                         phase: JournalPhase::Pr,
-                        chunk,
+                        chunk: chunk as u32,
                         payload,
                     },
                 });
@@ -786,12 +803,52 @@ mod tests {
                 )
                 .unwrap();
             assert_eq!(by_id(resumed), baseline, "the resumed phase is whole");
-            assert_eq!(coverage, Coverage::full(2));
+            assert_eq!(coverage, Coverage::full(chunks.len() as u32));
             assert_eq!(used.len(), 1);
-            assert_eq!(granted()[before..], [1], "only the lost chunk runs again");
+            assert_eq!(
+                granted()[before..],
+                [last as u32],
+                "only the lost chunk runs again"
+            );
         }
         cl.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A worker answers a `PrShard` per shard and the loop completes a chunk
+    /// at its first result, so a PR chunk of two shards would keep one
+    /// shard's paragraphs under a coverage that says complete. Such a chunk
+    /// is refused where chunks are accepted, before anything is sent.
+    #[test]
+    fn a_two_shard_pr_chunk_is_refused_before_anything_is_sent() {
+        let (c, mut cl) = cluster(2, PartitionStrategy::Recv { chunk_size: 8 });
+        let held = black_hole(&mut cl);
+        let q = QuestionGenerator::new(&c, 23)
+            .generate(1)
+            .remove(0)
+            .question;
+        let processed = cl.qp.process(&q).unwrap();
+        let shard = SubCollectionId::new;
+        for chunks in [
+            vec![vec![shard(0), shard(1)]],
+            vec![vec![shard(0)], vec![shard(1), shard(2)]],
+            vec![vec![]],
+        ] {
+            let out = cl.run_phase::<PrPhase>(
+                &processed,
+                NodeId::new(0),
+                vec![NodeId::new(0), NodeId::new(1)],
+                chunks,
+                None,
+                None,
+            );
+            assert!(matches!(out, Err(QaError::Protocol(_))), "{out:?}");
+        }
+        assert!(
+            held.iter().all(|rx| rx.try_recv().is_err()),
+            "a refused phase dispatched work"
+        );
+        cl.shutdown();
     }
 
     /// What a scenario needs from a phase description beyond the trait.

@@ -14,9 +14,9 @@
 
 use crate::postings::PostingsList;
 use nlp::Analyzer;
+use qa_types::hash::FnvBuild;
 use qa_types::{DocId, Document, SubCollectionId};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// An inverted index over one sub-collection.
 #[derive(Debug, Clone, PartialEq)]
@@ -128,37 +128,15 @@ impl SubIndex {
     }
 }
 
-/// FNV-1a: the term table is probed once per term occurrence while a shard
-/// is built, and SipHash was most of a probe. Its keys are document terms,
-/// so a corpus crafted to collide slows its own build and load; nothing a
-/// question supplies is ever inserted.
-pub(crate) struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for Fnv1a {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// The most text units (titles + paragraphs) one shard may number. The
 /// builder stops there, so a segment reader can refuse a larger total
 /// before sizing the unit → document table by it (64 MiB at the bound).
 pub const MAX_SHARD_UNITS: u32 = 1 << 24;
 
-/// Term → the text units holding it.
-pub(crate) type TermTable = HashMap<String, PostingsList, BuildHasherDefault<Fnv1a>>;
+/// Term → the text units holding it. FNV-keyed ([`qa_types::hash`]): the
+/// table is probed once per term occurrence while a shard is built, and its
+/// keys are document terms — nothing a question supplies is ever inserted.
+pub(crate) type TermTable = HashMap<String, PostingsList, FnvBuild>;
 
 /// Builder for one shard: the index's own term table, filled in place.
 /// Units are handed out in increasing order, so every list is appended to

@@ -7,6 +7,7 @@
 //! exactly the property the paper's *timing* experiments need (AP work is
 //! proportional to candidate-answer density, not to linguistic accuracy).
 
+use qa_types::hash::FnvBuild;
 use qa_types::AnswerType;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -138,10 +139,12 @@ pub const MONTHS: &[&str] = &[
 #[derive(Debug)]
 pub struct Gazetteers {
     by_type: HashMap<AnswerType, Vec<String>>,
-    lookup: HashMap<String, AnswerType>,
+    /// Probed once per word of every paragraph AP reads, hence FNV-keyed
+    /// ([`qa_types::hash`]); the keys are the lists built below.
+    lookup: HashMap<String, AnswerType, FnvBuild>,
     /// First word of a phrase → the longest phrase (in words) starting with
     /// it, so the recognizer asks once per token whether a match can start.
-    first_words: HashMap<String, usize>,
+    first_words: HashMap<String, usize, FnvBuild>,
 }
 
 impl Gazetteers {
@@ -194,8 +197,8 @@ impl Gazetteers {
         by_type.insert(AnswerType::Disease, diseases);
         by_type.insert(AnswerType::Nationality, nationalities);
 
-        let mut lookup = HashMap::new();
-        let mut first_words: HashMap<String, usize> = HashMap::new();
+        let mut lookup = HashMap::default();
+        let mut first_words: HashMap<String, usize, FnvBuild> = HashMap::default();
         // Iterate in AnswerType order, not hash order: an entity present in
         // two lists (e.g. a surname that is also a place) must resolve to
         // the same type on every run, or downstream answer extraction

@@ -6,9 +6,11 @@
 //! crate provides a from-scratch, deterministic, rule-based equivalent that
 //! exercises the same code paths:
 //!
-//! * [`analyze`] — the one streaming analyser (word spans, lower-casing,
-//!   stopwords, stemming; no allocation per token) under everything below;
-//! * [`tokenize`] — word tokenizer preserving byte offsets;
+//! * [`analyze`] — the one analyser (word spans, lower-casing, stopwords,
+//!   stemming; no allocation per token) under everything below, and the
+//!   token table NER and answer processing read a paragraph through;
+//! * [`tokenize`] — owned tokens collected from it, for callers that keep
+//!   them (QP, tests);
 //! * [`stopwords`] — the stopword list used for keyword selection;
 //! * [`stem`] — a light suffix-stripping stemmer;
 //! * [`gazetteer`] — entity lists per answer type, shared between the corpus
@@ -25,8 +27,8 @@ pub mod stem;
 pub mod stopwords;
 pub mod tokenize;
 
-pub use analyze::Analyzer;
+pub use analyze::{Analyzer, TokenTable};
 pub use gazetteer::Gazetteers;
-pub use ner::{EntityMention, NamedEntityRecognizer};
+pub use ner::{EntityMention, MentionRange, NamedEntityRecognizer};
 pub use question::QuestionProcessor;
 pub use tokenize::{tokenize, Token};

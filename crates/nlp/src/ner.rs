@@ -10,8 +10,8 @@
 //! * QUANTITY by `number unit` patterns;
 //! * MONEY by `number dollars` patterns.
 
+use crate::analyze::TokenTable;
 use crate::gazetteer::{Gazetteers, MONTHS, QUANTITY_UNITS};
-use crate::tokenize::{tokenize, Token};
 use qa_types::AnswerType;
 use std::sync::Arc;
 
@@ -26,6 +26,18 @@ pub struct EntityMention {
     pub start: usize,
     /// Byte offset one past the mention end.
     pub end: usize,
+}
+
+/// An entity occurrence as a range of a [`TokenTable`]'s words: what the
+/// recognizer finds before anyone asks for the text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MentionRange {
+    /// Index of the mention's first word.
+    pub first: usize,
+    /// Index of its last word.
+    pub last: usize,
+    /// Recognized category.
+    pub entity_type: AnswerType,
 }
 
 /// Gazetteer+pattern recognizer.
@@ -53,107 +65,89 @@ impl NamedEntityRecognizer {
     /// Find all entity mentions in `text`, left to right, non-overlapping
     /// (longest match wins at each position).
     pub fn recognize(&self, text: &str) -> Vec<EntityMention> {
-        let tokens = tokenize(text);
-        self.recognize_tokens(text, &tokens)
+        let mut table = TokenTable::default();
+        table.fill(text);
+        let mut ranges = Vec::new();
+        self.recognize_in(&table, &mut ranges);
+        let owned = |m: &MentionRange| {
+            let (start, end) = (table.span(m.first).start, table.span(m.last).end);
+            EntityMention {
+                text: text[start..end].to_string(),
+                entity_type: m.entity_type,
+                start,
+                end,
+            }
+        };
+        ranges.iter().map(owned).collect()
     }
 
-    /// As [`recognize`](Self::recognize) but over pre-tokenized input, so the
-    /// pipeline can tokenize each paragraph once.
-    pub fn recognize_tokens(&self, text: &str, tokens: &[Token]) -> Vec<EntityMention> {
-        let mut mentions = Vec::new();
+    /// As [`recognize`](Self::recognize) over a filled table, replacing the
+    /// content of `out`: the pipeline fills one table per paragraph and
+    /// nothing is allocated per mention.
+    pub fn recognize_in(&self, table: &TokenTable, out: &mut Vec<MentionRange>) {
+        out.clear();
         let mut i = 0usize;
-        let mut phrase = String::new();
-        while i < tokens.len() {
+        while i < table.len() {
             // Gazetteer longest match. One probe by first word says whether
-            // any entity can start here and how wide it may be; a phrase is
-            // only built for those widths.
+            // any entity can start here and how wide it may be; a phrase of
+            // that many words is a slice of the table.
             let upper = self
                 .gazetteers
-                .max_phrase_words_from(&tokens[i].text)
-                .min(tokens.len() - i);
-            let matched = (1..=upper).rev().find_map(|w| {
-                phrase.clear();
-                for (k, t) in tokens[i..i + w].iter().enumerate() {
-                    if k > 0 {
-                        phrase.push(' ');
-                    }
-                    phrase.push_str(&t.text);
+                .max_phrase_words_from(table.lower(i))
+                .min(table.len() - i);
+            let gazetteer = |w: usize| Some((w, self.gazetteers.classify(table.phrase(i, w))?));
+            let matched = (1..=upper).rev().find_map(gazetteer);
+            match matched.or_else(|| match_pattern(table, i)) {
+                Some((words, entity_type)) => {
+                    out.push(MentionRange {
+                        first: i,
+                        last: i + words - 1,
+                        entity_type,
+                    });
+                    i += words;
                 }
-                self.gazetteers.classify(&phrase).map(|ty| (w, ty))
-            });
-            if let Some((w, ty)) = matched {
-                mentions.push(self.mention(text, tokens[i].start, tokens[i + w - 1].end, ty));
-                i += w;
-                continue;
+                None => i += 1,
             }
-
-            // Pattern rules.
-            if let Some(m) = self.match_pattern(text, tokens, i) {
-                let skip = tokens[i..]
-                    .iter()
-                    .take_while(|t| t.start < m.end)
-                    .count()
-                    .max(1);
-                mentions.push(m);
-                i += skip;
-                continue;
-            }
-
-            i += 1;
-        }
-        mentions
-    }
-
-    fn match_pattern(&self, text: &str, tokens: &[Token], i: usize) -> Option<EntityMention> {
-        let t = &tokens[i];
-        let next = tokens.get(i + 1);
-
-        let is_number = t.text.chars().all(|c| c.is_ascii_digit()) && !t.text.is_empty();
-
-        if is_number {
-            if let Some(n) = next {
-                if n.text == "dollars" {
-                    return Some(self.mention(text, t.start, n.end, AnswerType::Money));
-                }
-                if QUANTITY_UNITS.contains(&n.text.as_str()) {
-                    return Some(self.mention(text, t.start, n.end, AnswerType::Quantity));
-                }
-            }
-            // Standalone year.
-            if t.text.len() == 4 {
-                if let Ok(y) = t.text.parse::<u32>() {
-                    if (1000..=2100).contains(&y) {
-                        return Some(self.mention(text, t.start, t.end, AnswerType::Date));
-                    }
-                }
-            }
-        }
-
-        // "May 1987" style month-year or "May 5" month-day dates.
-        if MONTHS.contains(&t.text.as_str()) && t.capitalized {
-            if let Some(n) = next {
-                if n.text.chars().all(|c| c.is_ascii_digit()) && !n.text.is_empty() {
-                    return Some(self.mention(text, t.start, n.end, AnswerType::Date));
-                }
-            }
-        }
-
-        None
-    }
-
-    fn mention(&self, text: &str, start: usize, end: usize, ty: AnswerType) -> EntityMention {
-        EntityMention {
-            text: text[start..end].to_string(),
-            entity_type: ty,
-            start,
-            end,
         }
     }
+}
+
+fn is_number(word: &str) -> bool {
+    !word.is_empty() && word.bytes().all(|b| b.is_ascii_digit())
+}
+
+/// The pattern rules at word `i`: how many words match, and as what.
+fn match_pattern(table: &TokenTable, i: usize) -> Option<(usize, AnswerType)> {
+    let word = table.lower(i);
+    let next = (i + 1 < table.len()).then(|| table.lower(i + 1));
+
+    if is_number(word) {
+        match next {
+            Some("dollars") => return Some((2, AnswerType::Money)),
+            Some(unit) if QUANTITY_UNITS.contains(&unit) => {
+                return Some((2, AnswerType::Quantity));
+            }
+            _ => {}
+        }
+        // Standalone year.
+        let year = |y: u32| (1000..=2100).contains(&y);
+        if word.len() == 4 && word.parse().is_ok_and(year) {
+            return Some((1, AnswerType::Date));
+        }
+    }
+
+    // "May 1987" style month-year or "May 5" month-day dates.
+    if table.span(i).capitalized && MONTHS.contains(&word) && next.is_some_and(is_number) {
+        return Some((2, AnswerType::Date));
+    }
+
+    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tokenize::tokenize;
 
     fn ner() -> NamedEntityRecognizer {
         NamedEntityRecognizer::standard()
@@ -236,10 +230,13 @@ mod tests {
         assert_eq!(ms.len(), 3);
     }
 
-    /// The recognizer before the first-word probe: a phrase built and
-    /// looked up for every width (to twice the longest entity) at every token.
+    /// The recognizer before the first-word probe and before the table: a
+    /// phrase built from owned tokens and looked up for every width (to
+    /// twice the longest entity) at every token.
     fn recognize_all_widths(ner: &NamedEntityRecognizer, text: &str) -> Vec<EntityMention> {
         let tokens = tokenize(text);
+        let mut table = TokenTable::default();
+        table.fill(text);
         let g = ner.gazetteers();
         let (mut out, mut i) = (Vec::new(), 0);
         while i < tokens.len() {
@@ -248,16 +245,18 @@ mod tests {
                 let words: Vec<&str> = tokens[i..i + w].iter().map(|t| t.text.as_str()).collect();
                 g.classify(&words.join(" ")).map(|ty| (w, ty))
             });
-            if let Some((w, ty)) = hit {
-                out.push(ner.mention(text, tokens[i].start, tokens[i + w - 1].end, ty));
-                i += w;
-            } else if let Some(m) = ner.match_pattern(text, &tokens, i) {
-                let covered = tokens[i..].iter().take_while(|t| t.start < m.end).count();
-                i += covered.max(1);
-                out.push(m);
-            } else {
+            let Some((w, entity_type)) = hit.or_else(|| match_pattern(&table, i)) else {
                 i += 1;
-            }
+                continue;
+            };
+            let (start, end) = (tokens[i].start, tokens[i + w - 1].end);
+            out.push(EntityMention {
+                text: text[start..end].to_string(),
+                entity_type,
+                start,
+                end,
+            });
+            i += w;
         }
         out
     }
@@ -285,6 +284,22 @@ mod tests {
         ] {
             assert_eq!(ner.recognize(&text), recognize_all_widths(&ner, &text));
         }
+        // Hostile text with entities, numbers and months spliced in.
+        let entities: Vec<&String> = (g.listed_types().flat_map(|ty| g.entities(ty))).collect();
+        qa_types::rng::cases(0x6e65_7201, 300, |rng| {
+            let mut text = String::new();
+            for _ in 0..rng.below(6) {
+                text.push_str(&rng.text(0..=20));
+                let entity = entities[rng.below(entities.len())];
+                match rng.below(4) {
+                    0 => text.push_str(entity),
+                    1 => text.push_str(&entity.to_uppercase()),
+                    2 => text.push_str(" March 15, 1987 or 40 miles for 9 dollars"),
+                    _ => text.push(' '),
+                }
+            }
+            assert_eq!(ner.recognize(&text), recognize_all_widths(&ner, &text));
+        });
     }
 
     #[test]

@@ -18,6 +18,10 @@ pub fn stem(word: &str) -> String {
 
 /// [`stem`] on the caller's buffer: the rules only ever cut the tail of an
 /// ASCII word and append at most one letter, so nothing is allocated.
+///
+/// A word's first byte is never changed: words of three bytes or fewer pass
+/// through and no rule cuts below one. The keyword prefilter
+/// ([`crate::analyze::FirstBytes`]) rests on that.
 pub fn stem_in_place(w: &mut String) {
     let n = w.len();
     if n <= 3 || !w.is_ascii() {

@@ -4,6 +4,7 @@
 //! below covers English function words plus the wh-words and auxiliaries that
 //! appear in TREC questions.
 
+use qa_types::hash::fnv1a;
 use std::sync::OnceLock;
 
 /// The raw stopword list (lower-case).
@@ -170,8 +171,7 @@ const BUCKETS: usize = 256;
 /// FNV-1a folded to a bucket. The list is fixed and every probe is a short
 /// lower-cased word, so a keyed hash would buy nothing here.
 fn bucket(term: &str) -> usize {
-    let fnv = |h: u64, b: &u8| (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
-    let h = term.as_bytes().iter().fold(0xcbf2_9ce4_8422_2325, fnv);
+    let h = fnv1a(term.as_bytes());
     (h ^ (h >> 32)) as usize % BUCKETS
 }
 

@@ -1,10 +1,12 @@
 //! Word tokenization with byte offsets.
 //!
 //! Tokens are maximal runs of alphanumeric characters (plus internal
-//! apostrophes and hyphens, so "Tourette's" and "open-domain" stay whole).
-//! Offsets are preserved because the Answer Processing module cuts answer
-//! windows out of the original paragraph text. Boundaries come from
-//! [`crate::analyze::words`]; this module collects them into owned tokens.
+//! apostrophes and hyphens, so "Tourette's" and "open-domain" stay whole),
+//! each with its byte span in the source. Boundaries come from
+//! [`crate::analyze::words`]; this module collects them into owned tokens
+//! for callers that keep them (QP reads one question, tests compare). The
+//! paragraph paths — NER and answer processing — read the same words through
+//! [`crate::analyze::TokenTable`] and allocate nothing per token.
 
 use crate::analyze::{push_lowercase, words};
 

@@ -13,6 +13,7 @@
 
 use ir_engine::terms::QueryTerms;
 use ir_engine::DocumentStore;
+use nlp::analyze::FirstBytes;
 use nlp::Analyzer;
 use qa_types::wire::{put_u32, put_u64, Reader};
 use qa_types::{DocId, Keyword, Paragraph, ParagraphId, QaError};
@@ -84,6 +85,9 @@ pub fn score_paragraph(paragraph: &Paragraph, keywords: &[Keyword]) -> f64 {
 /// The keyword set and the scratch PS reuses from paragraph to paragraph.
 struct Scorer<'a> {
     query: QueryTerms<'a>,
+    /// The prefilter: a term that starts like no keyword is counted, not
+    /// stemmed and searched for.
+    first: FirstBytes,
     analyzer: Analyzer,
     /// `(term position, keyword)` for every keyword occurrence, in text order.
     hits: Vec<(usize, usize)>,
@@ -96,6 +100,7 @@ impl<'a> Scorer<'a> {
         let query = QueryTerms::new(keywords.iter().map(|k| k.term.as_str()));
         Self {
             in_window: vec![0; query.len()],
+            first: FirstBytes::of(keywords.iter().map(|k| k.term.as_str())),
             query,
             analyzer: Analyzer::default(),
             hits: Vec::new(),
@@ -104,14 +109,13 @@ impl<'a> Scorer<'a> {
 
     fn score(&mut self, text: &str) -> f64 {
         self.hits.clear();
-        let mut n_terms = 0usize;
         let mut terms = self.analyzer.terms(text);
-        while let Some(t) = terms.next_term() {
-            if let Some(k) = self.query.position(t) {
-                self.hits.push((n_terms, k));
+        while let Some((at, term)) = terms.next_match(&self.first) {
+            if let Some(k) = self.query.position(term) {
+                self.hits.push((at, k));
             }
-            n_terms += 1;
         }
+        let n_terms = terms.seen();
         if self.hits.is_empty() {
             return 0.0;
         }

@@ -9,6 +9,7 @@ use crate::error::QaError;
 use crate::ids::{DocId, ParagraphId};
 use crate::wire::{put_str, put_u32, put_u64, Reader};
 use serde::Serialize;
+use std::cmp::Ordering;
 
 /// The answer-window length limits used by TREC (Table 1 of the paper).
 pub const SHORT_ANSWER_BYTES: usize = 50;
@@ -34,11 +35,16 @@ impl Answer {
     /// paragraph id. Order-independent, so sequential and partitioned AP
     /// agree exactly.
     pub fn better(a: &Answer, b: &Answer) -> bool {
-        match a.score.partial_cmp(&b.score) {
-            Some(std::cmp::Ordering::Greater) => true,
-            Some(std::cmp::Ordering::Less) => false,
-            _ => a.paragraph < b.paragraph,
-        }
+        Self::by_rank((a.score, a.paragraph), (b.score, b.paragraph)).is_lt()
+    }
+
+    /// The order behind [`Answer::better`] and the final ranking, over
+    /// `(score, paragraph)`: score descending, then paragraph id ascending.
+    /// AP ranks its borrowed answer windows with it before any `Answer`
+    /// exists.
+    pub fn by_rank(a: (f64, ParagraphId), b: (f64, ParagraphId)) -> Ordering {
+        let by_score = b.0.partial_cmp(&a.0).unwrap_or(Ordering::Equal);
+        by_score.then_with(|| a.1.cmp(&b.1))
     }
 }
 
@@ -62,10 +68,7 @@ impl RankedAnswers {
     /// to guarantee.
     pub fn from_unsorted(mut answers: Vec<Answer>, keep: usize) -> Self {
         answers.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.paragraph.cmp(&b.paragraph))
+            Answer::by_rank((a.score, a.paragraph), (b.score, b.paragraph))
                 .then_with(|| a.candidate.cmp(&b.candidate))
         });
         answers.truncate(keep);

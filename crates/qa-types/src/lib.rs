@@ -12,7 +12,8 @@
 //! (`ir-engine`, `qa-pipeline`, `cluster-sim`, …) build behaviour on top.
 //! The pieces every crate must agree on live here too: the seeded
 //! generator ([`rng`]), the nearest-rank percentile ([`stats`]), the CRC-32
-//! of every checksummed file ([`crc`]), the byte cursor of every
+//! of every checksummed file ([`crc`]), the FNV-1a of every word-keyed table
+//! ([`hash`]), the byte cursor of every
 //! hand-written binary format ([`wire`]) and the lock the threaded crates
 //! share ([`sync`]).
 
@@ -22,6 +23,7 @@ pub mod crc;
 pub mod document;
 pub mod error;
 pub mod federation;
+pub mod hash;
 pub mod ids;
 pub mod modules;
 pub mod overload;
